@@ -297,7 +297,7 @@ def _row_seed(seed, index):
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
-def _exact_row(config, basis, mu, _seed):
+def _exact_row(config, basis, mu):
     try:
         value = qem.qem_exact(config.state, basis, mu)
     except RiskParameterTooLarge:
@@ -310,9 +310,9 @@ def _mc_row(config, basis, mu, seed):
     return _row(mu=mu, upsilon_mc=value.log_qem, mc_se=value.rel_std_error)
 
 
-def _bound_row(config, basis, mu, _seed):
+def _bound_row(engine, mu):
     try:
-        value, lam = qem.qem_upper_bound_scalar_opt(config.state, basis, mu)
+        value, lam = engine.bound(mu)
     except EmptyFeasibleWindow:
         return _row(mu=mu, status=STATUS_EMPTY)
     except NormDivergent:
@@ -320,7 +320,7 @@ def _bound_row(config, basis, mu, _seed):
     return _row(mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
 
 
-def _tail_row(config, basis, mu, _seed, cgf, mu_max):
+def _tail_row(mu, cgf, mu_max):
     # One threshold-bound pair per mu from the CGF slope; the threshold
     # doubles as the eps column.
     if mu >= mu_max:
@@ -335,14 +335,14 @@ def _tail_row(config, basis, mu, _seed, cgf, mu_max):
                 tail_log_bound=min(0.0, log_bound))
 
 
-def _oqho_cell(config, basis, t, mu, _seed):
+def _oqho_cell(engine, mu):
     try:
-        value, lam = oqho.qem_bound_time(config.state, config.model, mu, t, basis=basis)
+        value, lam = engine.bound(mu)
     except EmptyInterval:
-        return _row(t=t, mu=mu, status=STATUS_EMPTY)
+        return _row(t=engine.t, mu=mu, status=STATUS_EMPTY)
     except NormDivergent:
-        return _row(t=t, mu=mu, status=STATUS_DIVERGENT)
-    return _row(t=t, mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
+        return _row(t=engine.t, mu=mu, status=STATUS_DIVERGENT)
+    return _row(t=engine.t, mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
 
 
 def run(config: ScenarioConfig):
@@ -359,32 +359,29 @@ def run(config: ScenarioConfig):
         return BoundReport(rows=()), 0 if ok else 2
 
     basis = symplectic_eigenbasis(config.ccr)
-    tasks = []
+    tasks = list(config.mu_grid)
     if config.kind == "oqho_sweep":
-        for t in config.t_grid:
-            for mu in config.mu_grid:
-                tasks.append((t, mu))
-        runner = lambda cell, seed: _oqho_cell(config, basis, cell[0], cell[1], seed)
+        # One engine per horizon, shared read-only by that horizon's cells.
+        engines = [oqho.HorizonBoundEngine(config.state, config.model, t, basis)
+                   for t in config.t_grid]
+        tasks = [(engine, mu) for engine in engines for mu in config.mu_grid]
+        runner = lambda cell: _oqho_cell(*cell)
+    elif config.kind == "upper_bound":
+        engine = qem.ScalarBoundEngine(config.state, basis)
+        runner = lambda mu: _bound_row(engine, mu)
+    elif config.kind == "tail":
+        cgf, mu_max = qem.exact_cgf(config.state, basis)
+        runner = lambda mu: _tail_row(mu, cgf, mu_max)
+    elif config.kind == "randomized_mc":
+        # Only Monte-Carlo rows draw samples, so only they get a row seed.
+        tasks = [(mu, _row_seed(config.seed, i)) for i, mu in enumerate(tasks)]
+        runner = lambda cell: _mc_row(config, basis, *cell)
     else:
-        per_row = {
-            "gaussian_exact": _exact_row,
-            "randomized_mc": _mc_row,
-            "upper_bound": _bound_row,
-        }
-        if config.kind == "tail":
-            cgf, mu_max = qem.exact_cgf(config.state, basis)
-            runner = lambda cell, seed: _tail_row(config, basis, cell, seed, cgf, mu_max)
-        else:
-            fn = per_row[config.kind]
-            runner = lambda cell, seed: fn(config, basis, cell, seed)
-        tasks = list(config.mu_grid)
+        runner = lambda mu: _exact_row(config, basis, mu)
 
-    seeds = [_row_seed(config.seed, i) for i in range(len(tasks))]
     rows = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = {
-            pool.submit(runner, cell, seeds[i]): i for i, cell in enumerate(tasks)
-        }
+        futures = {pool.submit(runner, cell): i for i, cell in enumerate(tasks)}
         for fut, i in futures.items():
             rows[i] = fut.result()
     report = BoundReport(rows=tuple(rows))

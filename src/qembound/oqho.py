@@ -8,6 +8,11 @@ psi_t(u) = psi_0(e^{tA^T} u) * exp(||u||^2_{Sigma_t}/2) with the
 finite-horizon controllability Gramian Sigma_t, so Gaussian mixtures stay
 Gaussian mixtures and every norm and bound of the initial state transports
 to time t in closed form.
+
+The time-t moment bound is the static scalar-weight bound on the
+propagated mixture: Pi(t, lam) - (C_i + C_j)/2 is congruent under e^{-tA}
+to lam I - (C_i(t) + C_j(t))/2, so the initial-state norm at Pi(t, lam)
+carries a -2t tr A log-det shift that cancels the -(t/2) tr A prefactor.
 """
 
 import math
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._search import golden_section_minimize
 from .ccr import CcrMatrix, J2, SymplecticBasis, _readonly, symplectic_eigenbasis
 from .errors import (
     DimensionMismatch,
@@ -28,14 +32,7 @@ from .errors import (
     NotAdmissible,
     NotHurwitz,
 )
-from .qem import (
-    METHOD_BOUND,
-    QemValue,
-    WINDOW_MARGIN,
-    _log_bound_prefactor,
-    _scalar_gap_logdet,
-    scalar_weight_limit,
-)
+from .qem import ScalarBoundEngine, scalar_weight_limit
 from .states import GaussianState, MixtureMgf, as_mixture, log_weighted_norm
 
 HURWITZ_MARGIN = -1e-10
@@ -95,11 +92,11 @@ def dynamics_matrices(model: OqhoModel):
 
 
 def _expm_and_gramian(a, b, t):
-    """e^{tA} and Sigma_t from one block matrix exponential.
+    """e^{-tA}, e^{tA} and Sigma_t from one block matrix exponential.
 
-    exp(t * [[-A, BB^T], [0, A^T]]) has upper-right block
-    e^{-tA} * Sigma_t and lower-right block e^{tA^T}, so both outputs come
-    from a single scaling-and-squaring call.
+    exp(t * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-tA},
+    upper-right block e^{-tA} * Sigma_t and lower-right block e^{tA^T},
+    so all three outputs come from a single scaling-and-squaring call.
     """
     n = a.shape[0]
     noise = b @ b.T
@@ -116,7 +113,7 @@ def _expm_and_gramian(a, b, t):
     e_ta = big[n:, n:].T
     sigma = e_ta @ big[:n, n:]
     sigma = 0.5 * (sigma + sigma.T)
-    return e_ta, sigma
+    return big[:n, :n], e_ta, sigma
 
 
 def gramian_finite(a, b, t: float) -> GramianResult:
@@ -127,7 +124,7 @@ def gramian_finite(a, b, t: float) -> GramianResult:
         raise ValueError("horizon must be nonnegative")
     if t == 0.0:
         return GramianResult(sigma=_readonly(np.zeros_like(a)), horizon=0.0)
-    _, sigma = _expm_and_gramian(a, b, t)
+    _, _, sigma = _expm_and_gramian(a, b, t)
     floor = PSD_FLOOR * max(1.0, float(np.abs(sigma).max()))
     if float(np.linalg.eigvalsh(sigma)[0]) < floor:
         raise ExpmFailure("computed Gramian is not positive semidefinite")
@@ -157,22 +154,19 @@ def gramian_infinite(a, b) -> GramianResult:
     return GramianResult(sigma=_readonly(sigma), horizon=math.inf, hurwitz=True)
 
 
-def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
-    """State at time t: each component (M, C) maps to
-    (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t); weights are unchanged.
-
-    Output components are re-validated against the commutation matrix;
-    failure there signals a numerical fault, not a user error.
-    """
-    mix = as_mixture(initial)
+def _check_model(mix, model, t):
     if mix.n != model.ccr.n:
         raise DimensionMismatch("state and model dimensions differ")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
+
+
+def _propagate(mix: MixtureMgf, model: OqhoModel, t: float):
+    """(state at time t, Sigma_t); see propagate_mgf."""
     if t == 0.0:
-        return mix
+        return mix, np.zeros((mix.n, mix.n))
     a, b = dynamics_matrices(model)
-    e_ta, sigma = _expm_and_gramian(a, b, t)
+    _, e_ta, sigma = _expm_and_gramian(a, b, t)
     comps = []
     for comp in mix.components:
         mean_t = e_ta @ comp.mean
@@ -184,14 +178,19 @@ def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
             raise InternalAdmissibilityViolation(
                 f"propagated covariance violates admissibility at t = {t}: {exc}"
             ) from exc
-    return MixtureMgf(weights=mix.weights, components=tuple(comps))
+    return MixtureMgf(weights=mix.weights, components=tuple(comps)), sigma
 
 
-def _initial_weight(a_inv_exp, sigma, lam, n):
-    """Weight e^{-tA} (lam I - Sigma_t) e^{-tA^T} for the initial-state norm."""
-    core = lam * np.eye(n) - sigma
-    out = a_inv_exp @ core @ a_inv_exp.T
-    return 0.5 * (out + out.T)
+def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
+    """State at time t: each component (M, C) maps to
+    (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t); weights are unchanged.
+
+    Output components are re-validated against the commutation matrix;
+    failure there signals a numerical fault, not a user error.
+    """
+    mix = as_mixture(initial)
+    _check_model(mix, model, t)
+    return _propagate(mix, model, t)[0]
 
 
 def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> float:
@@ -204,31 +203,61 @@ def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> floa
     lam > lambda_max(Sigma_t).
     """
     mix = as_mixture(initial)
-    if mix.n != model.ccr.n:
-        raise DimensionMismatch("state and model dimensions differ")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_model(mix, model, t)
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     a, b = dynamics_matrices(model)
     if t == 0.0:
         sigma = np.zeros_like(a)
-        a_inv_exp = np.eye(a.shape[0])
+        e_neg = np.eye(a.shape[0])
     else:
-        _, sigma = _expm_and_gramian(a, b, t)
-        a_inv_exp = scipy.linalg.expm(-t * a)
+        e_neg, _, sigma = _expm_and_gramian(a, b, t)
     lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
     if lam <= lam_sigma:
         raise LambdaTooSmall(
             f"lam = {lam} must exceed lambda_max(Sigma_t) = {lam_sigma:.12g}"
         )
-    weight = _initial_weight(a_inv_exp, sigma, lam, a.shape[0])
+    weight = e_neg @ (lam * np.eye(a.shape[0]) - sigma) @ e_neg.T
+    weight = 0.5 * (weight + weight.T)
     return -0.5 * t * float(np.trace(a)) + log_weighted_norm(mix, weight)
 
 
 def propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> float:
     """Scalar-weighted norm of the time-t MGF; see log_propagated_norm."""
     return float(math.exp(log_propagated_norm(initial, model, t, lam)))
+
+
+class HorizonBoundEngine(ScalarBoundEngine):
+    """ScalarBoundEngine on the state at horizon t, built once per t.
+
+    The window's lower end also covers lambda_max(Sigma_t).  bound(mu)
+    raises EmptyInterval when the weight limit falls below
+    lambda_max(Sigma_t) (mu too large for the horizon) and NormDivergent
+    when the window is nonempty but no weight keeps the norm finite.
+    """
+
+    def __init__(self, initial, model: OqhoModel, t: float, basis: SymplecticBasis):
+        mix = as_mixture(initial)
+        _check_model(mix, model, t)
+        state_t, sigma = _propagate(mix, model, t)
+        super().__init__(state_t, basis)
+        self.t = t
+        self.lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
+        self.lam_lo = max(self.lam_lo, self.lam_sigma)
+
+    def bound(self, mu: float):
+        lam_hi = scalar_weight_limit(self.basis, mu)
+        if lam_hi <= self.lam_sigma:
+            raise EmptyInterval(
+                f"scalar weight limit {lam_hi:.6g} <= lambda_max(Sigma_t) = "
+                f"{self.lam_sigma:.6g}; mu = {mu} is too large for horizon t = {self.t}"
+            )
+        if lam_hi <= self.lam_lo:
+            raise NormDivergent(
+                f"no scalar weight below {lam_hi:.6g} keeps the norm finite "
+                f"(needs > {self.lam_lo:.6g})"
+            )
+        return super().bound(mu)
 
 
 def qem_bound_time(
@@ -241,59 +270,16 @@ def qem_bound_time(
                                    - ln det((1/mu) K(mu)^-1 - lam I)/4 ],
 
     over lam in (lambda_max(Sigma_t), theta_min/tanh(mu theta_min)) further
-    restricted so the initial-state norm stays finite.  Returns
-    (QemValue, lam_opt).  EmptyInterval is raised when the weight limit
-    falls below lambda_max(Sigma_t) (mu too large for the horizon);
-    NormDivergent when the interval is nonempty but no weight keeps the
-    norm finite.
+    restricted so the initial-state norm stays finite.  By the congruence
+    in the module docstring this is the static bound
+    qem_upper_bound_scalar_opt on propagate_mgf(initial, model, t), and it
+    is evaluated that way (HorizonBoundEngine).  Returns (QemValue,
+    lam_opt).  EmptyInterval is raised when the weight limit falls below
+    lambda_max(Sigma_t) (mu too large for the horizon); NormDivergent when
+    the interval is nonempty but no weight keeps the norm finite.
     """
-    mix = as_mixture(initial)
-    if mix.n != model.ccr.n:
-        raise DimensionMismatch("state and model dimensions differ")
     if not mu > 0.0:
         raise ValueError("mu must be positive")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
     if basis is None:
         basis = symplectic_eigenbasis(model.ccr)
-    a, b = dynamics_matrices(model)
-    n = a.shape[0]
-    if t == 0.0:
-        e_ta = np.eye(n)
-        sigma = np.zeros((n, n))
-        a_inv_exp = np.eye(n)
-    else:
-        e_ta, sigma = _expm_and_gramian(a, b, t)
-        a_inv_exp = scipy.linalg.expm(-t * a)
-
-    lam_hi = scalar_weight_limit(basis, mu)
-    lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
-    if lam_hi <= lam_sigma:
-        raise EmptyInterval(
-            f"scalar weight limit {lam_hi:.6g} <= lambda_max(Sigma_t) = "
-            f"{lam_sigma:.6g}; mu = {mu} is too large for horizon t = {t}"
-        )
-    lam_lo = lam_sigma
-    for comp in mix.components:
-        cov_t = e_ta @ comp.cov @ e_ta.T + sigma
-        lam_lo = max(lam_lo, float(np.linalg.eigvalsh(0.5 * (cov_t + cov_t.T))[-1]))
-    if lam_hi <= lam_lo:
-        raise NormDivergent(
-            f"no scalar weight below {lam_hi:.6g} keeps the norm finite "
-            f"(needs > {lam_lo:.6g})"
-        )
-    width = lam_hi - lam_lo
-    lo = lam_lo + WINDOW_MARGIN * width
-    hi = lam_hi - WINDOW_MARGIN * width
-    prefactor = _log_bound_prefactor(basis, mu) - 0.5 * t * float(np.trace(a))
-
-    def objective(lam):
-        weight = _initial_weight(a_inv_exp, sigma, lam, n)
-        return (
-            log_weighted_norm(mix, weight)
-            - 0.25 * _scalar_gap_logdet(basis, mu, lam)
-        )
-
-    lam_opt, inner = golden_section_minimize(objective, lo, hi)
-    value = QemValue(mu=mu, log_qem=prefactor + inner, method=METHOD_BOUND)
-    return value, lam_opt
+    return HorizonBoundEngine(initial, model, t, basis).bound(mu)

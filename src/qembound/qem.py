@@ -44,6 +44,7 @@ from .states import (
     as_mixture,
     log_mgf_batch,
     log_weighted_norm,
+    pair_spectra,
 )
 
 METHOD_EXACT = "exact_gaussian"
@@ -230,14 +231,6 @@ def _log_bound_prefactor(basis: SymplecticBasis, mu: float) -> float:
     return -0.5 * basis.n_modes * math.log(4.0 * math.pi) - 0.5 * logdet
 
 
-def _scalar_gap_logdet(basis: SymplecticBasis, mu: float, lam: float) -> float:
-    """ln det((1/mu) K(mu)^-1 - lam I); eigenvalues theta_k/tanh(mu theta_k)."""
-    gaps = basis.gamma / np.tanh(mu * basis.gamma) - lam
-    if np.any(gaps <= 0.0):
-        raise WeightOutOfInterval(f"lam = {lam} reaches the weight interval boundary")
-    return 2.0 * float(np.sum(np.log(gaps)))
-
-
 def qem_upper_bound(state, basis: SymplecticBasis, mu: float, weight: WeightMatrix) -> QemValue:
     """Weighted-norm upper bound on the log-moment at a fixed weight matrix:
 
@@ -278,8 +271,47 @@ def scalar_weight_limit(basis: SymplecticBasis, mu: float) -> float:
     return theta_min / math.tanh(mu * theta_min)
 
 
-def _max_component_cov_eig(state) -> float:
-    return max(float(np.linalg.eigvalsh(c.cov)[-1]) for c in as_mixture(state).components)
+class ScalarBoundEngine:
+    """Scalar-weight bound optimizer for one state, reusable across mu.
+
+    Construction diagonalizes (C_i + C_j)/2 once per component pair (see
+    states.PairSpectra); bound(mu) then minimizes over lam * I with vector
+    arithmetic only.  The gap determinant det((1/mu) K(mu)^-1 - lam I) has
+    eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
+    Read-only after construction, so threads may share one engine.
+    """
+
+    def __init__(self, state, basis: SymplecticBasis):
+        _check_dims(state, basis)
+        self.basis = basis
+        self.spectra = pair_spectra(state)
+        self.lam_lo = self.spectra.lam_min
+
+    def bound(self, mu: float):
+        """Minimize the weighted-norm bound over lam in the feasible window
+        (lam_lo, theta_min/tanh(mu theta_min)), shrunk by WINDOW_MARGIN at
+        both ends.  Returns (QemValue, lam_opt); raises EmptyFeasibleWindow
+        when the window is empty.
+        """
+        lam_hi = scalar_weight_limit(self.basis, mu)
+        if not lam_hi > self.lam_lo:
+            raise EmptyFeasibleWindow(
+                f"no scalar weight window: limit {lam_hi:.6g} <= largest covariance "
+                f"eigenvalue {self.lam_lo:.6g}"
+            )
+        width = lam_hi - self.lam_lo
+        lo = self.lam_lo + WINDOW_MARGIN * width
+        hi = lam_hi - WINDOW_MARGIN * width
+        gamma = self.basis.gamma
+        upper = gamma / np.tanh(mu * gamma)
+        log_norm = self.spectra.log_norm
+
+        def objective(lam):
+            return log_norm(lam) - 0.5 * float(np.log(upper - lam).sum())
+
+        lam_opt, inner = golden_section_minimize(objective, lo, hi)
+        log_bound = _log_bound_prefactor(self.basis, mu) + inner
+        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
@@ -288,26 +320,11 @@ def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
     The feasible window is (max_i lambda_max(C_i), theta_min/tanh(mu theta_min)),
     shrunk by a relative margin at both ends; both the norm and the
     determinant gap decrease in lam, so the objective is smooth and the
-    golden-section search converges.  Returns (QemValue, lam_opt).
+    golden-section search converges.  Evaluated by ScalarBoundEngine, whose
+    objective equals qem_upper_bound at WeightMatrix(lam * I) without
+    factorizing a matrix per step.  Returns (QemValue, lam_opt).
     """
-    _check_dims(state, basis)
-    lam_lo = _max_component_cov_eig(state)
-    lam_hi = scalar_weight_limit(basis, mu)
-    if not lam_hi > lam_lo:
-        raise EmptyFeasibleWindow(
-            f"no scalar weight window: limit {lam_hi:.6g} <= largest covariance "
-            f"eigenvalue {lam_lo:.6g}"
-        )
-    width = lam_hi - lam_lo
-    lo = lam_lo + WINDOW_MARGIN * width
-    hi = lam_hi - WINDOW_MARGIN * width
-    eye = np.eye(basis.n)
-
-    def objective(lam):
-        return qem_upper_bound(state, basis, mu, WeightMatrix(lam * eye)).log_qem
-
-    lam_opt, log_bound = golden_section_minimize(objective, lo, hi)
-    return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
+    return ScalarBoundEngine(state, basis).bound(mu)
 
 
 def exact_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
@@ -337,7 +354,8 @@ def scalar_bound_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
     largest component covariance eigenvalue; the returned mu_max truncates
     slightly inside that region (and at CGF_SPAN / theta_min).
     """
-    lam_need = _max_component_cov_eig(state)
+    engine = ScalarBoundEngine(state, basis)
+    lam_need = engine.lam_lo
     theta_min = float(basis.gamma.min())
     span = min(CGF_SPAN / theta_min, SATURATION_SPAN / float(basis.gamma.max()))
     if scalar_weight_limit(basis, span) > lam_need:
@@ -350,7 +368,7 @@ def scalar_bound_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
         mu_max = safety * edge
 
     def cgf(mu):
-        return qem_upper_bound_scalar_opt(state, basis, mu)[0].log_qem
+        return engine.bound(mu)[0].log_qem
 
     return cgf, mu_max
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_admissible_state, simple_mixture
+from conftest import block_ccr, random_admissible_state, simple_mixture
 from qembound import (
     GaussianState,
     J2,
@@ -31,6 +31,7 @@ from qembound import (
     validate_ccr,
 )
 from qembound.errors import EmptyInterval, LambdaTooSmall, NormDivergent, NotHurwitz
+from qembound.oqho import _expm_and_gramian
 
 CCR2 = validate_ccr(J2)
 BASIS2 = symplectic_eigenbasis(CCR2)
@@ -103,6 +104,14 @@ class TestGramianFinite:
         e_ta = scipy.linalg.expm(t * a)
         stitched = gramian_finite(a, b, t).sigma + e_ta @ gramian_finite(a, b, s).sigma @ e_ta.T
         np.testing.assert_allclose(combined, stitched, atol=1e-9)
+
+    def test_block_top_left_is_inverse_propagator(self):
+        rng = np.random.default_rng(73)
+        model = _random_model(rng, block_ccr([1.0, 1.7]))
+        a, b = dynamics_matrices(model)
+        e_neg, e_ta, _ = _expm_and_gramian(a, b, 0.7)
+        np.testing.assert_allclose(e_neg, scipy.linalg.expm(-0.7 * a), atol=1e-12)
+        np.testing.assert_allclose(e_ta, scipy.linalg.expm(0.7 * a), atol=1e-12)
 
 
 class TestGramianInfinite:

@@ -1,0 +1,113 @@
+"""Property tests for the scalar-weight bound engine and its invariants.
+
+States are admissible by construction (C = W W^T + ||Theta|| I, as in
+conftest.random_admissible_state); hypothesis draws the commutation
+spectrum, the component count, the seed of the random matrices, and the
+position of mu inside the bound's validity range.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import block_ccr, random_admissible_state
+from qembound import (
+    MixtureMgf,
+    OqhoModel,
+    WeightMatrix,
+    propagate_mgf,
+    qem_bound_time,
+    qem_exact,
+    qem_upper_bound,
+    qem_upper_bound_scalar_opt,
+    scalar_bound_cgf,
+    symplectic_eigenbasis,
+    tail_bound,
+)
+from qembound.errors import RiskParameterTooLarge
+from qembound.qem import ScalarBoundEngine
+
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def mixtures(draw):
+    """(mixture, basis) with 1-3 modes and 1-3 admissible components."""
+    freqs = draw(st.lists(st.floats(0.5, 2.5), min_size=1, max_size=3))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ccr = block_ccr(freqs)
+    comps = tuple(random_admissible_state(rng, ccr) for _ in range(k))
+    weights = rng.uniform(0.5, 1.5, size=k)
+    weights /= weights.sum()
+    return MixtureMgf(weights=tuple(weights), components=comps), symplectic_eigenbasis(ccr)
+
+
+def _random_model(rng, ccr):
+    r = rng.normal(scale=0.4, size=(ccr.n, ccr.n))
+    return OqhoModel(R=0.5 * (r + r.T), N=rng.normal(scale=0.6, size=(ccr.n, ccr.n)), ccr=ccr)
+
+
+def _mu_inside(state, basis, frac):
+    """mu at fraction frac of the scalar-weight bound's validity range."""
+    _, mu_max = scalar_bound_cgf(state, basis)
+    return frac * mu_max
+
+
+fractions = st.floats(0.05, 0.9)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), fractions)
+def test_engine_matches_general_weight_route(case, frac):
+    state, basis = case
+    mu = _mu_inside(state, basis, frac)
+    value, lam = ScalarBoundEngine(state, basis).bound(mu)
+    reference = qem_upper_bound(state, basis, mu, WeightMatrix(lam * np.eye(basis.n)))
+    assert abs(value.log_qem - reference.log_qem) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), fractions)
+def test_bound_dominates_exact(case, frac):
+    state, basis = case
+    mu = _mu_inside(state, basis, frac)
+    bound, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+    try:
+        exact = qem_exact(state, basis, mu).log_qem
+    except RiskParameterTooLarge:
+        return
+    assert bound.log_qem >= exact - 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.0, 1.5), fractions, st.integers(0, 2**32 - 1))
+def test_time_bound_is_static_bound_on_propagated_state(case, t, frac, seed):
+    state, basis = case
+    model = _random_model(np.random.default_rng(seed), state.ccr)
+    propagated = propagate_mgf(state, model, t)
+    mu = _mu_inside(propagated, basis, frac)
+    timed, lam = qem_bound_time(state, model, mu, t, basis=basis)
+    static, _ = qem_upper_bound_scalar_opt(propagated, basis, mu)
+    assert abs(timed.log_qem - static.log_qem) <= 1e-10
+    general = qem_upper_bound(propagated, basis, mu, WeightMatrix(lam * np.eye(basis.n)))
+    assert abs(timed.log_qem - general.log_qem) <= 1e-10
+    if t == 0.0:
+        at_zero, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+        assert timed.log_qem == at_zero.log_qem
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.0, 4.0))
+def test_tail_bound_on_bound_cgf_is_nonpositive(case, eps_scale):
+    state, basis = case
+    cgf, mu_max = scalar_bound_cgf(state, basis)
+    mean_half_quadratic = sum(
+        w * 0.5 * (float(np.trace(c.cov)) + float(c.mean @ c.mean))
+        for w, c in zip(state.weights, state.components)
+    )
+    result = tail_bound(cgf, eps_scale * mean_half_quadratic, mu_max, grid_points=8)
+    assert result.log_prob_bound <= 0.0
+    assert math.isfinite(result.log_prob_bound)
