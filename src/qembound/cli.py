@@ -1,24 +1,22 @@
 """Config-driven command-line front end.
 
 Scenarios are JSON documents with a strict schema; sweeps over the risk
-sensitivity mu (and horizon t) are dispatched to a worker pool and written
-as CSV reports with a fixed column set.  Per-point infeasibility never
-aborts a sweep: the row is flagged with a status and the sweep continues.
+sensitivity mu (and horizon t) are evaluated in order and written as CSV
+reports with a fixed column set.  Per-point infeasibility never aborts a
+sweep: the row is flagged with a status and the sweep continues.
 
 Commands:
     qembound run <config.json> [--output PATH] [--seed U64] [--samples N]
     qembound verify [--quick]
-
-The QEMBOUND_THREADS environment variable caps the worker pool.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -57,13 +55,11 @@ STATUS_DIVERGENT = "divergent_norm"
 
 KINDS = ("gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep", "verify")
 
-_ALLOWED_KEYS = {
-    "gaussian_exact": {"kind", "ccr", "state", "mu_grid", "samples", "seed", "output"},
-    "randomized_mc": {"kind", "ccr", "state", "mu_grid", "samples", "seed", "output"},
-    "upper_bound": {"kind", "ccr", "state", "mu_grid", "samples", "seed", "output"},
-    "tail": {"kind", "ccr", "state", "mu_grid", "samples", "seed", "output"},
-    "oqho_sweep": {"kind", "ccr", "state", "model", "mu_grid", "t_grid", "samples", "seed", "output"},
-    "verify": {"kind", "samples", "seed", "output"},
+_BASE_KEYS = {"kind", "samples", "seed", "output"}
+_STATE_KEYS = _BASE_KEYS | {"ccr", "state", "mu_grid"}
+_ALLOWED_KEYS = {kind: _STATE_KEYS for kind in KINDS} | {
+    "oqho_sweep": _STATE_KEYS | {"model", "t_grid"},
+    "verify": _BASE_KEYS,
 }
 
 DEFAULT_SAMPLES = 100000
@@ -101,36 +97,22 @@ class BoundReport:
     rows: tuple
 
     def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.t),
-                        _fmt(r.mu),
-                        _fmt(r.upsilon_exact),
-                        _fmt(r.upsilon_mc),
-                        _fmt(r.mc_se),
-                        _fmt(r.upsilon_bound),
-                        _fmt(r.lambda_opt),
-                        _fmt(r.tail_eps),
-                        _fmt(r.tail_log_bound),
-                        r.status,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+            writer.writerow([_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]] + [r.status])
+        return buffer.getvalue()
 
     @classmethod
     def from_csv_text(cls, text: str) -> "BoundReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        lines = [row for row in csv.reader(io.StringIO(text)) if row]
+        if not lines or tuple(lines[0]) != CSV_COLUMNS:
             raise ConfigParse("unrecognized report header")
         rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
+        for parts in lines[1:]:
             if len(parts) != len(CSV_COLUMNS):
-                raise ConfigParse(f"malformed report row: {ln!r}")
+                raise ConfigParse(f"malformed report row: {','.join(parts)!r}")
             vals = [None if p == "" else float(p) for p in parts[:-1]]
             rows.append(ReportRow(*vals, status=parts[-1]))
         return cls(rows=tuple(rows))
@@ -148,14 +130,14 @@ class BoundReport:
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
-    ccr: CcrMatrix | None
-    state: GaussianState | MixtureMgf | None
-    model: oqho.OqhoModel | None
-    mu_grid: tuple
-    t_grid: tuple | None
-    samples: int
-    seed: int
-    output: str | None
+    ccr: CcrMatrix | None = None
+    state: GaussianState | MixtureMgf | None = None
+    model: oqho.OqhoModel | None = None
+    mu_grid: tuple = ()
+    t_grid: tuple | None = None
+    samples: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
+    output: str | None = None
 
 
 def _require(cond, message):
@@ -169,8 +151,7 @@ def _parse_grid(raw, name, *, positive):
         grid = [float(x) for x in raw]
     except (TypeError, ValueError):
         raise ConfigParse(f"{name} must contain numbers") from None
-    low = 0.0 if positive else -math.inf
-    _require(all(x > low for x in grid) if positive else all(x >= 0.0 for x in grid),
+    _require(all(x > 0.0 for x in grid) if positive else all(x >= 0.0 for x in grid),
              f"{name} entries must be {'positive' if positive else 'nonnegative'}")
     _require(all(a < b for a, b in zip(grid, grid[1:])), f"{name} must be strictly increasing")
     return tuple(grid)
@@ -258,9 +239,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _require(output is None or isinstance(output, str), "output must be a string path")
 
     if kind == "verify":
-        return ScenarioConfig(kind=kind, ccr=None, state=None, model=None,
-                              mu_grid=(), t_grid=None, samples=samples,
-                              seed=seed, output=output)
+        return ScenarioConfig(kind=kind, samples=samples, seed=seed, output=output)
 
     _require("ccr" in raw, "missing required key 'ccr'")
     _require("state" in raw, "missing required key 'state'")
@@ -280,17 +259,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(kind=kind, ccr=ccr, state=state, model=model,
                           mu_grid=mu_grid, t_grid=t_grid, samples=samples,
                           seed=seed, output=output)
-
-
-def _thread_count():
-    raw = os.environ.get("QEMBOUND_THREADS")
-    cap = min(8, os.cpu_count() or 1)
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise ConfigParse(f"QEMBOUND_THREADS must be an integer, got {raw!r}") from None
-    return cap
 
 
 def _row_seed(seed, index):
@@ -349,7 +317,7 @@ def run(config: ScenarioConfig):
     """Execute a scenario; returns (BoundReport, exit_code).
 
     Exit code 0 when every row is ok, 2 when any row is infeasible.  Rows
-    are ordered by (t, mu) regardless of worker completion order.
+    are ordered by (t, mu).
     """
     if config.kind == "verify":
         checks = verify_checks(config.samples, config.seed)
@@ -361,7 +329,7 @@ def run(config: ScenarioConfig):
     basis = symplectic_eigenbasis(config.ccr)
     tasks = list(config.mu_grid)
     if config.kind == "oqho_sweep":
-        # One engine per horizon, shared read-only by that horizon's cells.
+        # One engine per horizon, reused by that horizon's cells.
         engines = [oqho.HorizonBoundEngine(config.state, config.model, t, basis)
                    for t in config.t_grid]
         tasks = [(engine, mu) for engine in engines for mu in config.mu_grid]
@@ -379,12 +347,7 @@ def run(config: ScenarioConfig):
     else:
         runner = lambda mu: _exact_row(config, basis, mu)
 
-    rows = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = {pool.submit(runner, cell): i for i, cell in enumerate(tasks)}
-        for fut, i in futures.items():
-            rows[i] = fut.result()
-    report = BoundReport(rows=tuple(rows))
+    report = BoundReport(rows=tuple(runner(cell) for cell in tasks))
     code = 0 if all(r.status == STATUS_OK for r in report.rows) else 2
     return report, code
 
@@ -470,10 +433,7 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         samples = 20000 if args.quick else DEFAULT_SAMPLES
-        config = ScenarioConfig(kind="verify", ccr=None, state=None, model=None,
-                                mu_grid=(), t_grid=None, samples=samples,
-                                seed=DEFAULT_SEED, output=None)
-        _, code = run(config)
+        _, code = run(ScenarioConfig(kind="verify", samples=samples))
         return code
 
     try:
@@ -484,22 +444,12 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text)
-        if args.seed is not None or args.samples is not None:
-            overrides = {}
-            if args.seed is not None:
-                if not 0 <= args.seed < 2**64:
-                    raise ConfigParse("--seed must be a 64-bit unsigned integer")
-                overrides["seed"] = args.seed
-            if args.samples is not None:
-                if args.samples <= 0:
-                    raise ConfigParse("--samples must be positive")
-                overrides["samples"] = args.samples
-            config = ScenarioConfig(
-                kind=config.kind, ccr=config.ccr, state=config.state,
-                model=config.model, mu_grid=config.mu_grid, t_grid=config.t_grid,
-                samples=overrides.get("samples", config.samples),
-                seed=overrides.get("seed", config.seed), output=config.output,
-            )
+        if args.seed is not None:
+            _require(0 <= args.seed < 2**64, "--seed must be a 64-bit unsigned integer")
+            config = replace(config, seed=args.seed)
+        if args.samples is not None:
+            _require(args.samples > 0, "--samples must be positive")
+            config = replace(config, samples=args.samples)
         report, code = run(config)
     except ConfigParse as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,9 +94,12 @@ def dynamics_matrices(model: OqhoModel):
 def _expm_and_gramian(a, b, t):
     """e^{-tA}, e^{tA} and Sigma_t from one block matrix exponential.
 
-    exp(t * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-tA},
-    upper-right block e^{-tA} * Sigma_t and lower-right block e^{tA^T},
-    so all three outputs come from a single scaling-and-squaring call.
+    exp(s * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-sA},
+    upper-right block e^{-sA} * Sigma_s and lower-right block e^{sA^T}.
+    Recovering Sigma_s = e^{sA} (e^{-sA} Sigma_s) cancels catastrophically
+    once e^{-sA} grows, so the exponential is taken at s = t / 2^k with
+    s ||A||_1 <= 1 and the horizon is doubled k times:
+    Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{+-2sA} squared.
     """
     n = a.shape[0]
     noise = b @ b.T
@@ -104,16 +107,22 @@ def _expm_and_gramian(a, b, t):
     block[:n, :n] = -a
     block[:n, n:] = noise
     block[n:, n:] = a.T
+    k = math.ceil(math.log2(max(1.0, t * float(np.abs(a).sum(axis=0).max()))))
     try:
-        big = scipy.linalg.expm(block * t)
+        big = scipy.linalg.expm(block * (t / 2.0**k))
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ExpmFailure(f"matrix exponential failed: {exc}") from exc
-    if not np.all(np.isfinite(big)):
-        raise ExpmFailure("matrix exponential produced non-finite entries")
+    e_neg = big[:n, :n]
     e_ta = big[n:, n:].T
     sigma = e_ta @ big[:n, n:]
-    sigma = 0.5 * (sigma + sigma.T)
-    return big[:n, :n], e_ta, sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            sigma = sigma + e_ta @ sigma @ e_ta.T
+            e_ta = e_ta @ e_ta
+            e_neg = e_neg @ e_neg
+    if not (np.all(np.isfinite(e_ta)) and np.all(np.isfinite(sigma))):
+        raise ExpmFailure("matrix exponential produced non-finite entries")
+    return e_neg, e_ta, 0.5 * (sigma + sigma.T)
 
 
 def gramian_finite(a, b, t: float) -> GramianResult:
@@ -212,6 +221,8 @@ def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> floa
         e_neg = np.eye(a.shape[0])
     else:
         e_neg, _, sigma = _expm_and_gramian(a, b, t)
+        if not np.all(np.isfinite(e_neg)):
+            raise ExpmFailure(f"e^(-tA) overflows at t = {t}")
     lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
     if lam <= lam_sigma:
         raise LambdaTooSmall(

@@ -60,9 +60,9 @@ WINDOW_MARGIN = 1e-9
 CGF_SAFETY = 0.999
 CGF_SPAN = 50.0
 
-#: Beyond mu * theta_max of about this size, 1 - tanh(mu*theta) falls under
-#: double-precision resolution and the contraction gap in the closed forms
-#: is no longer representable; CGF spans are capped accordingly.
+#: Resolution of the contraction gap in the closed forms is lost near
+#: mu * theta ~ 18, where 1 - tanh(mu*theta) falls under double precision;
+#: CGF spans are capped at mu * theta_max = 14, a margin before that point.
 SATURATION_SPAN = 14.0
 
 
@@ -278,7 +278,6 @@ class ScalarBoundEngine:
     states.PairSpectra); bound(mu) then minimizes over lam * I with vector
     arithmetic only.  The gap determinant det((1/mu) K(mu)^-1 - lam I) has
     eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
-    Read-only after construction, so threads may share one engine.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -361,11 +360,9 @@ def scalar_bound_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
     if scalar_weight_limit(basis, span) > lam_need:
         mu_max = span
     else:
-        # scalar_weight_limit decreases in mu; find where it hits lam_need
-        edge = bisect_nondecreasing(
-            lambda mu: -scalar_weight_limit(basis, mu), -lam_need, 1e-12, span
-        )
-        mu_max = safety * edge
+        # scalar_weight_limit(mu) = lam_need, inverted in closed form;
+        # here lam_need > theta_min, so the atanh argument is below 1.
+        mu_max = safety * math.atanh(theta_min / lam_need) / theta_min
 
     def cgf(mu):
         return engine.bound(mu)[0].log_qem

@@ -129,7 +129,7 @@ def log_mgf_batch(state, u) -> np.ndarray:
     if u.shape[1] != state.n:
         raise DimensionMismatch(f"argument dimension {u.shape[1]} != state dimension {state.n}")
     if isinstance(state, GaussianState):
-        return u @ state.mean + 0.5 * np.einsum("bi,ij,bj->b", u, state.cov, u)
+        return u @ state.mean + 0.5 * ((u @ state.cov) * u).sum(axis=1)
     mix = as_mixture(state)
     cols = np.stack([log_mgf_batch(c, u) for c in mix.components], axis=1)
     return logsumexp(cols, axis=1, b=np.asarray(mix.weights))

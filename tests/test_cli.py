@@ -159,6 +159,23 @@ class TestRun:
             (0.5, 0.6),
         ]
 
+    def test_oqho_sweep_long_horizons(self):
+        # The vacuum is stationary for R = I, N = I; the Gramian at t = 100
+        # must not lose it to cancellation.
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1, 0.3],
+            "t_grid": [0.0, 10.0, 100.0],
+        }
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 0
+        assert [r.t for r in report.rows] == [0.0, 0.0, 10.0, 10.0, 100.0, 100.0]
+        for row, at_zero in zip(report.rows[2:], report.rows[:2] * 2):
+            assert abs(row.upsilon_bound - at_zero.upsilon_bound) < 1e-9
+
     def test_verify_scenario(self, capsys):
         cfg = {"kind": "verify", "samples": 20000}
         report, code = run(parse_config(json.dumps(cfg)))

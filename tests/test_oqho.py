@@ -30,7 +30,13 @@ from qembound import (
     symplectic_eigenbasis,
     validate_ccr,
 )
-from qembound.errors import EmptyInterval, LambdaTooSmall, NormDivergent, NotHurwitz
+from qembound.errors import (
+    EmptyInterval,
+    ExpmFailure,
+    LambdaTooSmall,
+    NormDivergent,
+    NotHurwitz,
+)
 from qembound.oqho import _expm_and_gramian
 
 CCR2 = validate_ccr(J2)
@@ -128,6 +134,14 @@ class TestGramianInfinite:
         with pytest.raises(NotHurwitz):
             gramian_infinite(J2, np.eye(2))
 
+    @pytest.mark.parametrize("t", [10.0, 20.0, 100.0])
+    def test_long_horizon_matches_lyapunov(self, t):
+        # A = 2 J2 (I + J2) has eigenvalues -2 +- 2i: e^{-tA} grows like e^{2t}
+        model = OqhoModel(R=np.eye(2), N=np.eye(2), ccr=CCR2)
+        a, b = dynamics_matrices(model)
+        sigma_t = gramian_finite(a, b, t).sigma
+        assert np.abs(sigma_t - gramian_infinite(a, b).sigma).max() < 1e-12
+
     def test_finite_horizon_limit(self):
         a, b = dynamics_matrices(DAMPED)
         sigma_5 = gramian_finite(a, b, 5.0).sigma
@@ -199,6 +213,11 @@ class TestPropagatedNorm:
         lam_max = float(np.linalg.eigvalsh(gramian_finite(a, b, 0.5).sigma)[-1])
         with pytest.raises(LambdaTooSmall):
             propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, lam_max)
+
+    def test_overflowing_inverse_propagator_rejected(self):
+        # e^{-tA} = e^{2t} I overflows at t = 400 while Sigma_t stays finite
+        with pytest.raises(ExpmFailure):
+            log_propagated_norm(as_mixture(VACUUM), DAMPED, 400.0, 2.0)
 
     @pytest.mark.parametrize("seed", [81, 82, 83, 84])
     def test_transport_identity_random(self, seed):

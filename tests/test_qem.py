@@ -193,6 +193,17 @@ class TestScalarOptimizedBound:
         with pytest.raises(EmptyFeasibleWindow):
             qem_upper_bound_scalar_opt(THERMAL3, BASIS2, 0.5)
 
+    def test_bound_cgf_limit_with_huge_covariance_eigenvalue(self):
+        # The weight limit 1/tanh(mu) meets lambda_max(C) = 1e13 at
+        # mu = atanh(1e-13), far below any fixed bisection start.
+        ccr = block_ccr([1.0, 2.0])
+        basis = symplectic_eigenbasis(ccr)
+        state = GaussianState(mean=np.zeros(4), cov=np.diag([1e13, 3.0, 3.0, 3.0]), ccr=ccr)
+        cgf, mu_max = scalar_bound_cgf(state, basis)
+        assert 0.99e-13 < mu_max < 1e-13
+        assert scalar_weight_limit(basis, mu_max) > 1e13
+        assert math.isfinite(cgf(0.5 * mu_max))
+
     def test_beats_fixed_probes(self):
         state = GaussianState(mean=[0.4, 0.1], cov=1.3 * np.eye(2), ccr=CCR2)
         mu = 0.4
