@@ -30,7 +30,6 @@ from .errors import (
     NormDivergent,
     QemBoundError,
     RiskParameterTooLarge,
-    StepTooLargeNearBoundary,
     SuspectedDivergence,
 )
 from .states import GaussianState, MixtureMgf
@@ -52,6 +51,7 @@ STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible_mu"
 STATUS_EMPTY = "empty_interval"
 STATUS_DIVERGENT = "divergent_norm"
+STATUS_NUMERICAL = "numerical_error"
 
 KINDS = ("gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep", "verify")
 
@@ -265,16 +265,20 @@ def _row_seed(seed, index):
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
-def _exact_row(config, basis, mu):
+def _exact_row(engine, mu):
     try:
-        value = qem.qem_exact(config.state, basis, mu)
+        value = engine.cgf(mu)
     except RiskParameterTooLarge:
         return _row(mu=mu, status=STATUS_INFEASIBLE)
-    return _row(mu=mu, upsilon_exact=value.log_qem)
+    return _row(mu=mu, upsilon_exact=value)
 
 
-def _mc_row(config, basis, mu, seed):
-    value = qem.qem_randomized_mc(config.state, basis, mu, config.samples, seed)
+def _mc_row(config, engine, mu, seed):
+    # The one-eigh check is cheap next to sampling; the cached mu* keeps a
+    # saturated contraction gap from reading as an infinite moment.
+    if not engine.feasible(mu) and mu >= engine.mu_star:
+        return _row(mu=mu, status=STATUS_INFEASIBLE)
+    value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
     return _row(mu=mu, upsilon_mc=value.log_qem, mc_se=value.rel_std_error)
 
 
@@ -288,19 +292,18 @@ def _bound_row(engine, mu):
     return _row(mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
 
 
-def _tail_row(mu, cgf, mu_max):
-    # One threshold-bound pair per mu from the CGF slope; the threshold
-    # doubles as the eps column.
+def _tail_row(engine, mu, mu_max):
+    # One threshold-bound pair per mu from the analytic CGF slope:
+    # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
+    # slope doubles as the eps column.
     if mu >= mu_max:
         return _row(mu=mu, status=STATUS_INFEASIBLE)
-    step = min(1e-6 * max(1.0, mu), 0.5 * mu, 0.5 * (mu_max - mu))
     try:
-        threshold, log_bound = qem.tail_bound_bregman(cgf, mu, step, mu_max)
-        upsilon = cgf(mu)
-    except (RiskParameterTooLarge, StepTooLargeNearBoundary):
+        upsilon, slope = engine.cgf_and_slope(mu)
+    except RiskParameterTooLarge:
         return _row(mu=mu, status=STATUS_INFEASIBLE)
-    return _row(mu=mu, upsilon_exact=upsilon, tail_eps=0.5 * threshold,
-                tail_log_bound=min(0.0, log_bound))
+    return _row(mu=mu, upsilon_exact=upsilon, tail_eps=slope,
+                tail_log_bound=min(0.0, upsilon - mu * slope))
 
 
 def _oqho_cell(engine, mu):
@@ -310,14 +313,26 @@ def _oqho_cell(engine, mu):
         return _row(t=engine.t, mu=mu, status=STATUS_EMPTY)
     except NormDivergent:
         return _row(t=engine.t, mu=mu, status=STATUS_DIVERGENT)
+    except QemBoundError:
+        return _row(t=engine.t, mu=mu, status=STATUS_NUMERICAL)
     return _row(t=engine.t, mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
+
+
+def _horizon_rows(config, basis, t):
+    # The engine is built when the sweep reaches its horizon, so a
+    # numerical fault there flags this horizon's rows and the sweep goes on.
+    try:
+        engine = oqho.HorizonBoundEngine(config.state, config.model, t, basis)
+    except QemBoundError:
+        return [_row(t=t, mu=mu, status=STATUS_NUMERICAL) for mu in config.mu_grid]
+    return [_oqho_cell(engine, mu) for mu in config.mu_grid]
 
 
 def run(config: ScenarioConfig):
     """Execute a scenario; returns (BoundReport, exit_code).
 
-    Exit code 0 when every row is ok, 2 when any row is infeasible.  Rows
-    are ordered by (t, mu).
+    Exit code 0 when every row is ok, 2 when any row is not.  Rows are
+    ordered by (t, mu).
     """
     if config.kind == "verify":
         checks = verify_checks(config.samples, config.seed)
@@ -327,27 +342,25 @@ def run(config: ScenarioConfig):
         return BoundReport(rows=()), 0 if ok else 2
 
     basis = symplectic_eigenbasis(config.ccr)
-    tasks = list(config.mu_grid)
+    mus = config.mu_grid
     if config.kind == "oqho_sweep":
-        # One engine per horizon, reused by that horizon's cells.
-        engines = [oqho.HorizonBoundEngine(config.state, config.model, t, basis)
-                   for t in config.t_grid]
-        tasks = [(engine, mu) for engine in engines for mu in config.mu_grid]
-        runner = lambda cell: _oqho_cell(*cell)
+        rows = [row for t in config.t_grid for row in _horizon_rows(config, basis, t)]
     elif config.kind == "upper_bound":
         engine = qem.ScalarBoundEngine(config.state, basis)
-        runner = lambda mu: _bound_row(engine, mu)
-    elif config.kind == "tail":
-        cgf, mu_max = qem.exact_cgf(config.state, basis)
-        runner = lambda mu: _tail_row(mu, cgf, mu_max)
-    elif config.kind == "randomized_mc":
-        # Only Monte-Carlo rows draw samples, so only they get a row seed.
-        tasks = [(mu, _row_seed(config.seed, i)) for i, mu in enumerate(tasks)]
-        runner = lambda cell: _mc_row(config, basis, *cell)
+        rows = [_bound_row(engine, mu) for mu in mus]
     else:
-        runner = lambda mu: _exact_row(config, basis, mu)
+        engine = qem.ExactEngine(config.state, basis)
+        if config.kind == "tail":
+            mu_max = engine.mu_max()
+            rows = [_tail_row(engine, mu, mu_max) for mu in mus]
+        elif config.kind == "randomized_mc":
+            # Only Monte-Carlo rows draw samples, so only they get a row seed.
+            rows = [_mc_row(config, engine, mu, _row_seed(config.seed, i))
+                    for i, mu in enumerate(mus)]
+        else:
+            rows = [_exact_row(engine, mu) for mu in mus]
 
-    report = BoundReport(rows=tuple(runner(cell) for cell in tasks))
+    report = BoundReport(rows=tuple(rows))
     code = 0 if all(r.status == STATUS_OK for r in report.rows) else 2
     return report, code
 

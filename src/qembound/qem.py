@@ -6,7 +6,9 @@ Upsilon(mu) = ln Xi(mu) (the CGF of the half quadratic form).  Three routes
 are provided:
 
 * exact Gaussian closed form, valid while mu * rho(C K(mu)) < 1 with
-  K(mu) = tanc(mu*Theta);
+  K(mu) = tanc(mu*Theta), evaluated for a whole mixture by ExactEngine
+  from one batched eigh per mu, which also yields the analytic slope
+  Upsilon'(mu);
 * a randomized Monte-Carlo estimator that averages the state's MGF over an
   auxiliary Gaussian vector with covariance K(mu) and divides by
   sqrt(det cos(mu*Theta));
@@ -17,15 +19,15 @@ Chernoff-type tail bounds ln P(Q >= 2*eps) <= -(sup_mu eps*mu - Upsilon(mu))
 close the pipeline.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
+from scipy.linalg import cho_factor
 
 from ._search import bisect_nondecreasing, golden_section_maximize, golden_section_minimize
-from .ccr import SymplecticBasis, aux_covariance, lnsinh, log_det_cos, mode_matrix, tanhc
+from .ccr import SymplecticBasis, aux_covariance, lnsinh, log_det_cos, mode_matrix
 from .errors import (
     DimensionMismatch,
     EmptyFeasibleWindow,
@@ -101,43 +103,148 @@ def _check_dims(state, basis: SymplecticBasis):
         raise DimensionMismatch(f"state dimension {state.n} != basis order {basis.n}")
 
 
-def qem_gaussian_exact(state: GaussianState, basis: SymplecticBasis, mu: float) -> QemValue:
-    """Closed-form log-moment of a Gaussian state.
+class ExactEngine:
+    """Exact closed form of a Gaussian or Gaussian-mixture state, reusable
+    across mu.
 
-    Upsilon(mu) = (||M||^2_{mu K (I - mu C K)^-1}
-                   - ln det(cos(mu*Theta) - mu C sinc(mu*Theta))) / 2,
-    evaluated in log space through the factorization
-    det(cos - mu C sinc) = det(I - mu C K) det(cos).  Requires
-    mu * rho(C K(mu)) < 1; otherwise RiskParameterTooLarge is raised with
-    the critical mu found by bisection.
+    With the orthogonal Q = sqrt(2) H of the symplectic basis,
+    mu K(mu) = Q diag(e^2) Q^T where e = sqrt(tanh(mu theta)/theta) (one
+    entry per mode, repeated for its pair).  Each component's contraction
+    mu K^(1/2) C K^(1/2) is therefore similar to B = diag(e) C~ diag(e) with
+    the mode-basis covariance C~ = Q^T C Q, and with M~ = Q^T M the closed
+    form reads
+
+        Upsilon = (sum p^2/(1 - w) - sum ln(1 - w) - ln det cos(mu Theta)) / 2
+
+    over the spectrum B = V diag(w) V^T and p = V^T (e * M~).  Construction
+    rotates the covariances and means once; every evaluation is one stacked
+    eigh over all components.  The critical mu* is computed on first use
+    and cached.
     """
-    _check_dims(state, basis)
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
-    gamma = basis.gamma
-    c = state.cov
-    k_sqrt = mode_matrix(basis, np.sqrt(tanhc(mu * gamma)))
-    w = np.linalg.eigvalsh(mu * k_sqrt @ c @ k_sqrt)
-    if w[-1] >= 1.0:
-        mu_star = critical_mu(state, basis)
-        if math.isfinite(mu_star):
+
+    def __init__(self, state, basis: SymplecticBasis):
+        _check_dims(state, basis)
+        mix = as_mixture(state)
+        q = math.sqrt(2.0) * basis.H
+        self.basis = basis
+        self.log_weights = np.log(mix.weights)
+        self.covs = np.stack([q.T @ c.cov @ q for c in mix.components])
+        self.means = np.stack([c.mean @ q for c in mix.components])
+        self.theta = np.repeat(basis.gamma, 2)
+
+    def feasible(self, mu: float) -> bool:
+        """True while mu * rho(C K(mu)) < 1 holds for every component."""
+        _, b = _contraction(self.covs, self.theta, mu)
+        return bool(np.linalg.eigvalsh(b).max() < 1.0)
+
+    @functools.cached_property
+    def mu_star(self) -> float:
+        """The critical mu* of the state (see critical_mu)."""
+        return min(_component_critical_mu(cov, self.theta) for cov in self.covs)
+
+    def mu_max(self, safety: float = CGF_SAFETY) -> float:
+        """Truncated validity limit of the CGF (see exact_cgf)."""
+        saturation = SATURATION_SPAN / float(self.basis.gamma.max())
+        if math.isfinite(self.mu_star):
+            return min(safety * self.mu_star, saturation)
+        return min(CGF_SPAN / float(self.basis.gamma.min()), saturation)
+
+    def cgf(self, mu: float) -> float:
+        """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
+        return self._evaluate(mu, slope=False)[0]
+
+    def cgf_and_slope(self, mu: float):
+        """(Upsilon(mu), Upsilon'(mu)) from the same spectrum.
+
+        With G = diag(e^-2) - C~, whose inverse is diag(e) V diag(1/(1-w))
+        V^T diag(e), and d = d(e^-2)/dmu = -theta^2/sinh^2(mu theta):
+
+            2 Upsilon_k' = -sum (G^-1 M~)^2 d - sum diag(G^-1) d
+                           - 2 sum d(ln e)/dmu - 2 sum_modes theta tanh(mu theta);
+
+        the mixture slope is the softmax-weighted sum of the component slopes.
+        """
+        return self._evaluate(mu, slope=True)
+
+    def _evaluate(self, mu, slope):
+        if not mu > 0.0:
+            raise ValueError("mu must be positive")
+        e, b = _contraction(self.covs, self.theta, mu)
+        w, v = np.linalg.eigh(b)
+        top = float(w.max())
+        if top >= 1.0:
+            self._raise_too_large(mu, top)
+        gap = 1.0 - w
+        p = np.matmul((e * self.means)[:, None, :], v)[:, 0, :]
+        parts = 0.5 * ((p * p / gap).sum(axis=1) - np.log1p(-w).sum(axis=1)
+                       - log_det_cos(self.basis, mu))
+        x = parts + self.log_weights
+        shift = float(x.max())
+        mix = np.exp(x - shift)
+        log_qem = shift + math.log(float(mix.sum()))
+        if not slope:
+            return log_qem, None
+        x_mu = mu * self.theta
+        d = -(self.theta / np.sinh(x_mu)) ** 2
+        g_mean = e * np.matmul(v, (p / gap)[:, :, None])[:, :, 0]
+        g_diag = e * e * (v * v / gap[:, None, :]).sum(axis=2)
+        slopes = 0.5 * (-((g_mean * g_mean + g_diag) * d).sum(axis=1)
+                        - 2.0 * float(np.sum(self.theta / np.sinh(2.0 * x_mu)))
+                        - float(np.sum(self.theta * np.tanh(x_mu))))
+        return log_qem, float(mix @ slopes) / float(mix.sum())
+
+    def _raise_too_large(self, mu, top):
+        if math.isfinite(self.mu_star):
             raise RiskParameterTooLarge(
-                f"mu = {mu} exceeds the critical value mu* = {mu_star:.12g} "
-                f"(mu * rho(C K(mu)) = {w[-1]:.6g})"
+                f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g} "
+                f"(mu * rho(C K(mu)) = {top:.6g})"
             )
         raise RiskParameterTooLarge(
             f"contraction gap at mu = {mu} saturated double precision "
             "(the moment is finite for all mu, but 1 - mu*rho(C K(mu)) is "
             "below machine resolution here)"
         )
-    logdet_contraction = float(np.log1p(-w).sum())
-    quad = 0.0
-    if np.any(state.mean != 0.0):
-        k_inv = mode_matrix(basis, 1.0 / tanhc(mu * gamma))
-        factor = cho_factor(k_inv - mu * c, lower=True)
-        quad = mu * float(state.mean @ cho_solve(factor, state.mean))
-    log_qem = 0.5 * (quad - logdet_contraction - log_det_cos(basis, mu))
-    return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
+
+
+def _contraction(covs, theta, mu):
+    """(e, diag(e) covs diag(e)) with e = sqrt(tanh(mu theta)/theta); covs
+    may be one mode-basis covariance or a stack of them."""
+    e = np.sqrt(np.tanh(mu * theta) / theta)
+    return e, e[:, None] * covs * e
+
+
+def _component_critical_mu(cov, theta):
+    """mu* of one component from its mode-basis covariance; see critical_mu."""
+
+    def radius(mu):
+        return float(np.linalg.eigvalsh(_contraction(cov, theta, mu)[1])[-1])
+
+    e_limit = 1.0 / np.sqrt(theta)
+    if float(np.linalg.eigvalsh(e_limit[:, None] * cov * e_limit)[-1]) <= 1.0:
+        return math.inf
+    hi = 1.0 / float(theta.max())
+    lo = 0.0
+    for _ in range(200):
+        if radius(hi) >= 1.0:
+            break
+        lo = hi
+        hi *= 2.0
+    return bisect_nondecreasing(radius, 1.0, lo, hi, rel_tol=1e-10)
+
+
+def qem_gaussian_exact(state: GaussianState, basis: SymplecticBasis, mu: float) -> QemValue:
+    """Closed-form log-moment of a Gaussian state.
+
+    Upsilon(mu) = (||M||^2_{mu K (I - mu C K)^-1}
+                   - ln det(cos(mu*Theta) - mu C sinc(mu*Theta))) / 2,
+    evaluated in log space through the factorization
+    det(cos - mu C sinc) = det(I - mu C K) det(cos), with both the
+    contraction determinant and the mean term taken from one eigh of
+    diag(e) Q^T C Q diag(e) (see ExactEngine).  Requires
+    mu * rho(C K(mu)) < 1; otherwise RiskParameterTooLarge is raised with
+    the critical mu found by bisection.
+    """
+    return qem_exact(state, basis, mu)
 
 
 def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
@@ -146,11 +253,7 @@ def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
     The moment is linear in the density operator, so a mixture's moment is
     the weighted sum of its components' Gaussian closed forms.
     """
-    if isinstance(state, GaussianState):
-        return qem_gaussian_exact(state, basis, mu)
-    mix = as_mixture(state)
-    parts = [qem_gaussian_exact(c, basis, mu).log_qem for c in mix.components]
-    log_qem = float(logsumexp(np.asarray(parts) + np.log(mix.weights)))
+    log_qem = ExactEngine(state, basis).cgf(mu)
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
 
 
@@ -162,28 +265,7 @@ def critical_mu(state, basis: SymplecticBasis) -> float:
     the spectral radius at the limit matrix; bisection to relative 1e-10.
     For a mixture the minimum over components is returned.
     """
-    if isinstance(state, MixtureMgf):
-        return min(critical_mu(c, basis) for c in state.components)
-    _check_dims(state, basis)
-    c = state.cov
-    gamma = basis.gamma
-
-    def radius(mu):
-        s = mode_matrix(basis, np.sqrt(np.tanh(mu * gamma) / gamma))
-        return float(np.linalg.eigvalsh(s @ c @ s)[-1])
-
-    limit_sqrt = mode_matrix(basis, 1.0 / np.sqrt(gamma))
-    rho_limit = float(np.linalg.eigvalsh(limit_sqrt @ c @ limit_sqrt)[-1])
-    if rho_limit <= 1.0:
-        return math.inf
-    hi = 1.0 / float(gamma.max())
-    lo = 0.0
-    for _ in range(200):
-        if radius(hi) >= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-    return bisect_nondecreasing(radius, 1.0, lo, hi, rel_tol=1e-10)
+    return ExactEngine(state, basis).mu_star
 
 
 def qem_randomized_mc(
@@ -333,17 +415,8 @@ def exact_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
     value is finite; otherwise the span CGF_SPAN / theta_min capped at the
     double-precision saturation limit SATURATION_SPAN / theta_max.
     """
-    mu_star = critical_mu(state, basis)
-    saturation = SATURATION_SPAN / float(basis.gamma.max())
-    if math.isfinite(mu_star):
-        mu_max = min(safety * mu_star, saturation)
-    else:
-        mu_max = min(CGF_SPAN / float(basis.gamma.min()), saturation)
-
-    def cgf(mu):
-        return qem_exact(state, basis, mu).log_qem
-
-    return cgf, mu_max
+    engine = ExactEngine(state, basis)
+    return engine.cgf, engine.mu_max(safety)
 
 
 def scalar_bound_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):

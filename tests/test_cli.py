@@ -176,6 +176,64 @@ class TestRun:
         for row, at_zero in zip(report.rows[2:], report.rows[:2] * 2):
             assert abs(row.upsilon_bound - at_zero.upsilon_bound) < 1e-9
 
+    def test_tail_rows_use_the_analytic_slope(self):
+        # Thermal state cov 3 I on ccr [1]: Upsilon = -ln(cosh mu - 3 sinh mu),
+        # slope (3 cosh mu - sinh mu) / (cosh mu - 3 sinh mu); mu* ~ 0.3466.
+        cfg = _vacuum_config(
+            kind="tail",
+            state={"mean": [0.0, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
+            mu_grid=[0.1, 0.2, 0.3, 0.4],
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == ["ok", "ok", "ok", "infeasible_mu"]
+        for row in report.rows[:3]:
+            c, s = math.cosh(row.mu), math.sinh(row.mu)
+            upsilon = -math.log(c - 3.0 * s)
+            slope = (3.0 * c - s) / (c - 3.0 * s)
+            assert row.upsilon_exact == pytest.approx(upsilon, rel=1e-12)
+            assert row.tail_eps == pytest.approx(slope, rel=1e-12)
+            assert row.tail_log_bound == pytest.approx(upsilon - row.mu * slope, rel=1e-12)
+            assert row.tail_log_bound < 0.0
+
+    def test_mc_rows_past_critical_mu_are_infeasible(self):
+        # mu* = artanh(1/3) ~ 0.3466: past it the moment is infinite, so no
+        # estimate or error bar may be printed.
+        cfg = _vacuum_config(
+            kind="randomized_mc",
+            state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
+            mu_grid=[0.2, 0.5, 1.0],
+            samples=20000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == ["ok", "infeasible_mu", "infeasible_mu"]
+        assert report.rows[0].upsilon_mc is not None
+        assert report.rows[0].mc_se > 0.0
+        for row in report.rows[1:]:
+            assert row.upsilon_mc is None
+            assert row.mc_se is None
+
+    def test_oqho_sweep_flags_faulty_horizon(self):
+        # A = +2 I is unstable: the block expm overflows at t = 400, which
+        # flags that horizon's rows without losing the earlier horizons.
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "model": {"R": [[0.0, 0.0], [0.0, 0.0]], "N": [[0.0, 1.0], [1.0, 0.0]]},
+            "mu_grid": [0.1, 0.2],
+            "t_grid": [0.0, 1.0, 400.0],
+        }
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert len(report.rows) == 6
+        healthy, _ = run(parse_config(json.dumps(dict(cfg, t_grid=[0.0, 1.0]))))
+        assert report.rows[:4] == healthy.rows
+        assert [(r.t, r.status) for r in report.rows[4:]] == [(400.0, "numerical_error")] * 2
+        assert all(r.upsilon_bound is None for r in report.rows[4:])
+
     def test_verify_scenario(self, capsys):
         cfg = {"kind": "verify", "samples": 20000}
         report, code = run(parse_config(json.dumps(cfg)))

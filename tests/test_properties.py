@@ -1,4 +1,5 @@
-"""Property tests for the scalar-weight bound engine and its invariants.
+"""Property tests for the scalar-weight bound engine, the exact-CGF engine
+and their invariants.
 
 States are admissible by construction (C = W W^T + ||Theta|| I, as in
 conftest.random_admissible_state); hypothesis draws the commutation
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 from conftest import block_ccr, random_admissible_state
 from qembound import (
     MixtureMgf,
+    matrix_function,
     OqhoModel,
     WeightMatrix,
+    critical_mu,
     propagate_mgf,
     qem_bound_time,
     qem_exact,
@@ -27,7 +30,7 @@ from qembound import (
     tail_bound,
 )
 from qembound.errors import RiskParameterTooLarge
-from qembound.qem import ScalarBoundEngine
+from qembound.qem import ExactEngine, ScalarBoundEngine
 
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -111,3 +114,72 @@ def test_tail_bound_on_bound_cgf_is_nonpositive(case, eps_scale):
     result = tail_bound(cgf, eps_scale * mean_half_quadratic, mu_max, grid_points=8)
     assert result.log_prob_bound <= 0.0
     assert math.isfinite(result.log_prob_bound)
+
+
+def _dense_exact(state, basis, mu):
+    """Closed form from dense matrix functions, independent of ExactEngine:
+    ln sum_k w_k exp((mu M^T K (I - mu C K)^-1 M
+                      - ln det(cos(mu Theta) - mu C sinc(mu Theta))) / 2)."""
+    cos = matrix_function(basis, "cos", mu)
+    sinc = matrix_function(basis, "sinc", mu)
+    k_mat = matrix_function(basis, "tanc", mu)
+    eye = np.eye(basis.n)
+    logs = []
+    for weight, comp in zip(state.weights, state.components):
+        sign, logdet = np.linalg.slogdet(cos - mu * comp.cov @ sinc)
+        assert sign > 0.0
+        quad = mu * comp.mean @ k_mat @ np.linalg.solve(eye - mu * comp.cov @ k_mat, comp.mean)
+        logs.append(math.log(weight) + 0.5 * (quad - logdet))
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def _exact_mu(engine, frac):
+    """mu at fraction frac of min(0.9 mu*, the exact CGF's validity limit)."""
+    return frac * min(0.9 * engine.mu_star, engine.mu_max())
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), fractions)
+def test_exact_engine_matches_dense_closed_form(case, frac):
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    mu = _exact_mu(engine, frac)
+    reference = _dense_exact(state, basis, mu)
+    assert abs(engine.cgf(mu) - reference) <= 1e-10 * max(1.0, abs(reference))
+
+
+@PROPERTY_SETTINGS
+@given(mixtures())
+def test_exact_slope_is_positive_and_nondecreasing(case):
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    slopes = [engine.cgf_and_slope(_exact_mu(engine, frac))[1]
+              for frac in np.linspace(0.02, 1.0, 12)]
+    assert slopes[0] > 0.0
+    for lower, upper in zip(slopes, slopes[1:]):
+        assert upper >= lower * (1.0 - 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), fractions)
+def test_exact_slope_matches_central_difference(case, frac):
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    mu = _exact_mu(engine, frac)
+    h = 1e-7 * mu
+    difference = (engine.cgf(mu + h) - engine.cgf(mu - h)) / (2.0 * h)
+    _, slope = engine.cgf_and_slope(mu)
+    assert abs(slope - difference) <= 1e-5 * abs(slope)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures())
+def test_feasibility_flips_at_critical_mu(case):
+    state, basis = case
+    mu_star = critical_mu(state, basis)
+    assert math.isfinite(mu_star)
+    engine = ExactEngine(state, basis)
+    assert engine.mu_star == mu_star
+    assert engine.feasible(mu_star * (1.0 - 1e-8))
+    assert not engine.feasible(mu_star * (1.0 + 1e-8))
