@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -141,50 +140,27 @@ def validate_ccr(theta) -> CcrMatrix:
 def symplectic_eigenbasis(ccr: CcrMatrix) -> SymplecticBasis:
     """Compute eigenfrequencies and a deterministic real eigenbasis.
 
-    Uses the real Schur decomposition, which reduces an antisymmetric matrix
-    to 2x2 skew blocks; each block is normalized so that the basis columns
-    (u_k, v_k) satisfy Theta u_k = -theta_k v_k, Theta v_k = theta_k u_k with
-    theta_k > 0.  Eigenfrequencies are sorted in descending order and the
-    sign of each pair is fixed by making the first nonzero entry of u_k
-    positive.
+    The Hermitian i*Theta has eigenvalues +-theta_k; the n/2 largest, in
+    descending order, have unit eigenvectors z = x + i*y whose parts (u_k,
+    v_k) = (y, x) have norm 1/sqrt(2), satisfy Theta u_k = -theta_k v_k,
+    Theta v_k = theta_k u_k, and stay orthogonal within degenerate
+    eigenspaces.  Each phase is fixed by making the first entry of z above
+    1e-12 * max|z| read i*|z_j|, so that entry of u_k is positive.
     """
     theta = ccr.theta
     n = ccr.n
-    scale = float(np.abs(theta).max())
     try:
-        t_form, q = scipy.linalg.schur(theta, output="real")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigenSolverFailure(f"real Schur decomposition failed: {exc}") from exc
-
-    pairs = []
-    for k in range(0, n, 2):
-        b = float(t_form[k, k + 1])
-        diag_leak = max(abs(t_form[k, k]), abs(t_form[k + 1, k + 1]))
-        skew_leak = abs(t_form[k + 1, k] + b)
-        if diag_leak > 1e-8 * scale or skew_leak > 1e-8 * scale or b == 0.0:
-            raise EigenSolverFailure("Schur form is not block skew-diagonal")
-        u = q[:, k].copy()
-        v = q[:, k + 1].copy()
-        if b < 0.0:
-            u, v, b = v, u, -b
-        pairs.append((b, u, v))
-
-    pairs.sort(key=lambda p: -p[0])
-
-    h = np.empty((n, n))
-    gamma = np.empty(n // 2)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k, (freq, u, v) in enumerate(pairs):
-        nz = np.flatnonzero(np.abs(u) > 1e-12 * np.abs(u).max())
-        if u[nz[0]] < 0.0:
-            u = -u
-            v = -v
-        gamma[k] = freq
-        h[:, 2 * k] = inv_sqrt2 * u
-        h[:, 2 * k + 1] = inv_sqrt2 * v
-
+        w, z = np.linalg.eigh(1j * theta)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(f"Hermitian eigensolver failed: {exc}") from exc
+    gamma = w[::-1][: n // 2]
+    z = z[:, ::-1][:, : n // 2]
+    lead = z[np.argmax(np.abs(z) > 1e-12 * np.abs(z).max(axis=0), axis=0), np.arange(n // 2)]
+    z = z * (1j * np.abs(lead) / lead)
+    # Columns (u_k, v_k) = (Im z_k, Re z_k), interleaved.
+    h = np.stack((z.imag, z.real), axis=2).reshape(n, n)
     basis = SymplecticBasis(H=_readonly(h), gamma=_readonly(gamma), n=n)
-    _verify_basis(theta, basis, scale)
+    _verify_basis(theta, basis, float(np.abs(theta).max()))
     return basis
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, RiskParameterTooLarge, SuspectedDivergence
 from .sampling import log_mean_exp_stats, standard_normal_blocks, top_weight_fraction
@@ -78,8 +77,8 @@ def classical_gaussian_qem(g: ClassicalGaussian, mu: float) -> float:
     logdet = float(np.log1p(-mu * eigs).sum())
     quad = 0.0
     if np.any(g.mean != 0.0):
-        factor = cho_factor(np.eye(g.n) - mu * g.cov, lower=True)
-        quad = mu * float(g.mean @ cho_solve(factor, g.mean))
+        y = np.linalg.solve(np.linalg.cholesky(np.eye(g.n) - mu * g.cov), g.mean)
+        quad = mu * float(y @ y)
     return 0.5 * (quad - logdet)
 
 

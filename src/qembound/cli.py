@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import classical, oqho, qem
 from .ccr import J2, CcrMatrix, symplectic_eigenbasis, validate_ccr
@@ -52,6 +51,16 @@ STATUS_INFEASIBLE = "infeasible_mu"
 STATUS_EMPTY = "empty_interval"
 STATUS_DIVERGENT = "divergent_norm"
 STATUS_NUMERICAL = "numerical_error"
+STATUS_INFINITE_VARIANCE = "infinite_variance"
+
+#: Status of a cell whose evaluation raised; the first matching class wins,
+#: so any other library error reads as a numerical fault.
+ERROR_STATUS = (
+    (RiskParameterTooLarge, STATUS_INFEASIBLE),
+    ((EmptyFeasibleWindow, EmptyInterval), STATUS_EMPTY),
+    (NormDivergent, STATUS_DIVERGENT),
+    (QemBoundError, STATUS_NUMERICAL),
+)
 
 KINDS = ("gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep", "verify")
 
@@ -161,7 +170,7 @@ def _parse_ccr(raw):
     _require(isinstance(raw, list) and raw, "ccr must be a nonempty list")
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
         _require(all(x > 0 for x in raw), "ccr eigenfrequencies must be positive")
-        theta = scipy.linalg.block_diag(*[float(f) * J2 for f in raw])
+        theta = np.kron(np.diag([float(f) for f in raw]), J2)
     else:
         theta = raw
     try:
@@ -265,66 +274,80 @@ def _row_seed(seed, index):
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
-def _exact_row(engine, mu):
+def _attempt(compute):
+    """(compute(), "ok"), or (None, ERROR_STATUS's status for the error it raised)."""
     try:
-        value = engine.cgf(mu)
-    except RiskParameterTooLarge:
-        return _row(mu=mu, status=STATUS_INFEASIBLE)
-    return _row(mu=mu, upsilon_exact=value)
+        return compute(), STATUS_OK
+    except QemBoundError as exc:
+        return None, next(s for cls, s in ERROR_STATUS if isinstance(exc, cls))
+
+
+def _cell(compute, mu, t=None, status=STATUS_OK):
+    """Report row from compute(), a dict of value columns (None for blank).
+    An error, or any non-finite value, flags the row and blanks its values."""
+    values, error = _attempt(compute)
+    if values is None:
+        return _row(t=t, mu=mu, status=error)
+    if not all(math.isfinite(v) for v in values.values() if v is not None):
+        return _row(t=t, mu=mu, status=STATUS_NUMERICAL)
+    return _row(t=t, mu=mu, status=status, **values)
+
+
+def _exact_row(engine, mu):
+    return _cell(lambda: {"upsilon_exact": engine.cgf(mu)}, mu)
 
 
 def _mc_row(config, engine, mu, seed):
-    # The one-eigh check is cheap next to sampling; the cached mu* keeps a
-    # saturated contraction gap from reading as an infinite moment.
-    if not engine.feasible(mu) and mu >= engine.mu_star:
+    # One eigvalsh gives mu * rho(C K(mu)).  From 1 the moment is infinite
+    # (the cached mu* keeps a saturated contraction gap from reading so);
+    # from 1/2 the estimator's variance is, so no error bar is printed.
+    radius = engine.radius(mu)
+    if radius >= 1.0 and mu >= engine.mu_star:
         return _row(mu=mu, status=STATUS_INFEASIBLE)
-    value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
-    return _row(mu=mu, upsilon_mc=value.log_qem, mc_se=value.rel_std_error)
+    finite_variance = radius < 0.5
+
+    def values():
+        value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
+        se = value.rel_std_error if finite_variance else None
+        return {"upsilon_mc": value.log_qem, "mc_se": se}
+
+    return _cell(values, mu, status=STATUS_OK if finite_variance else STATUS_INFINITE_VARIANCE)
+
+
+def _bound_values(engine, mu):
+    value, lam = engine.bound(mu)
+    return {"upsilon_bound": value.log_qem, "lambda_opt": lam}
 
 
 def _bound_row(engine, mu):
-    try:
-        value, lam = engine.bound(mu)
-    except EmptyFeasibleWindow:
-        return _row(mu=mu, status=STATUS_EMPTY)
-    except NormDivergent:
-        return _row(mu=mu, status=STATUS_DIVERGENT)
-    return _row(mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
+    return _cell(lambda: _bound_values(engine, mu), mu)
 
 
-def _tail_row(engine, mu, mu_max):
+def _tail_values(engine, mu):
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
+    upsilon, slope = engine.cgf_and_slope(mu)
+    return {"upsilon_exact": upsilon, "tail_eps": slope,
+            "tail_log_bound": min(0.0, upsilon - mu * slope)}
+
+
+def _tail_row(engine, mu, mu_max):
     if mu >= mu_max:
         return _row(mu=mu, status=STATUS_INFEASIBLE)
-    try:
-        upsilon, slope = engine.cgf_and_slope(mu)
-    except RiskParameterTooLarge:
-        return _row(mu=mu, status=STATUS_INFEASIBLE)
-    return _row(mu=mu, upsilon_exact=upsilon, tail_eps=slope,
-                tail_log_bound=min(0.0, upsilon - mu * slope))
+    return _cell(lambda: _tail_values(engine, mu), mu)
 
 
 def _oqho_cell(engine, mu):
-    try:
-        value, lam = engine.bound(mu)
-    except EmptyInterval:
-        return _row(t=engine.t, mu=mu, status=STATUS_EMPTY)
-    except NormDivergent:
-        return _row(t=engine.t, mu=mu, status=STATUS_DIVERGENT)
-    except QemBoundError:
-        return _row(t=engine.t, mu=mu, status=STATUS_NUMERICAL)
-    return _row(t=engine.t, mu=mu, upsilon_bound=value.log_qem, lambda_opt=lam)
+    return _cell(lambda: _bound_values(engine, mu), mu, t=engine.t)
 
 
 def _horizon_rows(config, basis, t):
-    # The engine is built when the sweep reaches its horizon, so a
-    # numerical fault there flags this horizon's rows and the sweep goes on.
-    try:
-        engine = oqho.HorizonBoundEngine(config.state, config.model, t, basis)
-    except QemBoundError:
-        return [_row(t=t, mu=mu, status=STATUS_NUMERICAL) for mu in config.mu_grid]
+    # The engine is built when the sweep reaches its horizon, so a fault
+    # there flags this horizon's rows and the sweep goes on.
+    engine, status = _attempt(lambda: oqho.HorizonBoundEngine(config.state, config.model, t, basis))
+    if engine is None:
+        return [_row(t=t, mu=mu, status=status) for mu in config.mu_grid]
     return [_oqho_cell(engine, mu) for mu in config.mu_grid]
 
 
@@ -343,22 +366,24 @@ def run(config: ScenarioConfig):
 
     basis = symplectic_eigenbasis(config.ccr)
     mus = config.mu_grid
-    if config.kind == "oqho_sweep":
-        rows = [row for t in config.t_grid for row in _horizon_rows(config, basis, t)]
-    elif config.kind == "upper_bound":
-        engine = qem.ScalarBoundEngine(config.state, basis)
-        rows = [_bound_row(engine, mu) for mu in mus]
-    else:
-        engine = qem.ExactEngine(config.state, basis)
-        if config.kind == "tail":
-            mu_max = engine.mu_max()
-            rows = [_tail_row(engine, mu, mu_max) for mu in mus]
-        elif config.kind == "randomized_mc":
-            # Only Monte-Carlo rows draw samples, so only they get a row seed.
-            rows = [_mc_row(config, engine, mu, _row_seed(config.seed, i))
-                    for i, mu in enumerate(mus)]
+    # Overflow warnings are not printed: _cell flags every non-finite value.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if config.kind == "oqho_sweep":
+            rows = [row for t in config.t_grid for row in _horizon_rows(config, basis, t)]
+        elif config.kind == "upper_bound":
+            engine = qem.ScalarBoundEngine(config.state, basis)
+            rows = [_bound_row(engine, mu) for mu in mus]
         else:
-            rows = [_exact_row(engine, mu) for mu in mus]
+            engine = qem.ExactEngine(config.state, basis)
+            if config.kind == "tail":
+                mu_max = engine.mu_max()
+                rows = [_tail_row(engine, mu, mu_max) for mu in mus]
+            elif config.kind == "randomized_mc":
+                # Only Monte-Carlo rows draw samples, so only they get a row seed.
+                rows = [_mc_row(config, engine, mu, _row_seed(config.seed, i))
+                        for i, mu in enumerate(mus)]
+            else:
+                rows = [_exact_row(engine, mu) for mu in mus]
 
     report = BoundReport(rows=tuple(rows))
     code = 0 if all(r.status == STATUS_OK for r in report.rows) else 2

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from ._search import bisect_nondecreasing, golden_section_maximize, golden_section_minimize
 from .ccr import SymplecticBasis, aux_covariance, lnsinh, log_det_cos, mode_matrix
@@ -132,10 +131,11 @@ class ExactEngine:
         self.means = np.stack([c.mean @ q for c in mix.components])
         self.theta = np.repeat(basis.gamma, 2)
 
-    def feasible(self, mu: float) -> bool:
-        """True while mu * rho(C K(mu)) < 1 holds for every component."""
+    def radius(self, mu: float) -> float:
+        """max over components of mu * rho(C K(mu)); the moment is finite
+        below 1 and the Monte-Carlo estimator's variance below 1/2."""
         _, b = _contraction(self.covs, self.theta, mu)
-        return bool(np.linalg.eigvalsh(b).max() < 1.0)
+        return float(np.linalg.eigvalsh(b).max())
 
     @functools.cached_property
     def mu_star(self) -> float:
@@ -330,12 +330,12 @@ def qem_upper_bound(state, basis: SymplecticBasis, mu: float, weight: WeightMatr
     upper = mode_matrix(basis, basis.gamma / np.tanh(mu * basis.gamma))
     gap = upper - weight.P
     try:
-        factor = cho_factor(0.5 * (gap + gap.T), lower=True)
+        chol = np.linalg.cholesky(0.5 * (gap + gap.T))
     except np.linalg.LinAlgError as exc:
         raise WeightOutOfInterval(
             "weight does not satisfy P < (1/mu) K(mu)^-1"
         ) from exc
-    logdet_gap = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    logdet_gap = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_norm = log_weighted_norm(state, weight)
     log_bound = _log_bound_prefactor(basis, mu) + log_norm - 0.25 * logdet_gap
     return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND)

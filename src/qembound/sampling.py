@@ -34,6 +34,12 @@ def standard_normal_blocks(seed: int, stream: int, samples: int, dim: int):
         block += 1
 
 
+def log_sum_exp(values):
+    """ln sum exp over the last axis, shifted by the maximum so no term overflows."""
+    top = np.maximum.reduce(values, axis=-1)
+    return top + np.log(np.add.reduce(np.exp(values - top[..., None]), axis=-1))
+
+
 def log_mean_exp_stats(log_values):
     """Mean of exp(log_values) in log scale, with its relative standard error.
 

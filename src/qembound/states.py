@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .ccr import CcrMatrix, _readonly
 from .errors import (
@@ -22,6 +20,7 @@ from .errors import (
     NotAdmissible,
     NotPositiveDefinite,
 )
+from .sampling import log_sum_exp
 
 ADMISSIBILITY_FLOOR = -1e-10
 SYMMETRY_RTOL = 1e-12
@@ -132,7 +131,7 @@ def log_mgf_batch(state, u) -> np.ndarray:
         return u @ state.mean + 0.5 * ((u @ state.cov) * u).sum(axis=1)
     mix = as_mixture(state)
     cols = np.stack([log_mgf_batch(c, u) for c in mix.components], axis=1)
-    return logsumexp(cols, axis=1, b=np.asarray(mix.weights))
+    return log_sum_exp(cols + np.log(mix.weights))
 
 
 def mgf_eval(state, u) -> float:
@@ -145,9 +144,10 @@ def gaussian_moment_integral(a, precision) -> float:
     """Log of the Gaussian MGF identity in terms of the precision matrix:
 
         ln[(2 pi)^(-m/2) sqrt(det N) * integral exp(a^T u - ||u||_N^2 / 2) du]
-        = ||a||^2_{N^-1} / 2.
+        = ||a||^2_{N^-1} / 2,
 
-    Shared primitive behind every norm and bound closed form.
+    from a Cholesky factor of N.  A reference identity: the norm and bound
+    closed forms evaluate their own integrals.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     n_mat = np.asarray(precision, dtype=float)
@@ -159,24 +159,25 @@ def gaussian_moment_integral(a, precision) -> float:
     if float(np.abs(n_mat - n_mat.T).max()) > SYMMETRY_RTOL * scale:
         raise NotPositiveDefinite("precision matrix is not symmetric")
     try:
-        factor = cho_factor(0.5 * (n_mat + n_mat.T), lower=True)
+        chol = np.linalg.cholesky(0.5 * (n_mat + n_mat.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("precision matrix is not positive definite") from exc
-    return 0.5 * float(a @ cho_solve(factor, a))
+    y = np.linalg.solve(chol, a)
+    return 0.5 * float(y @ y)
 
 
 def _pair_log_integral(m_i, m_j, c_i, c_j, p):
     """Log of integral exp((M_i+M_j)^T u - ||u||^2_{P-(C_i+C_j)/2}) du."""
     gap = p - 0.5 * (c_i + c_j)
     try:
-        factor = cho_factor(0.5 * (gap + gap.T), lower=True)
+        chol = np.linalg.cholesky(0.5 * (gap + gap.T))
     except np.linalg.LinAlgError as exc:
         raise NormDivergent(
             "weight does not dominate the covariances; norm integral diverges"
         ) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    a = m_i + m_j
-    quad = float(a @ cho_solve(factor, a))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    y = np.linalg.solve(chol, m_i + m_j)
+    quad = float(y @ y)
     n = p.shape[0]
     return 0.5 * n * math.log(math.pi) - 0.5 * logdet + 0.25 * quad
 
@@ -204,7 +205,7 @@ def log_weighted_norm(state, weight) -> float:
                 + log_w[j]
                 + _pair_log_integral(ci.mean, cj.mean, ci.cov, cj.cov, p)
             )
-    return 0.5 * float(logsumexp(terms))
+    return 0.5 * float(log_sum_exp(np.asarray(terms)))
 
 
 @dataclass(frozen=True)

@@ -292,10 +292,13 @@ def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
     )
     out_one = tmp_path / "one.csv"
     out_four = tmp_path / "four.csv"
+    # mu = 1.0 is past the vacuum's mu_var = artanh(1/2): that row reads
+    # infinite_variance, so the exit code is 2.
     monkeypatch.setenv("QEMBOUND_THREADS", "1")
-    assert main(["run", str(config_path), "--output", str(out_one)]) == 0
+    assert main(["run", str(config_path), "--output", str(out_one)]) == 2
     monkeypatch.setenv("QEMBOUND_THREADS", "4")
-    assert main(["run", str(config_path), "--output", str(out_four)]) == 0
+    assert main(["run", str(config_path), "--output", str(out_four)]) == 2
     assert out_one.read_bytes() == out_four.read_bytes()
-    assert len(BoundReport.read_csv(str(out_one)).rows) == 3
+    rows = BoundReport.read_csv(str(out_one)).rows
+    assert [r.status for r in rows] == ["ok", "ok", "infinite_variance"]
     _report(10, "byte-identical reports across thread counts", started)

@@ -63,6 +63,13 @@ class TestValidateCcr:
             validate_ccr(theta)
 
 
+def _degenerate_ccr():
+    """Frequencies [1, 1, 2] in a rotated basis: a two-dimensional eigenspace
+    whose basis the eigensolver may choose freely."""
+    q = random_orthogonal(np.random.default_rng(29), 6)
+    return validate_ccr(q @ np.kron(np.diag([1.0, 1.0, 2.0]), J2) @ q.T)
+
+
 class TestSymplecticEigenbasis:
     def test_canonical(self):
         basis = symplectic_eigenbasis(validate_ccr(J2))
@@ -80,13 +87,15 @@ class TestSymplecticEigenbasis:
         basis = symplectic_eigenbasis(ccr)
         np.testing.assert_allclose(basis.gamma, freqs, atol=1e-10)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_defining_relations(self, seed):
-        rng = np.random.default_rng(seed)
-        ccr, _ = random_ccr(rng, 2)
+    @pytest.mark.parametrize("case", [0, 1, 2, "degenerate"])
+    def test_defining_relations(self, case):
+        if case == "degenerate":
+            ccr = _degenerate_ccr()
+        else:
+            ccr, _ = random_ccr(np.random.default_rng(case), 2)
         basis = symplectic_eigenbasis(ccr)
         h, gamma = basis.H, basis.gamma
-        np.testing.assert_allclose(h.T @ h, 0.5 * np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(h.T @ h, 0.5 * np.eye(ccr.n), atol=1e-10)
         core = np.kron(np.diag(gamma), J2)
         np.testing.assert_allclose(ccr.theta @ h, h @ core, atol=1e-10)
         np.testing.assert_allclose(basis.reconstruct(), ccr.theta, atol=1e-9)
@@ -101,8 +110,7 @@ class TestSymplecticEigenbasis:
 
     def test_sign_convention(self):
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            ccr, _ = random_ccr(rng, 2)
+        for ccr in [random_ccr(rng, 2)[0] for _ in range(5)] + [_degenerate_ccr()]:
             basis = symplectic_eigenbasis(ccr)
             for k in range(basis.n_modes):
                 u = basis.H[:, 2 * k]

@@ -3,10 +3,15 @@ command-line entry point."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qembound
 from qembound.cli import (
     CSV_COLUMNS,
     BoundReport,
@@ -198,7 +203,8 @@ class TestRun:
 
     def test_mc_rows_past_critical_mu_are_infeasible(self):
         # mu* = artanh(1/3) ~ 0.3466: past it the moment is infinite, so no
-        # estimate or error bar may be printed.
+        # estimate or error bar may be printed.  mu = 0.2 lies past
+        # mu_var = artanh(1/6) ~ 0.168, so its estimate has no error bar.
         cfg = _vacuum_config(
             kind="randomized_mc",
             state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
@@ -208,9 +214,10 @@ class TestRun:
         )
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
-        assert [r.status for r in report.rows] == ["ok", "infeasible_mu", "infeasible_mu"]
+        assert [r.status for r in report.rows] == [
+            "infinite_variance", "infeasible_mu", "infeasible_mu"]
         assert report.rows[0].upsilon_mc is not None
-        assert report.rows[0].mc_se > 0.0
+        assert report.rows[0].mc_se is None
         for row in report.rows[1:]:
             assert row.upsilon_mc is None
             assert row.mc_se is None
@@ -331,3 +338,74 @@ class TestMain:
     def test_verify_quick(self, capsys):
         assert main(["verify", "--quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+
+class TestHonestRows:
+    @pytest.mark.parametrize(
+        "kind", ["gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep"]
+    )
+    def test_overflowing_state_flags_every_row(self, kind):
+        # A mean of 1e308 overflows every route; no row may read ok with a
+        # nan, and no cell may abort the sweep.
+        cfg = _vacuum_config(
+            kind=kind,
+            state={"mean": [1e308, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            mu_grid=[0.5, 1.0],
+            samples=4096,
+            seed=1,
+        )
+        if kind == "oqho_sweep":
+            cfg.update(model={"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+                       t_grid=[0.0, 1.0])
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert len(report.rows) == (4 if kind == "oqho_sweep" else 2)
+        for row in report.rows:
+            assert row.status == "numerical_error"
+            assert all(getattr(row, name) is None for name in CSV_COLUMNS[2:-1])
+
+    def test_mc_rows_past_mu_var_have_no_error_bar(self):
+        # cov 3 I on ccr [1]: mu * rho(C K(mu)) = 3 tanh(mu), so the MC
+        # variance is infinite from mu_var = artanh(1/6) ~ 0.168 and the
+        # moment from mu* = artanh(1/3) ~ 0.347.
+        cfg = _vacuum_config(
+            kind="randomized_mc",
+            state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
+            mu_grid=[0.1, 0.25],
+            samples=20000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        ok, past_var = report.rows
+        assert ok.status == "ok" and ok.mc_se > 0.0
+        assert past_var.status == "infinite_variance"
+        assert past_var.upsilon_mc is not None
+        assert past_var.mc_se is None
+
+
+# Blocks scipy before qembound is imported, runs one scenario of every kind
+# and then the oracle checks; exits nonzero if any of them fails.
+NUMPY_ONLY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+from qembound.cli import main, parse_config, run
+for doc in json.loads(sys.argv[1]):
+    report, code = run(parse_config(json.dumps(doc)))
+    assert code == 0 and report.rows, doc["kind"]
+sys.exit(main(["verify", "--quick"]))
+"""
+
+
+def test_runs_without_scipy():
+    model = {"R": [[0.0, 0.0], [0.0, 0.0]], "N": [[1.0, 0.0], [0.0, 1.0]]}
+    docs = [_vacuum_config(kind=kind, mu_grid=[0.2, 0.4], samples=4096)
+            for kind in ("gaussian_exact", "randomized_mc", "upper_bound", "tail")]
+    docs.append(_vacuum_config(kind="oqho_sweep", mu_grid=[0.2, 0.4], model=model,
+                               t_grid=[0.0, 0.5]))
+    src = str(Path(qembound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, json.dumps(docs)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "[FAIL]" not in proc.stdout

@@ -114,10 +114,16 @@ class TestGramianFinite:
     def test_block_top_left_is_inverse_propagator(self):
         rng = np.random.default_rng(73)
         model = _random_model(rng, block_ccr([1.0, 1.7]))
-        a, b = dynamics_matrices(model)
-        e_neg, e_ta, _ = _expm_and_gramian(a, b, 0.7)
-        np.testing.assert_allclose(e_neg, scipy.linalg.expm(-0.7 * a), atol=1e-12)
-        np.testing.assert_allclose(e_ta, scipy.linalg.expm(0.7 * a), atol=1e-12)
+        # In the second pair ||BB^T||_1 is far above ||A||_1, so the noise
+        # block sets the scaling of the block exponential.
+        loud = (0.1 * rng.normal(size=(4, 4)), 30.0 * rng.normal(size=(4, 4)))
+        for a, b in (dynamics_matrices(model), loud):
+            e_neg, e_ta, sigma = _expm_and_gramian(a, b, 0.7)
+            np.testing.assert_allclose(e_neg, scipy.linalg.expm(-0.7 * a), atol=1e-12)
+            np.testing.assert_allclose(e_ta, scipy.linalg.expm(0.7 * a), atol=1e-12)
+            block = np.block([[-a, b @ b.T], [np.zeros((4, 4)), a.T]])
+            reference = scipy.linalg.expm(0.7 * a) @ scipy.linalg.expm(0.7 * block)[:4, 4:]
+            assert np.abs(sigma - reference).max() <= 1e-11 * np.abs(reference).max()
 
 
 class TestGramianInfinite:
@@ -129,6 +135,16 @@ class TestGramianInfinite:
         assert result.horizon == math.inf
         residual = a @ result.sigma + result.sigma @ a.T + b @ b.T
         assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(b @ b.T)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_matches_lyapunov_solver(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n))
+        a = m - (np.linalg.eigvals(m).real.max() + 0.5) * np.eye(n)
+        b = rng.normal(size=(n, n))
+        sigma = gramian_infinite(a, b).sigma
+        reference = scipy.linalg.solve_continuous_lyapunov(a, -b @ b.T)
+        assert np.abs(sigma - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_marginally_stable_rejected(self):
         with pytest.raises(NotHurwitz):

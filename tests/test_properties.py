@@ -181,5 +181,5 @@ def test_feasibility_flips_at_critical_mu(case):
     assert math.isfinite(mu_star)
     engine = ExactEngine(state, basis)
     assert engine.mu_star == mu_star
-    assert engine.feasible(mu_star * (1.0 - 1e-8))
-    assert not engine.feasible(mu_star * (1.0 + 1e-8))
+    assert engine.radius(mu_star * (1.0 - 1e-8)) < 1.0
+    assert engine.radius(mu_star * (1.0 + 1e-8)) >= 1.0
