@@ -51,17 +51,6 @@ def tanhc(x):
     return np.where(x == 0.0, 1.0, np.tanh(np.where(x == 0.0, 1.0, x)) / np.where(x == 0.0, 1.0, x))
 
 
-def sinc(x):
-    """sin(x)/x, equal to 1 at x = 0."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
-def tanc(x):
-    """tan(x)/x, equal to 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x == 0.0, 1.0, np.tan(np.where(x == 0.0, 1.0, x)) / np.where(x == 0.0, 1.0, x))
-
-
 def lncosh(x):
     """ln(cosh(x)) without overflow for large |x|."""
     x = np.abs(np.asarray(x, dtype=float))
@@ -194,15 +183,12 @@ def mode_matrix(basis: SymplecticBasis, values) -> np.ndarray:
 
 
 # Named symmetric scalar functions.  Evaluation of f at the matrix mu*Theta
-# reduces to f(i*mu*theta_k) at the eigenfrequencies; for the trigonometric
-# names this is the corresponding hyperbolic function and vice versa.
+# reduces to f(i*mu*theta_k) at the eigenfrequencies, so each trigonometric
+# name maps to its hyperbolic counterpart.
 _FUNCTION_TABLE = {
     "cos": np.cosh,
     "sinc": sinhc,
     "tanc": tanhc,
-    "cosh": np.cos,
-    "sinhc": sinc,
-    "tanhc": tanc,
     "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
 }
 
@@ -210,9 +196,9 @@ _FUNCTION_TABLE = {
 def matrix_function(basis: SymplecticBasis, f: str, mu: float) -> np.ndarray:
     """Evaluate a named symmetric function at mu * Theta.
 
-    Supported names: cos, sinc, tanc (and their hyperbolic counterparts
-    cosh, sinhc, tanhc) plus the constant "one".  The result is a real
-    symmetric n x n matrix.
+    Supported names: cos, sinc, tanc and the constant "one"; they are
+    evaluated as cosh, sinh(x)/x and tanh(x)/x at mu * theta_k.  The result
+    is a real symmetric n x n matrix.
     """
     if f not in _FUNCTION_TABLE:
         raise UnsupportedFunction(

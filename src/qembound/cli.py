@@ -156,10 +156,12 @@ def _require(cond, message):
 
 def _parse_grid(raw, name, *, positive):
     _require(isinstance(raw, list) and raw, f"{name} must be a nonempty list")
-    try:
-        grid = [float(x) for x in raw]
-    except (TypeError, ValueError):
-        raise ConfigParse(f"{name} must contain numbers") from None
+    # Exact comparison keeps NaN, infinities and integers past the double
+    # range out, so float() below neither overflows nor yields inf.
+    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                 and abs(x) <= sys.float_info.max for x in raw),
+             f"{name} must contain finite numbers")
+    grid = [float(x) for x in raw]
     _require(all(x > 0.0 for x in grid) if positive else all(x >= 0.0 for x in grid),
              f"{name} entries must be {'positive' if positive else 'nonnegative'}")
     _require(all(a < b for a, b in zip(grid, grid[1:])), f"{name} must be strictly increasing")
@@ -239,8 +241,8 @@ def parse_config(text: str) -> ScenarioConfig:
     _require(not unknown, f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
 
     samples = raw.get("samples", DEFAULT_SAMPLES)
-    _require(isinstance(samples, int) and not isinstance(samples, bool) and samples > 0,
-             "samples must be a positive integer")
+    _require(isinstance(samples, int) and not isinstance(samples, bool) and samples >= 2,
+             "samples must be an integer >= 2")
     seed = raw.get("seed", DEFAULT_SEED)
     _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
              "seed must be a 64-bit unsigned integer")
@@ -486,7 +488,7 @@ def main(argv=None) -> int:
             _require(0 <= args.seed < 2**64, "--seed must be a 64-bit unsigned integer")
             config = replace(config, seed=args.seed)
         if args.samples is not None:
-            _require(args.samples > 0, "--samples must be positive")
+            _require(args.samples >= 2, "--samples must be at least 2")
             config = replace(config, samples=args.samples)
         report, code = run(config)
     except ConfigParse as exc:

@@ -96,18 +96,24 @@ def _expm_and_gramian(a, b, t):
     exp(s * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-sA},
     upper-right block e^{-sA} * Sigma_s and lower-right block e^{sA^T}.
     Recovering Sigma_s = e^{sA} (e^{-sA} Sigma_s) cancels catastrophically
-    once e^{-sA} grows, so the exponential is taken at s = t / 2^k with
-    s times the block's 1-norm at most 1, where the degree-18 Taylor series
-    leaves a remainder below e/19! ~ 2e-17, and the horizon is doubled k
-    times: Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{+-2sA} squared.
+    once e^{-sA} grows, so a degree-18 Taylor series is taken at s = t / 2^k
+    with s ||A||_1 <= 1 and the horizon is doubled k times:
+    Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{+-2sA} squared.
+    The block is block-triangular, so its diagonal blocks keep a remainder
+    below e/19! ~ 2e-17 and the off-diagonal one, relative to Sigma_s, one
+    set by ||sA|| alone; BB^T needs no scaling.  Raises ExpmFailure when
+    t ||A||_1 or the result is not finite.
     """
+    t_norm = t * float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(t_norm):
+        raise ExpmFailure(f"t * ||A||_1 = {t_norm} is not finite at t = {t}")
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = b @ b.T
     block[n:, n:] = a.T
-    k = math.ceil(math.log2(max(1.0, t * float(np.abs(block).sum(axis=0).max()))))
-    scaled = block * (t / 2.0**k)
+    k = math.ceil(math.log2(max(1.0, t_norm)))
+    scaled = block * math.ldexp(t, -k)
     big = eye = np.eye(2 * n)
     for j in range(18, 0, -1):
         big = eye + (scaled @ big) / j
@@ -130,8 +136,6 @@ def gramian_finite(a, b, t: float) -> GramianResult:
     b = np.asarray(b, dtype=float)
     if t < 0.0:
         raise ValueError("horizon must be nonnegative")
-    if t == 0.0:
-        return GramianResult(sigma=_readonly(np.zeros_like(a)), horizon=0.0)
     _, _, sigma = _expm_and_gramian(a, b, t)
     floor = PSD_FLOOR * max(1.0, float(np.abs(sigma).max()))
     if float(np.linalg.eigvalsh(sigma)[0]) < floor:
@@ -221,13 +225,9 @@ def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> floa
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     a, b = dynamics_matrices(model)
-    if t == 0.0:
-        sigma = np.zeros_like(a)
-        e_neg = np.eye(a.shape[0])
-    else:
-        e_neg, _, sigma = _expm_and_gramian(a, b, t)
-        if not np.all(np.isfinite(e_neg)):
-            raise ExpmFailure(f"e^(-tA) overflows at t = {t}")
+    e_neg, _, sigma = _expm_and_gramian(a, b, t)
+    if not np.all(np.isfinite(e_neg)):
+        raise ExpmFailure(f"e^(-tA) overflows at t = {t}")
     lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
     if lam <= lam_sigma:
         raise LambdaTooSmall(

@@ -33,6 +33,7 @@ from .errors import (
     InvalidRange,
     NormDivergent,
     NumericalOverflowDespiteLogSpace,
+    QemBoundError,
     RiskParameterTooLarge,
     StepTooLargeNearBoundary,
     WeightOutOfInterval,
@@ -45,7 +46,6 @@ from .states import (
     as_mixture,
     log_mgf_batch,
     log_weighted_norm,
-    pair_spectra,
 )
 
 METHOD_EXACT = "exact_gaussian"
@@ -134,19 +134,34 @@ class ExactEngine:
     def radius(self, mu: float) -> float:
         """max over components of mu * rho(C K(mu)); the moment is finite
         below 1 and the Monte-Carlo estimator's variance below 1/2."""
-        _, b = _contraction(self.covs, self.theta, mu)
-        return float(np.linalg.eigvalsh(b).max())
+        return _radius(self.covs, self.theta, mu)
 
     @functools.cached_property
     def mu_star(self) -> float:
-        """The critical mu* of the state (see critical_mu)."""
-        return min(_component_critical_mu(cov, self.theta) for cov in self.covs)
+        """The critical mu* of the state (see critical_mu): one doubling
+        bracket and bisection on the stacked radius of the components whose
+        limit radius exceeds 1.  The others never cross, and are left out so
+        a saturated radius cannot read 1 first."""
+        e_limit = 1.0 / np.sqrt(self.theta)
+        limits = np.linalg.eigvalsh(e_limit[:, None] * self.covs * e_limit)[:, -1]
+        covs = self.covs[limits > 1.0]
+        if not covs.size:
+            return math.inf
+        radius = functools.partial(_radius, covs, self.theta)
+        hi = 1.0 / float(self.theta.max())
+        lo = 0.0
+        for _ in range(200):
+            if radius(hi) >= 1.0:
+                break
+            lo = hi
+            hi *= 2.0
+        return bisect_nondecreasing(radius, 1.0, lo, hi, rel_tol=1e-10)
 
-    def mu_max(self, safety: float = CGF_SAFETY) -> float:
+    def mu_max(self) -> float:
         """Truncated validity limit of the CGF (see exact_cgf)."""
         saturation = SATURATION_SPAN / float(self.basis.gamma.max())
         if math.isfinite(self.mu_star):
-            return min(safety * self.mu_star, saturation)
+            return min(CGF_SAFETY * self.mu_star, saturation)
         return min(CGF_SPAN / float(self.basis.gamma.min()), saturation)
 
     def cgf(self, mu: float) -> float:
@@ -213,23 +228,9 @@ def _contraction(covs, theta, mu):
     return e, e[:, None] * covs * e
 
 
-def _component_critical_mu(cov, theta):
-    """mu* of one component from its mode-basis covariance; see critical_mu."""
-
-    def radius(mu):
-        return float(np.linalg.eigvalsh(_contraction(cov, theta, mu)[1])[-1])
-
-    e_limit = 1.0 / np.sqrt(theta)
-    if float(np.linalg.eigvalsh(e_limit[:, None] * cov * e_limit)[-1]) <= 1.0:
-        return math.inf
-    hi = 1.0 / float(theta.max())
-    lo = 0.0
-    for _ in range(200):
-        if radius(hi) >= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-    return bisect_nondecreasing(radius, 1.0, lo, hi, rel_tol=1e-10)
+def _radius(covs, theta, mu):
+    """Largest eigenvalue of the contraction over a stack of covariances."""
+    return float(np.linalg.eigvalsh(_contraction(covs, theta, mu)[1]).max())
 
 
 def qem_gaussian_exact(state: GaussianState, basis: SymplecticBasis, mu: float) -> QemValue:
@@ -263,7 +264,7 @@ def critical_mu(state, basis: SymplecticBasis) -> float:
     mu * K(mu) has nondecreasing eigenvalues tanh(mu*theta_k)/theta_k with
     supremum 1/theta_k, so the map is nondecreasing in mu and bounded by
     the spectral radius at the limit matrix; bisection to relative 1e-10.
-    For a mixture the minimum over components is returned.
+    For a mixture the smallest component root is returned.
     """
     return ExactEngine(state, basis).mu_star
 
@@ -356,17 +357,64 @@ def scalar_weight_limit(basis: SymplecticBasis, mu: float) -> float:
 class ScalarBoundEngine:
     """Scalar-weight bound optimizer for one state, reusable across mu.
 
-    Construction diagonalizes (C_i + C_j)/2 once per component pair (see
-    states.PairSpectra); bound(mu) then minimizes over lam * I with vector
-    arithmetic only.  The gap determinant det((1/mu) K(mu)^-1 - lam I) has
+    With P = lam * I the (i, j) pair integral of log_weighted_norm reads
+
+        n/2 ln(pi) - sum ln(lam - s)/2 + sum q^2/(lam - s)/4
+
+    over the eigenvalues s of (C_i + C_j)/2 and the coordinates q of
+    M_i + M_j in their eigenvectors.  Construction diagonalizes once per
+    pair i <= j (rows of s; quad = q^2/4; log_base = ln(w_i w_j), plus ln 2
+    off the diagonal, plus n/2 ln(pi)); the norm is finite iff lam exceeds
+    lam_lo = max_i lambda_max(C_i).  bound(mu) then minimizes over lam * I
+    with vector arithmetic only: det((1/mu) K(mu)^-1 - lam I) has
     eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
         _check_dims(state, basis)
         self.basis = basis
-        self.spectra = pair_spectra(state)
-        self.lam_lo = self.spectra.lam_min
+        mix = as_mixture(state)
+        comps = mix.components
+        log_w = np.log(np.asarray(mix.weights))
+        constant = 0.5 * mix.n * math.log(math.pi)
+        log_base, s_rows, quad_rows = [], [], []
+        for i, ci in enumerate(comps):
+            for j in range(i, len(comps)):
+                cj = comps[j]
+                s, v = np.linalg.eigh(0.5 * (ci.cov + cj.cov))
+                q = (ci.mean + cj.mean) @ v
+                log_base.append(log_w[i] + log_w[j] + constant + (math.log(2.0) if j > i else 0.0))
+                s_rows.append(s)
+                quad_rows.append(0.25 * q * q)
+        self.log_base = np.asarray(log_base)
+        self.s = np.asarray(s_rows)
+        self.quad = np.asarray(quad_rows)
+        self.lam_lo = float(self.s.max())
+
+    def log_norm(self, lam: float) -> float:
+        """log_scalar_norm at lam, with no matrix factorization."""
+        if not lam > self.lam_lo:
+            raise NormDivergent(
+                "weight does not dominate the covariances; norm integral diverges"
+            )
+        gaps = lam - self.s
+        terms = self.log_base + (self.quad / gaps - 0.5 * np.log(gaps)).sum(axis=1)
+        top = float(terms.max())
+        return 0.5 * (top + math.log(float(np.exp(terms - top).sum())))
+
+    def mu_max(self) -> float:
+        """Truncated validity limit of the bound CGF (see scalar_bound_cgf)."""
+        theta_min = float(self.basis.gamma.min())
+        span = min(CGF_SPAN / theta_min, SATURATION_SPAN / float(self.basis.gamma.max()))
+        if scalar_weight_limit(self.basis, span) > self.lam_lo:
+            return span
+        # scalar_weight_limit(mu) = lam_lo, inverted in closed form;
+        # here lam_lo > theta_min, so the atanh argument is below 1.
+        return CGF_SAFETY * math.atanh(theta_min / self.lam_lo) / theta_min
+
+    def cgf(self, mu: float) -> float:
+        """The optimized bound on Upsilon(mu) (see bound)."""
+        return self.bound(mu)[0].log_qem
 
     def bound(self, mu: float):
         """Minimize the weighted-norm bound over lam in the feasible window
@@ -385,10 +433,9 @@ class ScalarBoundEngine:
         hi = lam_hi - WINDOW_MARGIN * width
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
-        log_norm = self.spectra.log_norm
 
         def objective(lam):
-            return log_norm(lam) - 0.5 * float(np.log(upper - lam).sum())
+            return self.log_norm(lam) - 0.5 * float(np.log(upper - lam).sum())
 
         lam_opt, inner = golden_section_minimize(objective, lo, hi)
         log_bound = _log_bound_prefactor(self.basis, mu) + inner
@@ -408,39 +455,27 @@ def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
     return ScalarBoundEngine(state, basis).bound(mu)
 
 
-def exact_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
+def exact_cgf(state, basis: SymplecticBasis):
     """CGF callable for the exact route, with its truncated validity limit.
 
-    Returns (cgf, mu_max) where mu_max = safety * mu_star when the critical
-    value is finite; otherwise the span CGF_SPAN / theta_min capped at the
-    double-precision saturation limit SATURATION_SPAN / theta_max.
+    Returns (cgf, mu_max) where mu_max = CGF_SAFETY * mu_star when the
+    critical value is finite, otherwise the span CGF_SPAN / theta_min, and
+    is capped at the saturation limit SATURATION_SPAN / theta_max.
     """
     engine = ExactEngine(state, basis)
-    return engine.cgf, engine.mu_max(safety)
+    return engine.cgf, engine.mu_max()
 
 
-def scalar_bound_cgf(state, basis: SymplecticBasis, safety: float = CGF_SAFETY):
+def scalar_bound_cgf(state, basis: SymplecticBasis):
     """Upper-bound CGF callable from the scalar-weight optimizer.
 
     The bound is finite while scalar_weight_limit(mu) stays above the
-    largest component covariance eigenvalue; the returned mu_max truncates
-    slightly inside that region (and at CGF_SPAN / theta_min).
+    largest component covariance eigenvalue; mu_max is CGF_SAFETY times that
+    window edge, or min(CGF_SPAN / theta_min, SATURATION_SPAN / theta_max)
+    when the window stays open that far.
     """
     engine = ScalarBoundEngine(state, basis)
-    lam_need = engine.lam_lo
-    theta_min = float(basis.gamma.min())
-    span = min(CGF_SPAN / theta_min, SATURATION_SPAN / float(basis.gamma.max()))
-    if scalar_weight_limit(basis, span) > lam_need:
-        mu_max = span
-    else:
-        # scalar_weight_limit(mu) = lam_need, inverted in closed form;
-        # here lam_need > theta_min, so the atanh argument is below 1.
-        mu_max = safety * math.atanh(theta_min / lam_need) / theta_min
-
-    def cgf(mu):
-        return engine.bound(mu)[0].log_qem
-
-    return cgf, mu_max
+    return engine.cgf, engine.mu_max()
 
 
 def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBound:
@@ -476,7 +511,7 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         # still climbing at the truncation point: report the limit value
         try:
             edge = gain(mu_max)
-        except Exception:
+        except QemBoundError:
             edge = best
         if edge >= best:
             best = edge

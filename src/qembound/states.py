@@ -5,7 +5,8 @@ A Gaussian state with mean M and real covariance C has the everywhere
 finite MGF psi(u) = exp(M^T u + ||u||_C^2 / 2), subject to the quantum
 admissibility constraint C + i*Theta >= 0.  Finite mixtures of Gaussians
 keep both the MGF and all weighted norms in closed form, which is what
-makes them usable as exactly checkable non-Gaussian states.
+makes them usable as exactly checkable non-Gaussian states.  The
+scalar-weight reduction of these norms lives in qem.ScalarBoundEngine.
 """
 
 import math
@@ -206,63 +207,6 @@ def log_weighted_norm(state, weight) -> float:
                 + _pair_log_integral(ci.mean, cj.mean, ci.cov, cj.cov, p)
             )
     return 0.5 * float(log_sum_exp(np.asarray(terms)))
-
-
-@dataclass(frozen=True)
-class PairSpectra:
-    """Eigen-reduced pair integrals of log_weighted_norm for scalar weights.
-
-    With P = lam * I the (i, j) integral depends on lam only through the
-    eigenvalues s of (C_i + C_j)/2 and the squared coordinates q^2 of
-    M_i + M_j in their eigenvectors:
-
-        ln integral = n/2 ln(pi) - sum ln(lam - s)/2 + sum q^2/(lam - s)/4.
-
-    Rows run over unordered pairs i <= j: log_base holds ln(w_i w_j), plus
-    ln 2 off the diagonal, plus the n/2 ln(pi) constant, and quad holds
-    q^2/4.  lam_min = max_i lambda_max(C_i); the norm is finite iff lam
-    exceeds it.
-    """
-
-    log_base: np.ndarray
-    s: np.ndarray
-    quad: np.ndarray
-    lam_min: float
-
-    def log_norm(self, lam: float) -> float:
-        """log_scalar_norm at lam, with no matrix factorization."""
-        if not lam > self.lam_min:
-            raise NormDivergent(
-                "weight does not dominate the covariances; norm integral diverges"
-            )
-        gaps = lam - self.s
-        terms = self.log_base + (self.quad / gaps - 0.5 * np.log(gaps)).sum(axis=1)
-        top = float(terms.max())
-        return 0.5 * (top + math.log(float(np.exp(terms - top).sum())))
-
-
-def pair_spectra(state) -> PairSpectra:
-    """Diagonalize (C_i + C_j)/2 once per component pair; see PairSpectra."""
-    mix = as_mixture(state)
-    comps = mix.components
-    log_w = np.log(np.asarray(mix.weights))
-    constant = 0.5 * mix.n * math.log(math.pi)
-    log_base, s_rows, quad_rows = [], [], []
-    for i, ci in enumerate(comps):
-        for j in range(i, len(comps)):
-            cj = comps[j]
-            s, v = np.linalg.eigh(0.5 * (ci.cov + cj.cov))
-            q = (ci.mean + cj.mean) @ v
-            log_base.append(log_w[i] + log_w[j] + constant + (math.log(2.0) if j > i else 0.0))
-            s_rows.append(s)
-            quad_rows.append(0.25 * q * q)
-    s = np.asarray(s_rows)
-    return PairSpectra(
-        log_base=_readonly(np.asarray(log_base)),
-        s=_readonly(s),
-        quad=_readonly(np.asarray(quad_rows)),
-        lam_min=float(s.max()),
-    )
 
 
 def weighted_norm(state, weight) -> float:

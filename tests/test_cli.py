@@ -115,6 +115,44 @@ class TestParseConfig:
             parse_config(json.dumps(cfg))
 
 
+    @pytest.mark.parametrize(
+        "name, literal",
+        [
+            ("mu_grid", '["0.1"]'),
+            ("mu_grid", "[true]"),
+            ("mu_grid", "[Infinity]"),
+            ("mu_grid", "[0.1, NaN]"),
+            ("mu_grid", "[1" + "0" * 400 + "]"),
+            ("t_grid", "[0, 1e400]"),
+        ],
+        ids=["string", "boolean", "infinity", "nan", "huge-integer", "overflowing-float"],
+    )
+    def test_grid_entries_must_be_finite_numbers(self, tmp_path, name, literal):
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1],
+            "t_grid": [0.0],
+        }
+        text = json.dumps(dict(cfg, **{name: "GRID"})).replace('"GRID"', literal)
+        with pytest.raises(ConfigParse, match=f"{name} must contain finite numbers"):
+            parse_config(text)
+        config_path = tmp_path / "scenario.json"
+        config_path.write_text(text)
+        assert main(["run", str(config_path)]) == 1
+
+    def test_samples_at_least_two(self, tmp_path):
+        cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
+        assert parse_config(json.dumps(cfg)).samples == 2
+        with pytest.raises(ConfigParse, match="samples"):
+            parse_config(json.dumps(dict(cfg, samples=1)))
+        config_path = tmp_path / "scenario.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["run", str(config_path), "--samples", "1"]) == 1
+
+
 class TestRun:
     def test_vacuum_exact_sweep(self):
         config = parse_config(json.dumps(_vacuum_config()))
@@ -240,6 +278,23 @@ class TestRun:
         assert report.rows[:4] == healthy.rows
         assert [(r.t, r.status) for r in report.rows[4:]] == [(400.0, "numerical_error")] * 2
         assert all(r.upsilon_bound is None for r in report.rows[4:])
+
+    def test_oqho_sweep_flags_overflowing_horizon(self):
+        # t * ||A||_1 overflows at t = 1e308: the block exponential cannot
+        # be scaled, so that horizon's rows are flagged and t = 0 stays ok.
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1, 0.3],
+            "t_grid": [0.0, 1e308],
+        }
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [(r.t, r.status) for r in report.rows] == [
+            (0.0, "ok"), (0.0, "ok"), (1e308, "numerical_error"), (1e308, "numerical_error")]
+        assert all(r.upsilon_bound is None for r in report.rows[2:])
 
     def test_verify_scenario(self, capsys):
         cfg = {"kind": "verify", "samples": 20000}

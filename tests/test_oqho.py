@@ -126,6 +126,19 @@ class TestGramianFinite:
             assert np.abs(sigma - reference).max() <= 1e-11 * np.abs(reference).max()
 
 
+    def test_loud_noise_matches_block_expm(self):
+        # ||BB^T||_1 far above ||A||_1: scaling by ||A||_1 alone keeps
+        # Sigma_t at the accuracy of the reference block exponential.
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            a = 0.1 * rng.normal(size=(4, 4))
+            b = 30.0 * rng.normal(size=(4, 4))
+            sigma = gramian_finite(a, b, 0.7).sigma
+            block = np.block([[-a, b @ b.T], [np.zeros((4, 4)), a.T]])
+            reference = scipy.linalg.expm(0.7 * a) @ scipy.linalg.expm(0.7 * block)[:4, 4:]
+            assert np.abs(sigma - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
 class TestGramianInfinite:
     def test_damped_golden_value(self):
         a, b = dynamics_matrices(DAMPED)

@@ -283,6 +283,29 @@ class TestTailBound:
             tail_bound(classical_cgf, eps=1.0, mu_max=0.0)
 
 
+    def test_edge_probe_propagates_program_errors(self):
+        # The gain still climbs at mu_max, so the limit value is probed
+        # there; only a library error may fall back to the interior best.
+        def broken(mu):
+            if mu == 1.0:
+                raise ZeroDivisionError("bug at the edge")
+            return 0.0
+
+        with pytest.raises(ZeroDivisionError):
+            tail_bound(broken, eps=2.0, mu_max=1.0)
+
+    def test_edge_probe_keeps_interior_best_past_the_limit(self):
+        def too_large_at_edge(mu):
+            if mu == 1.0:
+                raise RiskParameterTooLarge("edge")
+            return 0.0
+
+        result = tail_bound(too_large_at_edge, eps=2.0, mu_max=1.0)
+        assert result.argmax_mu == 1.0
+        assert result.log_prob_bound == pytest.approx(-2.0, rel=1e-8)
+        assert result.log_prob_bound > -2.0
+
+
 class TestBregmanTail:
     def test_vacuum_pair(self):
         threshold, log_bound = tail_bound_bregman(lambda mu: mu, 1.0, 1e-6)
