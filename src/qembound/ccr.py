@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigenSolverFailure,
+    NonFiniteInput,
     NotAntisymmetric,
     OddDimension,
     SingularCcr,
@@ -35,6 +36,11 @@ def _readonly(a):
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(a, name):
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
 
 # Scalar helpers, extended by continuity to 1 at zero where applicable.
@@ -99,11 +105,12 @@ class SymplecticBasis:
 def validate_ccr(theta) -> CcrMatrix:
     """Validate a commutation matrix and canonicalize its antisymmetric part.
 
-    The input must be square of even order, antisymmetric within
+    The input must be finite, square of even order, antisymmetric within
     1e-12 * max|entry|, and nonsingular (smallest singular value above
     1e-10 times the largest).
     """
     theta = np.asarray(theta, dtype=float)
+    _require_finite(theta, "commutation matrix")
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {theta.shape}")
     n = theta.shape[0]

@@ -74,6 +74,11 @@ _ALLOWED_KEYS = {kind: _STATE_KEYS for kind in KINDS} | {
 DEFAULT_SAMPLES = 100000
 DEFAULT_SEED = 42
 
+#: What a config value of the wrong shape, type or size raises on its way
+#: into a library object (an integer past the double range raises
+#: OverflowError); the parser reports each as ConfigParse.
+_BAD_VALUE = (QemBoundError, ValueError, TypeError, OverflowError)
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -171,13 +176,14 @@ def _parse_grid(raw, name, *, positive):
 def _parse_ccr(raw):
     _require(isinstance(raw, list) and raw, "ccr must be a nonempty list")
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-        _require(all(x > 0 for x in raw), "ccr eigenfrequencies must be positive")
+        _require(all(0 < x <= sys.float_info.max for x in raw),
+                 "ccr eigenfrequencies must be finite and positive")
         theta = np.kron(np.diag([float(f) for f in raw]), J2)
     else:
         theta = raw
     try:
         return validate_ccr(theta)
-    except QemBoundError as exc:
+    except _BAD_VALUE as exc:
         raise ConfigParse(f"invalid ccr: {exc}") from exc
 
 
@@ -189,7 +195,7 @@ def _parse_gaussian(raw, ccr):
     try:
         return GaussianState(mean=np.asarray(raw["mean"], dtype=float),
                              cov=np.asarray(raw["cov"], dtype=float), ccr=ccr)
-    except (QemBoundError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigParse(f"invalid state: {exc}") from exc
 
 
@@ -206,7 +212,7 @@ def _parse_state(raw, ccr):
                 weights=tuple(float(w) for w in raw["weights"]),
                 components=tuple(_parse_gaussian(c, ccr) for c in comps),
             )
-        except (QemBoundError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigParse(f"invalid mixture: {exc}") from exc
     return _parse_gaussian(raw, ccr)
 
@@ -219,7 +225,7 @@ def _parse_model(raw, ccr):
     try:
         return oqho.OqhoModel(R=np.asarray(raw["R"], dtype=float),
                               N=np.asarray(raw["N"], dtype=float), ccr=ccr)
-    except QemBoundError as exc:
+    except _BAD_VALUE as exc:
         raise ConfigParse(f"invalid model: {exc}") from exc
 
 

@@ -5,6 +5,10 @@ class QemBoundError(Exception):
     """Base class for all qembound errors."""
 
 
+class NonFiniteInput(QemBoundError):
+    """A matrix, vector or weight given as input has a NaN or infinite entry."""
+
+
 # --- CCR validation and eigenstructure ---
 
 class OddDimension(QemBoundError):

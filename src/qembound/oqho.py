@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import CcrMatrix, J2, SymplecticBasis, _readonly, symplectic_eigenbasis
+from .ccr import CcrMatrix, J2, SymplecticBasis, _readonly, _require_finite, symplectic_eigenbasis
 from .errors import (
     DimensionMismatch,
     EmptyInterval,
@@ -57,6 +57,8 @@ class OqhoModel:
             raise DimensionMismatch(f"coupling matrix shape {nc.shape}, expected (m, {n})")
         if nc.shape[0] % 2:
             raise DimensionMismatch("coupling matrix must have an even number of rows")
+        _require_finite(r, "energy matrix")
+        _require_finite(nc, "coupling matrix")
         scale = max(1.0, float(np.abs(r).max()))
         if float(np.abs(r - r.T).max()) > 1e-12 * scale:
             raise DimensionMismatch("energy matrix must be symmetric")

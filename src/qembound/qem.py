@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_nondecreasing, golden_section_maximize, golden_section_minimize
+from ._search import bisect_nondecreasing, golden_section_maximize, newton_minimize
 from .ccr import SymplecticBasis, aux_covariance, lnsinh, log_det_cos, mode_matrix
 from .errors import (
     DimensionMismatch,
@@ -368,6 +368,12 @@ class ScalarBoundEngine:
     lam_lo = max_i lambda_max(C_i).  bound(mu) then minimizes over lam * I
     with vector arithmetic only: det((1/mu) K(mu)^-1 - lam I) has
     eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
+
+    The objective is convex in lam: each pair term is a sum of q^2/(lam - s)
+    and -ln(lam - s) terms, log-sum-exp of convex functions is convex, and
+    so is the gap term -sum ln(theta_k/tanh(mu theta_k) - lam).  Its first
+    and second derivatives are closed-form (log_norm_derivatives), so
+    bound(mu) minimizes it by safeguarded Newton (_search.newton_minimize).
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -391,16 +397,31 @@ class ScalarBoundEngine:
         self.quad = np.asarray(quad_rows)
         self.lam_lo = float(self.s.max())
 
-    def log_norm(self, lam: float) -> float:
-        """log_scalar_norm at lam, with no matrix factorization."""
+    def log_norm_derivatives(self, lam: float):
+        """(log_scalar_norm, its first and second lam-derivatives) at lam,
+        with no matrix factorization.
+
+        Each pair term t = log_base + sum(quad/g - ln(g)/2) over g = lam - s
+        has t' = -sum(quad/g^2 + 1/(2g)) and t'' = sum(2 quad/g^3 + 1/(2g^2));
+        the log-norm is half the log-sum-exp of t, whose first and second
+        derivatives are the softmax-weighted E t' and E t'' + Var t'.
+        """
         if not lam > self.lam_lo:
             raise NormDivergent(
                 "weight does not dominate the covariances; norm integral diverges"
             )
         gaps = lam - self.s
-        terms = self.log_base + (self.quad / gaps - 0.5 * np.log(gaps)).sum(axis=1)
+        ratio = self.quad / gaps
+        terms = self.log_base + (ratio - 0.5 * np.log(gaps)).sum(axis=1)
         top = float(terms.max())
-        return 0.5 * (top + math.log(float(np.exp(terms - top).sum())))
+        weights = np.exp(terms - top)
+        total = float(weights.sum())
+        inv = 1.0 / gaps
+        t1 = -((ratio + 0.5) * inv).sum(axis=1)
+        t2 = ((2.0 * ratio + 0.5) * inv * inv).sum(axis=1)
+        m1 = float(weights @ t1) / total
+        m2 = float(weights @ (t2 + t1 * t1)) / total
+        return 0.5 * (top + math.log(total)), 0.5 * m1, 0.5 * (m2 - m1 * m1)
 
     def mu_max(self) -> float:
         """Truncated validity limit of the bound CGF (see scalar_bound_cgf)."""
@@ -419,8 +440,18 @@ class ScalarBoundEngine:
     def bound(self, mu: float):
         """Minimize the weighted-norm bound over lam in the feasible window
         (lam_lo, theta_min/tanh(mu theta_min)), shrunk by WINDOW_MARGIN at
-        both ends.  Returns (QemValue, lam_opt); raises EmptyFeasibleWindow
-        when the window is empty.
+        both ends.
+
+        The convex objective
+
+            f(lam) = N(lam) - sum_k ln(u_k - lam)/2,
+            u = theta/tanh(mu theta),
+
+        with the log-norm N, goes to newton_minimize with its derivatives
+        f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2; a
+        few Newton steps in the window's logit reach the minimum.  Returns
+        (QemValue, lam_opt) at the best evaluated point; raises
+        EmptyFeasibleWindow when the window is empty.
         """
         lam_hi = scalar_weight_limit(self.basis, mu)
         if not lam_hi > self.lam_lo:
@@ -435,9 +466,14 @@ class ScalarBoundEngine:
         upper = gamma / np.tanh(mu * gamma)
 
         def objective(lam):
-            return self.log_norm(lam) - 0.5 * float(np.log(upper - lam).sum())
+            value, slope, curvature = self.log_norm_derivatives(lam)
+            gap = upper - lam
+            inv = 1.0 / gap
+            return (value - 0.5 * float(np.log(gap).sum()),
+                    slope + 0.5 * float(inv.sum()),
+                    curvature + 0.5 * float((inv * inv).sum()))
 
-        lam_opt, inner = golden_section_minimize(objective, lo, hi)
+        lam_opt, inner = newton_minimize(objective, lo, hi)
         log_bound = _log_bound_prefactor(self.basis, mu) + inner
         return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
 
@@ -446,11 +482,13 @@ def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
     """Minimize the weighted-norm bound over scalar weights lam * I.
 
     The feasible window is (max_i lambda_max(C_i), theta_min/tanh(mu theta_min)),
-    shrunk by a relative margin at both ends; both the norm and the
-    determinant gap decrease in lam, so the objective is smooth and the
-    golden-section search converges.  Evaluated by ScalarBoundEngine, whose
-    objective equals qem_upper_bound at WeightMatrix(lam * I) without
-    factorizing a matrix per step.  Returns (QemValue, lam_opt).
+    shrunk by a relative margin at both ends.  On it the objective is
+    smooth and convex in lam (the log-norm falls and the determinant-gap
+    term rises towards the upper end), so safeguarded Newton on its
+    closed-form derivatives converges to the minimum.  Evaluated by
+    ScalarBoundEngine, whose objective equals qem_upper_bound at
+    WeightMatrix(lam * I) without factorizing a matrix per step.  Returns
+    (QemValue, lam_opt).
     """
     return ScalarBoundEngine(state, basis).bound(mu)
 
@@ -493,6 +531,8 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         raise InvalidRange(f"eps must be finite and nonnegative, got {eps!r}")
     if not (mu_max > 0.0 and math.isfinite(mu_max)):
         raise InvalidRange(f"mu_max must be finite and positive, got {mu_max!r}")
+    if grid_points < 1:
+        raise InvalidRange(f"grid_points must be at least 1, got {grid_points!r}")
 
     def gain(mu):
         return eps * mu - cgf(mu)

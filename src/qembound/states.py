@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import CcrMatrix, _readonly
+from .ccr import CcrMatrix, _readonly, _require_finite
 from .errors import (
     DimensionMismatch,
     NormDivergent,
@@ -44,6 +44,8 @@ class GaussianState:
             raise DimensionMismatch(
                 f"mean/cov shapes {mean.shape}/{cov.shape} do not match CCR order {n}"
             )
+        _require_finite(mean, "mean")
+        _require_finite(cov, "covariance")
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
             raise NotAdmissible("covariance is not symmetric within tolerance")
@@ -75,6 +77,7 @@ class MixtureMgf:
         w = np.asarray(self.weights, dtype=float)
         if w.size != len(comps):
             raise DimensionMismatch("one weight per component required")
+        _require_finite(w, "mixture weight vector")
         if np.any(w <= 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:

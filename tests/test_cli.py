@@ -143,6 +143,47 @@ class TestParseConfig:
         config_path.write_text(text)
         assert main(["run", str(config_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"ccr": [1.0]', '"ccr": [1e400]', "finite and positive"),
+            ('"ccr": [1.0]', '"ccr": [1' + "0" * 400 + "]", "finite and positive"),
+            ('"ccr": [1.0]', '"ccr": [[0, NaN], [-1, 0]]', "invalid ccr: commutation matrix"),
+            ('"ccr": [1.0]', '"ccr": [[0, 1' + "0" * 400 + "], [-1, 0]]", "invalid ccr: int too large"),
+            ('"mean": [0.0, 0.0]', '"mean": [1' + "0" * 400 + ", 0.0]", "invalid state: int too large"),
+            ('"mean": [0.0, 0.0]', '"mean": [NaN, 0.0]', "invalid state: mean"),
+            ('"mean": [0.0, 0.0]', '"mean": {"x": 0.0}', "invalid state: float"),
+            ('"cov": [[1.0, 0.0], [0.0, 1.0]]', '"cov": [[Infinity, 0.0], [0.0, 1.0]]',
+             "invalid state: covariance"),
+            ('"weights": [1.0]', '"weights": [NaN]', "invalid mixture: mixture weight"),
+            ('"R": [[1.0, 0.0], [0.0, 1.0]]', '"R": [[Infinity, 0.0], [0.0, 1.0]]',
+             "invalid model: energy matrix"),
+            ('"N": [[1.0, 0.0], [0.0, 1.0]]', '"N": [[NaN, 0.0], [0.0, 1.0]]',
+             "invalid model: coupling matrix"),
+        ],
+        ids=["ccr-infinity", "ccr-huge-integer", "ccr-matrix-nan", "ccr-matrix-huge-integer",
+             "mean-huge-integer", "mean-nan", "mean-object", "cov-infinity", "weight-nan",
+             "energy-infinity", "coupling-nan"],
+    )
+    def test_state_and_model_entries_must_be_finite_numbers(self, tmp_path, old, new, message):
+        component = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"weights": [1.0], "components": [component]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1],
+            "t_grid": [0.0],
+        }
+        text = json.dumps(cfg)
+        assert old in text
+        text = text.replace(old, new)
+        with pytest.raises(ConfigParse, match=message):
+            parse_config(text)
+        config_path = tmp_path / "scenario.json"
+        config_path.write_text(text)
+        assert main(["run", str(config_path)]) == 1
+
     def test_samples_at_least_two(self, tmp_path):
         cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
         assert parse_config(json.dumps(cfg)).samples == 2

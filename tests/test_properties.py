@@ -29,8 +29,15 @@ from qembound import (
     symplectic_eigenbasis,
     tail_bound,
 )
+from qembound._search import golden_section_minimize
 from qembound.errors import RiskParameterTooLarge
-from qembound.qem import ExactEngine, ScalarBoundEngine
+from qembound.qem import (
+    WINDOW_MARGIN,
+    ExactEngine,
+    ScalarBoundEngine,
+    _log_bound_prefactor,
+    scalar_weight_limit,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -70,6 +77,49 @@ def test_engine_matches_general_weight_route(case, frac):
     value, lam = ScalarBoundEngine(state, basis).bound(mu)
     reference = qem_upper_bound(state, basis, mu, WeightMatrix(lam * np.eye(basis.n)))
     assert abs(value.log_qem - reference.log_qem) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.001, 0.999))
+def test_newton_bound_is_the_minimum_of_the_scalar_objective(case, frac):
+    # Up to 0.999 of the validity range, so draws near the window edge,
+    # where the minimizer crowds the upper end, repeat.
+    state, basis = case
+    mu = _mu_inside(state, basis, frac)
+    engine = ScalarBoundEngine(state, basis)
+    value, lam = engine.bound(mu)
+    upper = basis.gamma / np.tanh(mu * basis.gamma)
+    lam_hi = scalar_weight_limit(basis, mu)
+    width = lam_hi - engine.lam_lo
+    lo, hi = engine.lam_lo + WINDOW_MARGIN * width, lam_hi - WINDOW_MARGIN * width
+
+    def objective(x):
+        norm, slope, curvature = engine.log_norm_derivatives(x)
+        inv = 1.0 / (upper - x)
+        return (norm - 0.5 * float(np.log(upper - x).sum()),
+                slope + 0.5 * float(inv.sum()), curvature + 0.5 * float((inv * inv).sum()))
+
+    _, golden = golden_section_minimize(lambda x: objective(x)[0], lo, hi)
+    assert value.log_qem <= _log_bound_prefactor(basis, mu) + golden + 1e-12
+    f, slope, curvature = objective(lam)
+    at_edge = min(lam - lo, hi - lam) <= 1e-9 * width
+    assert at_edge or slope * slope <= 1e-10 * max(1.0, abs(f)) * curvature
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.001, 0.999))
+def test_log_norm_derivatives_match_central_differences(case, position):
+    # The log-norm falls and is strictly convex for lam > lam_lo, so both
+    # derivatives are bounded away from 0 and compare relatively.
+    state, basis = case
+    engine = ScalarBoundEngine(state, basis)
+    lam = engine.lam_lo * (1.0 + position)
+    h = 1e-4 * (lam - engine.lam_lo)
+    _, slope, curvature = engine.log_norm_derivatives(lam)
+    up, down = engine.log_norm_derivatives(lam + h), engine.log_norm_derivatives(lam - h)
+    assert slope < 0.0 < curvature
+    assert abs(slope - (up[0] - down[0]) / (2.0 * h)) <= 1e-5 * abs(slope)
+    assert abs(curvature - (up[1] - down[1]) / (2.0 * h)) <= 1e-5 * curvature
 
 
 @PROPERTY_SETTINGS

@@ -282,6 +282,15 @@ class TestTailBound:
         with pytest.raises(InvalidRange):
             tail_bound(classical_cgf, eps=1.0, mu_max=0.0)
 
+    @pytest.mark.parametrize("grid_points", [0, -3])
+    def test_grid_needs_a_point(self, grid_points):
+        with pytest.raises(InvalidRange, match="grid_points"):
+            tail_bound(classical_cgf, eps=1.0, mu_max=0.9, grid_points=grid_points)
+
+    def test_single_point_grid(self):
+        result = tail_bound(classical_cgf, eps=2.0, mu_max=0.999, grid_points=1)
+        assert result.log_prob_bound == pytest.approx(
+            tail_bound(classical_cgf, eps=2.0, mu_max=0.999).log_prob_bound, abs=1e-8)
 
     def test_edge_probe_propagates_program_errors(self):
         # The gain still climbs at mu_max, so the limit value is probed

@@ -1,0 +1,81 @@
+"""Tests for the scalar search utilities, chiefly the safeguarded Newton
+minimizer behind the scalar-weight bound."""
+
+import math
+
+import pytest
+
+from qembound._search import golden_section_minimize, newton_minimize
+
+
+def _counting(fdf):
+    calls = []
+
+    def wrapped(lam):
+        calls.append(lam)
+        return fdf(lam)
+
+    return wrapped, calls
+
+
+def test_interior_minimizer_of_a_convex_function():
+    # f = lam - ln(lam) + (lam - 2)^2 has f' = 1 - 1/lam + 2(lam - 2) = 0 at
+    # lam = (3 + sqrt(17))/4.
+    def f(lam):
+        return (lam - math.log(lam) + (lam - 2.0) ** 2,
+                1.0 - 1.0 / lam + 2.0 * (lam - 2.0),
+                1.0 / lam ** 2 + 2.0)
+
+    fdf, calls = _counting(f)
+    lam, value = newton_minimize(fdf, 0.1, 10.0)
+    expected = (3.0 + math.sqrt(17.0)) / 4.0
+    assert lam == pytest.approx(expected, rel=1e-12)
+    assert len(calls) <= 10
+    _, golden_value = golden_section_minimize(lambda x: f(x)[0], 0.1, 10.0)
+    assert value <= golden_value + 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lower-edge", "upper-edge"])
+def test_minimum_at_a_window_edge(sign):
+    # f' has one sign on the whole window, so the minimum sits on the edge
+    # it points away from; the search approaches it geometrically and stops.
+    def f(lam):
+        return sign * lam + 0.1 * lam * lam, sign + 0.2 * lam, 0.2
+
+    fdf, calls = _counting(f)
+    lam, value = newton_minimize(fdf, 1.0, 3.0)
+    edge = 1.0 if sign > 0 else 3.0
+    assert abs(lam - edge) <= 1e-12
+    assert value <= f(edge)[0] + 1e-12
+    assert all(1.0 <= x <= 3.0 for x in calls)
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("value", [0.0, 7.5])
+def test_flat_objective_terminates(value):
+    fdf, calls = _counting(lambda lam: (value, 0.0, 0.0))
+    lam, best = newton_minimize(fdf, -1.0, 2.0)
+    assert best == value
+    assert -1.0 <= lam <= 2.0
+    assert len(calls) == 1
+
+
+def test_nearly_flat_linear_objective_terminates():
+    fdf, calls = _counting(lambda lam: (1e-20 * lam, 1e-20, 0.0))
+    lam, best = newton_minimize(fdf, 0.0, 1.0)
+    assert 0.0 <= lam <= 1e-6
+    assert len(calls) <= 40
+
+
+def test_returns_the_best_evaluated_point():
+    # Derivatives that point the wrong way lead every step uphill; the
+    # reported point is still the lowest one evaluated, the first.
+    fdf, calls = _counting(lambda lam: (lam, -1.0, 0.0))
+    lam, value = newton_minimize(fdf, 0.0, 1.0)
+    assert len(calls) > 1
+    assert lam == value == calls[0] == min(calls)
+
+
+def test_empty_window_is_rejected():
+    with pytest.raises(ValueError, match="empty interval"):
+        newton_minimize(lambda lam: (0.0, 0.0, 0.0), 1.0, 1.0)
