@@ -64,11 +64,11 @@ def lncosh(x):
 
 
 def lnsinh(x):
-    """ln(sinh(x)) for x > 0 without overflow."""
+    """ln(sinh(x)) for x > 0, without overflow or (by expm1) cancellation."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("lnsinh requires x > 0")
-    return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
+    return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
 
 
 @dataclass(frozen=True)

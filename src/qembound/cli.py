@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,19 +32,6 @@ from .errors import (
     SuspectedDivergence,
 )
 from .states import GaussianState, MixtureMgf
-
-CSV_COLUMNS = (
-    "t",
-    "mu",
-    "upsilon_exact",
-    "upsilon_mc",
-    "mc_se",
-    "upsilon_bound",
-    "lambda_opt",
-    "tail_eps",
-    "tail_log_bound",
-    "status",
-)
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible_mu"
@@ -62,14 +49,19 @@ ERROR_STATUS = (
     (QemBoundError, STATUS_NUMERICAL),
 )
 
-KINDS = ("gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep", "verify")
-
-_BASE_KEYS = {"kind", "samples", "seed", "output"}
-_STATE_KEYS = _BASE_KEYS | {"ccr", "state", "mu_grid"}
-_ALLOWED_KEYS = {kind: _STATE_KEYS for kind in KINDS} | {
-    "oqho_sweep": _STATE_KEYS | {"model", "t_grid"},
-    "verify": _BASE_KEYS,
+#: Required config keys of each kind; every kind also takes the
+#: _COMMON_KEYS ("kind" is checked first, the others are optional).
+_STATE_KEYS = ("ccr", "state", "mu_grid")
+_REQUIRED_KEYS = {
+    "gaussian_exact": _STATE_KEYS,
+    "randomized_mc": _STATE_KEYS,
+    "upper_bound": _STATE_KEYS,
+    "tail": _STATE_KEYS,
+    "oqho_sweep": _STATE_KEYS + ("model", "t_grid"),
+    "verify": (),
 }
+_COMMON_KEYS = ("kind", "samples", "seed", "output")
+KINDS = tuple(_REQUIRED_KEYS)
 
 DEFAULT_SAMPLES = 100000
 DEFAULT_SEED = 42
@@ -82,22 +74,19 @@ _BAD_VALUE = (QemBoundError, ValueError, TypeError, OverflowError)
 
 @dataclass(frozen=True)
 class ReportRow:
-    t: float | None
-    mu: float | None
-    upsilon_exact: float | None
-    upsilon_mc: float | None
-    mc_se: float | None
-    upsilon_bound: float | None
-    lambda_opt: float | None
-    tail_eps: float | None
-    tail_log_bound: float | None
-    status: str
+    t: float | None = None
+    mu: float | None = None
+    upsilon_exact: float | None = None
+    upsilon_mc: float | None = None
+    mc_se: float | None = None
+    upsilon_bound: float | None = None
+    lambda_opt: float | None = None
+    tail_eps: float | None = None
+    tail_log_bound: float | None = None
+    status: str = STATUS_OK
 
 
-def _row(status=STATUS_OK, **kwargs):
-    values = {name: None for name in CSV_COLUMNS[:-1]}
-    values.update(kwargs)
-    return ReportRow(status=status, **values)
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _fmt(value):
@@ -114,8 +103,8 @@ class BoundReport:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]] + [r.status])
+        writer.writerows([_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]] + [r.status]
+                         for r in self.rows)
         return buffer.getvalue()
 
     @classmethod
@@ -159,12 +148,44 @@ def _require(cond, message):
         raise ConfigParse(message)
 
 
+def _keys(raw, what, required, optional=()):
+    """Check that raw is an object with every required key and no key
+    outside required and optional; unknown and missing keys are named."""
+    _require(isinstance(raw, dict), f"{what} must be an object")
+    unknown = set(raw) - set(required) - set(optional)
+    _require(not unknown, f"{what}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    _require(not missing, f"{what}: missing required keys {missing}")
+
+
+def _build(what, make):
+    """make(), with a bad value on its way in reported as ConfigParse."""
+    try:
+        return make()
+    except _BAD_VALUE as exc:
+        raise ConfigParse(f"invalid {what}: {exc}") from exc
+
+
+def _is_a(value, types):
+    """isinstance that does not count booleans as numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _samples(value, name="samples"):
+    _require(_is_a(value, int) and value >= 2, f"{name} must be an integer >= 2")
+    return value
+
+
+def _seed(value, name="seed"):
+    _require(_is_a(value, int) and 0 <= value < 2**64, f"{name} must be a 64-bit unsigned integer")
+    return value
+
+
 def _parse_grid(raw, name, *, positive):
     _require(isinstance(raw, list) and raw, f"{name} must be a nonempty list")
     # Exact comparison keeps NaN, infinities and integers past the double
     # range out, so float() below neither overflows nor yields inf.
-    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 and abs(x) <= sys.float_info.max for x in raw),
+    _require(all(_is_a(x, (int, float)) and abs(x) <= sys.float_info.max for x in raw),
              f"{name} must contain finite numbers")
     grid = [float(x) for x in raw]
     _require(all(x > 0.0 for x in grid) if positive else all(x >= 0.0 for x in grid),
@@ -175,66 +196,43 @@ def _parse_grid(raw, name, *, positive):
 
 def _parse_ccr(raw):
     _require(isinstance(raw, list) and raw, "ccr must be a nonempty list")
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
+    if all(_is_a(x, (int, float)) for x in raw):
         _require(all(0 < x <= sys.float_info.max for x in raw),
                  "ccr eigenfrequencies must be finite and positive")
-        theta = np.kron(np.diag([float(f) for f in raw]), J2)
-    else:
-        theta = raw
-    try:
-        return validate_ccr(theta)
-    except _BAD_VALUE as exc:
-        raise ConfigParse(f"invalid ccr: {exc}") from exc
+        raw = np.kron(np.diag([float(f) for f in raw]), J2)
+    return _build("ccr", lambda: validate_ccr(raw))
 
 
 def _parse_gaussian(raw, ccr):
-    _require(isinstance(raw, dict), "state component must be an object")
-    unknown = set(raw) - {"mean", "cov"}
-    _require(not unknown, f"unknown state keys: {sorted(unknown)}")
-    _require("mean" in raw and "cov" in raw, "state component needs 'mean' and 'cov'")
-    try:
-        return GaussianState(mean=np.asarray(raw["mean"], dtype=float),
-                             cov=np.asarray(raw["cov"], dtype=float), ccr=ccr)
-    except _BAD_VALUE as exc:
-        raise ConfigParse(f"invalid state: {exc}") from exc
+    _keys(raw, "state component", ("mean", "cov"))
+    return _build("state", lambda: GaussianState(mean=np.asarray(raw["mean"], dtype=float),
+                                                 cov=np.asarray(raw["cov"], dtype=float), ccr=ccr))
 
 
 def _parse_state(raw, ccr):
-    _require(isinstance(raw, dict), "state must be an object")
-    if "weights" in raw:
-        unknown = set(raw) - {"weights", "components"}
-        _require(not unknown, f"unknown state keys: {sorted(unknown)}")
-        _require("components" in raw, "mixture state needs 'components'")
-        comps = raw["components"]
-        _require(isinstance(comps, list) and comps, "components must be a nonempty list")
-        try:
-            return MixtureMgf(
-                weights=tuple(float(w) for w in raw["weights"]),
-                components=tuple(_parse_gaussian(c, ccr) for c in comps),
-            )
-        except _BAD_VALUE as exc:
-            raise ConfigParse(f"invalid mixture: {exc}") from exc
-    return _parse_gaussian(raw, ccr)
+    if not (isinstance(raw, dict) and "weights" in raw):
+        return _parse_gaussian(raw, ccr)
+    _keys(raw, "mixture state", ("weights", "components"))
+    comps = raw["components"]
+    _require(isinstance(comps, list) and comps, "components must be a nonempty list")
+    components = tuple(_parse_gaussian(c, ccr) for c in comps)
+    return _build("mixture", lambda: MixtureMgf(weights=tuple(float(w) for w in raw["weights"]),
+                                                components=components))
 
 
 def _parse_model(raw, ccr):
-    _require(isinstance(raw, dict), "model must be an object")
-    unknown = set(raw) - {"R", "N"}
-    _require(not unknown, f"unknown model keys: {sorted(unknown)}")
-    _require("R" in raw and "N" in raw, "model needs 'R' and 'N'")
-    try:
-        return oqho.OqhoModel(R=np.asarray(raw["R"], dtype=float),
-                              N=np.asarray(raw["N"], dtype=float), ccr=ccr)
-    except _BAD_VALUE as exc:
-        raise ConfigParse(f"invalid model: {exc}") from exc
+    _keys(raw, "model", ("R", "N"))
+    return _build("model", lambda: oqho.OqhoModel(R=np.asarray(raw["R"], dtype=float),
+                                                  N=np.asarray(raw["N"], dtype=float), ccr=ccr))
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario document.
 
-    The schema is strict: unknown keys are rejected by name, grids must be
-    nonempty and strictly increasing, and all referenced dimensions must be
-    mutually consistent.  Defaults: samples=100000, seed=42.
+    The schema is strict: unknown and missing keys are rejected by name,
+    grids must be nonempty and strictly increasing, and all referenced
+    dimensions must be mutually consistent.  Defaults: samples=100000,
+    seed=42.
     """
     try:
         raw = json.loads(text)
@@ -243,39 +241,20 @@ def parse_config(text: str) -> ScenarioConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     kind = raw.get("kind")
     _require(kind in KINDS, f"kind must be one of {list(KINDS)}, got {kind!r}")
-    unknown = set(raw) - _ALLOWED_KEYS[kind]
-    _require(not unknown, f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
-
-    samples = raw.get("samples", DEFAULT_SAMPLES)
-    _require(isinstance(samples, int) and not isinstance(samples, bool) and samples >= 2,
-             "samples must be an integer >= 2")
-    seed = raw.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
-             "seed must be a 64-bit unsigned integer")
+    _keys(raw, f"config for kind {kind!r}", _REQUIRED_KEYS[kind], _COMMON_KEYS)
     output = raw.get("output")
     _require(output is None or isinstance(output, str), "output must be a string path")
-
+    config = ScenarioConfig(kind=kind, samples=_samples(raw.get("samples", DEFAULT_SAMPLES)),
+                            seed=_seed(raw.get("seed", DEFAULT_SEED)), output=output)
     if kind == "verify":
-        return ScenarioConfig(kind=kind, samples=samples, seed=seed, output=output)
-
-    _require("ccr" in raw, "missing required key 'ccr'")
-    _require("state" in raw, "missing required key 'state'")
-    _require("mu_grid" in raw, "missing required key 'mu_grid'")
+        return config
     ccr = _parse_ccr(raw["ccr"])
-    state = _parse_state(raw["state"], ccr)
-    mu_grid = _parse_grid(raw["mu_grid"], "mu_grid", positive=True)
-
-    model = None
-    t_grid = None
+    config = replace(config, ccr=ccr, state=_parse_state(raw["state"], ccr),
+                     mu_grid=_parse_grid(raw["mu_grid"], "mu_grid", positive=True))
     if kind == "oqho_sweep":
-        _require("model" in raw, "missing required key 'model'")
-        _require("t_grid" in raw, "missing required key 't_grid'")
-        model = _parse_model(raw["model"], ccr)
-        t_grid = _parse_grid(raw["t_grid"], "t_grid", positive=False)
-
-    return ScenarioConfig(kind=kind, ccr=ccr, state=state, model=model,
-                          mu_grid=mu_grid, t_grid=t_grid, samples=samples,
-                          seed=seed, output=output)
+        config = replace(config, model=_parse_model(raw["model"], ccr),
+                         t_grid=_parse_grid(raw["t_grid"], "t_grid", positive=False))
+    return config
 
 
 def _row_seed(seed, index):
@@ -290,80 +269,84 @@ def _attempt(compute):
         return None, next(s for cls, s in ERROR_STATUS if isinstance(exc, cls))
 
 
-def _cell(compute, mu, t=None, status=STATUS_OK):
+def _cell(compute, t, mu, status=STATUS_OK):
     """Report row from compute(), a dict of value columns (None for blank).
     An error, or any non-finite value, flags the row and blanks its values."""
     values, error = _attempt(compute)
     if values is None:
-        return _row(t=t, mu=mu, status=error)
+        return ReportRow(t=t, mu=mu, status=error)
     if not all(math.isfinite(v) for v in values.values() if v is not None):
-        return _row(t=t, mu=mu, status=STATUS_NUMERICAL)
-    return _row(t=t, mu=mu, status=status, **values)
+        return ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL)
+    return ReportRow(t=t, mu=mu, status=status, **values)
 
 
-def _exact_row(engine, mu):
-    return _cell(lambda: {"upsilon_exact": engine.cgf(mu)}, mu)
+# Row functions: (config, engine, t, index, mu) -> ReportRow.
 
 
-def _mc_row(config, engine, mu, seed):
+def _exact_row(config, engine, t, index, mu):
+    return _cell(lambda: {"upsilon_exact": engine.cgf(mu)}, t, mu)
+
+
+def _mc_row(config, engine, t, index, mu):
     # One eigvalsh gives mu * rho(C K(mu)).  From 1 the moment is infinite
     # (the cached mu* keeps a saturated contraction gap from reading so);
     # from 1/2 the estimator's variance is, so no error bar is printed.
     radius = engine.radius(mu)
     if radius >= 1.0 and mu >= engine.mu_star:
-        return _row(mu=mu, status=STATUS_INFEASIBLE)
+        return ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE)
     finite_variance = radius < 0.5
 
     def values():
+        # Only Monte-Carlo rows draw samples, so only they get a row seed.
+        seed = _row_seed(config.seed, index)
         value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
-        se = value.rel_std_error if finite_variance else None
-        return {"upsilon_mc": value.log_qem, "mc_se": se}
+        return {"upsilon_mc": value.log_qem, "mc_se": value.rel_std_error if finite_variance else None}
 
-    return _cell(values, mu, status=STATUS_OK if finite_variance else STATUS_INFINITE_VARIANCE)
-
-
-def _bound_values(engine, mu):
-    value, lam = engine.bound(mu)
-    return {"upsilon_bound": value.log_qem, "lambda_opt": lam}
+    return _cell(values, t, mu, STATUS_OK if finite_variance else STATUS_INFINITE_VARIANCE)
 
 
-def _bound_row(engine, mu):
-    return _cell(lambda: _bound_values(engine, mu), mu)
+def _bound_row(config, engine, t, index, mu):
+    def values():
+        value, lam = engine.bound(mu)
+        return {"upsilon_bound": value.log_qem, "lambda_opt": lam}
+
+    return _cell(values, t, mu)
 
 
-def _tail_values(engine, mu):
+def _tail_row(config, engine, t, index, mu):
+    if mu >= engine.mu_max():
+        return ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE)
+
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    upsilon, slope = engine.cgf_and_slope(mu)
-    return {"upsilon_exact": upsilon, "tail_eps": slope,
-            "tail_log_bound": min(0.0, upsilon - mu * slope)}
+    def values():
+        upsilon, slope = engine.cgf_and_slope(mu)
+        return {"upsilon_exact": upsilon, "tail_eps": slope,
+                "tail_log_bound": min(0.0, upsilon - mu * slope)}
+
+    return _cell(values, t, mu)
 
 
-def _tail_row(engine, mu, mu_max):
-    if mu >= mu_max:
-        return _row(mu=mu, status=STATUS_INFEASIBLE)
-    return _cell(lambda: _tail_values(engine, mu), mu)
-
-
-def _oqho_cell(engine, mu):
-    return _cell(lambda: _bound_values(engine, mu), mu, t=engine.t)
-
-
-def _horizon_rows(config, basis, t):
-    # The engine is built when the sweep reaches its horizon, so a fault
-    # there flags this horizon's rows and the sweep goes on.
-    engine, status = _attempt(lambda: oqho.HorizonBoundEngine(config.state, config.model, t, basis))
-    if engine is None:
-        return [_row(t=t, mu=mu, status=status) for mu in config.mu_grid]
-    return [_oqho_cell(engine, mu) for mu in config.mu_grid]
+#: Engine class and row function name of each reporting kind.  Row
+#: functions are looked up by name when a scenario runs, so a wrapper bound
+#: to the module name (perfbench's cli.cell span) sees every row.
+_ROUTES = {
+    "gaussian_exact": (qem.ExactEngine, "_exact_row"),
+    "randomized_mc": (qem.ExactEngine, "_mc_row"),
+    "upper_bound": (qem.ScalarBoundEngine, "_bound_row"),
+    "tail": (qem.ExactEngine, "_tail_row"),
+    "oqho_sweep": (oqho.HorizonBoundEngine, "_bound_row"),
+}
 
 
 def run(config: ScenarioConfig):
     """Execute a scenario; returns (BoundReport, exit_code).
 
-    Exit code 0 when every row is ok, 2 when any row is not.  Rows are
-    ordered by (t, mu).
+    Each scenario, or each horizon of an oqho_sweep, builds its kind's
+    engine once and maps the kind's row function over mu_grid; a fault
+    while building the engine flags that engine's rows.  Exit code 0 when
+    every row is ok, 2 when any row is not.  Rows are ordered by (t, mu).
     """
     if config.kind == "verify":
         checks = verify_checks(config.samples, config.seed)
@@ -373,29 +356,19 @@ def run(config: ScenarioConfig):
         return BoundReport(rows=()), 0 if ok else 2
 
     basis = symplectic_eigenbasis(config.ccr)
-    mus = config.mu_grid
+    engine_class, row_name = _ROUTES[config.kind]
+    row = globals()[row_name]
+    rows = []
     # Overflow warnings are not printed: _cell flags every non-finite value.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if config.kind == "oqho_sweep":
-            rows = [row for t in config.t_grid for row in _horizon_rows(config, basis, t)]
-        elif config.kind == "upper_bound":
-            engine = qem.ScalarBoundEngine(config.state, basis)
-            rows = [_bound_row(engine, mu) for mu in mus]
-        else:
-            engine = qem.ExactEngine(config.state, basis)
-            if config.kind == "tail":
-                mu_max = engine.mu_max()
-                rows = [_tail_row(engine, mu, mu_max) for mu in mus]
-            elif config.kind == "randomized_mc":
-                # Only Monte-Carlo rows draw samples, so only they get a row seed.
-                rows = [_mc_row(config, engine, mu, _row_seed(config.seed, i))
-                        for i, mu in enumerate(mus)]
-            else:
-                rows = [_exact_row(engine, mu) for mu in mus]
+        for t in config.t_grid or (None,):
+            # A horizon engine also takes the model and its horizon t.
+            args = (config.state, basis) if t is None else (config.state, config.model, t, basis)
+            engine, status = _attempt(lambda: engine_class(*args))
+            rows += [ReportRow(t=t, mu=mu, status=status) if engine is None
+                     else row(config, engine, t, i, mu) for i, mu in enumerate(config.mu_grid)]
 
-    report = BoundReport(rows=tuple(rows))
-    code = 0 if all(r.status == STATUS_OK for r in report.rows) else 2
-    return report, code
+    return BoundReport(rows=tuple(rows)), 0 if all(r.status == STATUS_OK for r in rows) else 2
 
 
 def verify_checks(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
@@ -491,11 +464,9 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            _require(0 <= args.seed < 2**64, "--seed must be a 64-bit unsigned integer")
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=_seed(args.seed, "--seed"))
         if args.samples is not None:
-            _require(args.samples >= 2, "--samples must be at least 2")
-            config = replace(config, samples=args.samples)
+            config = replace(config, samples=_samples(args.samples, "--samples"))
         report, code = run(config)
     except ConfigParse as exc:
         print(f"error: {exc}", file=sys.stderr)

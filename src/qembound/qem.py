@@ -171,13 +171,14 @@ class ExactEngine:
     def cgf_and_slope(self, mu: float):
         """(Upsilon(mu), Upsilon'(mu)) from the same spectrum.
 
-        With G = diag(e^-2) - C~, whose inverse is diag(e) V diag(1/(1-w))
-        V^T diag(e), and d = d(e^-2)/dmu = -theta^2/sinh^2(mu theta):
+        With c = -e^2 d(e^-2)/dmu = 2 theta/sinh(2 mu theta) and h = V (p/(1 - w)),
 
-            2 Upsilon_k' = -sum (G^-1 M~)^2 d - sum diag(G^-1) d
-                           - 2 sum d(ln e)/dmu - 2 sum_modes theta tanh(mu theta);
+            2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_j/(1 - w_j))
+                           - 2 sum_modes theta tanh(mu theta),
 
-        the mixture slope is the softmax-weighted sum of the component slopes.
+        where the 1/mu terms of the direct derivative have cancelled
+        analytically (sum_j V_ij^2 = 1); the mixture slope is the
+        softmax-weighted sum of the component slopes.
         """
         return self._evaluate(mu, slope=True)
 
@@ -199,13 +200,11 @@ class ExactEngine:
         log_qem = shift + math.log(float(mix.sum()))
         if not slope:
             return log_qem, None
-        x_mu = mu * self.theta
-        d = -(self.theta / np.sinh(x_mu)) ** 2
-        g_mean = e * np.matmul(v, (p / gap)[:, :, None])[:, :, 0]
-        g_diag = e * e * (v * v / gap[:, None, :]).sum(axis=2)
-        slopes = 0.5 * (-((g_mean * g_mean + g_diag) * d).sum(axis=1)
-                        - 2.0 * float(np.sum(self.theta / np.sinh(2.0 * x_mu)))
-                        - float(np.sum(self.theta * np.tanh(x_mu))))
+        c = 2.0 * self.theta / np.sinh(2.0 * mu * self.theta)
+        h = np.matmul(v, (p / gap)[:, :, None])[:, :, 0]
+        spread = (v * v * (w / gap)[:, None, :]).sum(axis=2)
+        slopes = 0.5 * ((c * (h * h + spread)).sum(axis=1)
+                        - float(np.sum(self.theta * np.tanh(mu * self.theta))))
         return log_qem, float(mix @ slopes) / float(mix.sum())
 
     def _raise_too_large(self, mu, top):
@@ -346,12 +345,17 @@ def scalar_weight_limit(basis: SymplecticBasis, mu: float) -> float:
     """Largest admissible scalar weight theta_min / tanh(mu * theta_min).
 
     Equals the smallest eigenvalue of (1/mu) K(mu)^-1; scalar weights must
-    stay strictly below it.
+    stay strictly below it; raises NumericalOverflowDespiteLogSpace where
+    it overflows (at a subnormal mu * theta_min).
     """
     if not mu > 0.0:
         raise ValueError("mu must be positive")
     theta_min = float(basis.gamma.min())
-    return theta_min / math.tanh(mu * theta_min)
+    tanh = math.tanh(mu * theta_min)
+    limit = theta_min / tanh if tanh > 0.0 else math.inf
+    if math.isinf(limit):
+        raise NumericalOverflowDespiteLogSpace(f"scalar weight limit overflows at mu = {mu!r}")
+    return limit
 
 
 class ScalarBoundEngine:

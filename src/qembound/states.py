@@ -23,7 +23,11 @@ from .errors import (
 )
 from .sampling import log_sum_exp
 
+#: Least eigenvalue of C + i*Theta accepted: ADMISSIBILITY_FLOOR, less
+#: ADMISSIBILITY_RTOL * max(1, max|C|) for eigvalsh's rounding error, which
+#: grows with the covariance's scale.
 ADMISSIBILITY_FLOOR = -1e-10
+ADMISSIBILITY_RTOL = 1e-14
 SYMMETRY_RTOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 
@@ -51,7 +55,7 @@ class GaussianState:
             raise NotAdmissible("covariance is not symmetric within tolerance")
         cov = 0.5 * (cov + cov.T)
         w = np.linalg.eigvalsh(cov + 1j * self.ccr.theta)
-        if w[0] < ADMISSIBILITY_FLOOR:
+        if w[0] < ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * scale:
             raise NotAdmissible(
                 f"min eigenvalue of C + i*Theta is {w[0]:.3e}; state is not quantum-admissible"
             )

@@ -15,6 +15,7 @@ from qembound import (
     symplectic_eigenbasis,
     validate_ccr,
 )
+from qembound.ccr import lnsinh
 from qembound.errors import (
     DimensionMismatch,
     NotAntisymmetric,
@@ -260,3 +261,13 @@ class TestLogDetCos:
         value = log_det_cos(basis, 500.0)
         expected = 2.0 * ((500.0 - math.log(2.0)) + (2500.0 - math.log(2.0)))
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+class TestLnsinh:
+    @pytest.mark.parametrize("x", [1e-20, 1e-12, 1e-9])
+    def test_small_argument_does_not_cancel(self, x):
+        # 1 - exp(-2x) rounds away below x ~ 1e-8; expm1 keeps it.
+        assert float(lnsinh(x)) == pytest.approx(math.log(math.sinh(x)), rel=1e-15)
+
+    def test_large_argument_does_not_overflow(self):
+        assert float(lnsinh(800.0)) == pytest.approx(800.0 - math.log(2.0), rel=1e-15)

@@ -109,9 +109,37 @@ class TestParseConfig:
         with pytest.raises(ConfigParse):
             parse_config(json.dumps(cfg))
 
-    def test_oqho_requires_model_and_t_grid(self):
-        cfg = _vacuum_config(kind="oqho_sweep")
-        with pytest.raises(ConfigParse, match="model"):
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            [("model",), ("t_grid",)],
+            [("ccr",)],
+            [("state",)],
+            [("mu_grid",)],
+            [("model",)],
+            [("t_grid",)],
+            [("state", "components")],
+            [("model", "R")],
+        ],
+        ids=["model+t_grid", "ccr", "state", "mu_grid", "model", "t_grid", "components", "R"],
+    )
+    def test_oqho_requires_model_and_t_grid(self, paths):
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"weights": [1.0],
+                      "components": [{"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1],
+            "t_grid": [0.0],
+        }
+        parse_config(json.dumps(cfg))
+        for *parents, key in paths:
+            node = cfg
+            for parent in parents:
+                node = node[parent]
+            del node[key]
+        with pytest.raises(ConfigParse, match=f"'{paths[0][-1]}'"):
             parse_config(json.dumps(cfg))
 
 
@@ -184,14 +212,23 @@ class TestParseConfig:
         config_path.write_text(text)
         assert main(["run", str(config_path)]) == 1
 
-    def test_samples_at_least_two(self, tmp_path):
+    def test_samples_at_least_two(self):
         cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
         assert parse_config(json.dumps(cfg)).samples == 2
         with pytest.raises(ConfigParse, match="samples"):
             parse_config(json.dumps(dict(cfg, samples=1)))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--samples", "1"), ("--seed", "-1"), ("--seed", str(2**64))],
+        ids=["samples-1", "seed-negative", "seed-2**64"],
+    )
+    def test_samples_and_seed_flags_checked(self, tmp_path, flag, value):
+        # The flags share the config keys' checks: samples >= 2, seed in [0, 2**64).
+        cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
         config_path = tmp_path / "scenario.json"
         config_path.write_text(json.dumps(cfg))
-        assert main(["run", str(config_path), "--samples", "1"]) == 1
+        assert main(["run", str(config_path), flag, value]) == 1
 
 
 class TestRun:
@@ -263,20 +300,26 @@ class TestRun:
     def test_tail_rows_use_the_analytic_slope(self):
         # Thermal state cov 3 I on ccr [1]: Upsilon = -ln(cosh mu - 3 sinh mu),
         # slope (3 cosh mu - sinh mu) / (cosh mu - 3 sinh mu); mu* ~ 0.3466.
+        # The slope's 1/mu terms must not cancel at tiny mu.
         cfg = _vacuum_config(
             kind="tail",
             state={"mean": [0.0, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
-            mu_grid=[0.1, 0.2, 0.3, 0.4],
+            mu_grid=[1e-300, 1e-12, 1e-6, 0.1, 0.2, 0.3, 0.4],
         )
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
-        assert [r.status for r in report.rows] == ["ok", "ok", "ok", "infeasible_mu"]
-        for row in report.rows[:3]:
+        assert [r.status for r in report.rows] == ["ok"] * 6 + ["infeasible_mu"]
+        for row in report.rows[:6]:
             c, s = math.cosh(row.mu), math.sinh(row.mu)
-            upsilon = -math.log(c - 3.0 * s)
+            # cosh mu - 1 = 2 sinh^2(mu/2), so the reference keeps its digits
+            upsilon = -math.log1p(2.0 * math.sinh(0.5 * row.mu) ** 2 - 3.0 * s)
             slope = (3.0 * c - s) / (c - 3.0 * s)
             assert row.upsilon_exact == pytest.approx(upsilon, rel=1e-12)
             assert row.tail_eps == pytest.approx(slope, rel=1e-12)
+            if row.mu < 0.1:
+                # Upsilon - mu Upsilon' ~ -mu^2 Upsilon''/2 cancels in both.
+                assert row.tail_log_bound == pytest.approx(upsilon - row.mu * slope, abs=1e-15)
+                continue
             assert row.tail_log_bound == pytest.approx(upsilon - row.mu * slope, rel=1e-12)
             assert row.tail_log_bound < 0.0
 
@@ -459,6 +502,35 @@ class TestHonestRows:
         for row in report.rows:
             assert row.status == "numerical_error"
             assert all(getattr(row, name) is None for name in CSV_COLUMNS[2:-1])
+
+    def test_tiny_ccr_bound_matches_exact(self):
+        # mu * theta = 1e-201 must not cancel in the bound's ln sinh; for a
+        # centered Gaussian with C = I the scalar optimum is exact.
+        cfg = _vacuum_config(ccr=[1e-200], mu_grid=[0.1, 0.5])
+        exact, code = run(parse_config(json.dumps(cfg)))
+        assert code == 0
+        bound, code = run(parse_config(json.dumps(dict(cfg, kind="upper_bound"))))
+        assert code == 0
+        for b, e in zip(bound.rows, exact.rows):
+            assert b.status == "ok"
+            assert b.upsilon_bound == pytest.approx(e.upsilon_exact, abs=1e-12)
+
+    @pytest.mark.parametrize("freq", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["upper_bound", "oqho_sweep"])
+    def test_subnormal_mu_flags_its_rows(self, kind, freq):
+        # At a subnormal mu the scalar weight limit theta/tanh(mu theta)
+        # overflows (or divides by zero); those rows are flagged and the
+        # sweep goes on to mu = 0.1.
+        cfg = _vacuum_config(kind=kind, ccr=[freq], mu_grid=[5e-324, 1e-310, 0.1])
+        if kind == "oqho_sweep":
+            cfg.update(model={"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+                       t_grid=[0.0, 1.0])
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == (
+            ["numerical_error", "numerical_error", "ok"] * (2 if kind == "oqho_sweep" else 1))
+        for row in report.rows:
+            assert (row.upsilon_bound is None) == (row.status != "ok")
 
     def test_mc_rows_past_mu_var_have_no_error_bar(self):
         # cov 3 I on ccr [1]: mu * rho(C K(mu)) = 3 tanh(mu), so the MC

@@ -41,6 +41,21 @@ class TestGaussianState:
         with pytest.raises(NotAdmissible):
             GaussianState(mean=[0.0, 0.0], cov=cov, ccr=CCR2)
 
+    @pytest.mark.parametrize("squeeze", [1e3, 1e5, 1e7, 1e9])
+    def test_large_pure_states_accepted(self, squeeze):
+        # S S^T is pure (min eigenvalue of C + i*J2 exactly 0) for any
+        # symplectic S; eigvalsh's rounding of order 1e-16 * |C| must not
+        # reject it.  Half the allowed uncertainty product at squeezing 1e4
+        # (min eigenvalue -5e-5, far above that rounding) is still rejected.
+        rng = np.random.default_rng(11)
+        for angles in rng.uniform(0.0, math.pi, size=(20, 2)):
+            c, s = np.cos(angles), np.sin(angles)
+            sym = (np.array([[c[0], -s[0]], [s[0], c[0]]]) @ np.diag([squeeze, 1.0 / squeeze])
+                   @ np.array([[c[1], -s[1]], [s[1], c[1]]]))
+            GaussianState(mean=[0.0, 0.0], cov=sym @ sym.T, ccr=CCR2)
+        with pytest.raises(NotAdmissible):
+            GaussianState(mean=[0.0, 0.0], cov=np.diag([1e4, 0.5e-4]), ccr=CCR2)
+
     def test_asymmetric_cov_rejected(self):
         cov = np.array([[2.0, 0.1], [0.0, 2.0]])
         with pytest.raises(NotAdmissible):
