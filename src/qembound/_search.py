@@ -14,6 +14,12 @@ DECREMENT_RTOL = 1e-15
 STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
+#: Bracket width at which golden-section search and bisection stop, relative
+#: to max(1, |a|, |b|) and max(|a|, |b|) of the bracket [a, b], and their
+#: iteration cap.
+SEARCH_RTOL = 1e-10
+SEARCH_MAX_ITER = 200
+
 
 def newton_minimize(fdf, lo, hi):
     """Minimize a convex function on [lo, hi] by safeguarded Newton.
@@ -64,7 +70,7 @@ def newton_minimize(fdf, lo, hi):
     return best_lam, best_f
 
 
-def golden_section_minimize(f, lo, hi, rel_tol=1e-10, max_iter=200):
+def golden_section_minimize(f, lo, hi):
     """Minimize a scalar function on [lo, hi] by golden-section search.
 
     Assumes near-unimodality but tracks the best evaluated point, so the
@@ -80,8 +86,8 @@ def golden_section_minimize(f, lo, hi, rel_tol=1e-10, max_iter=200):
         best_x, best_f = c, fc
     else:
         best_x, best_f = d, fd
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(1.0, abs(a), abs(b)):
+    for _ in range(SEARCH_MAX_ITER):
+        if (b - a) <= SEARCH_RTOL * max(1.0, abs(a), abs(b)):
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -98,19 +104,11 @@ def golden_section_minimize(f, lo, hi, rel_tol=1e-10, max_iter=200):
     return best_x, best_f
 
 
-def golden_section_maximize(f, lo, hi, rel_tol=1e-10, max_iter=200):
-    """Maximize f on [lo, hi]; returns (x_best, f_best)."""
-    x, neg = golden_section_minimize(
-        lambda t: -f(t), lo, hi, rel_tol=rel_tol, max_iter=max_iter
-    )
-    return x, -neg
-
-
-def bisect_nondecreasing(g, target, lo, hi, rel_tol=1e-10, max_iter=200):
+def bisect_nondecreasing(g, target, lo, hi):
     """Solve g(x) = target for nondecreasing g with g(lo) <= target <= g(hi)."""
     a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(a), abs(b)):
+    for _ in range(SEARCH_MAX_ITER):
+        if (b - a) <= SEARCH_RTOL * max(abs(a), abs(b)):
             break
         mid = 0.5 * (a + b)
         if g(mid) < target:

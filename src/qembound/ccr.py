@@ -30,6 +30,10 @@ J2.setflags(write=False)
 ANTISYM_RTOL = 1e-12
 SINGULAR_RTOL = 1e-10
 BASIS_ATOL = 1e-10
+#: Largest |a - a^T| accepted by _symmetric, relative to max(1, max|a|).
+SYMMETRY_RTOL = 1e-12
+#: Least positive normal double.
+TINY = np.finfo(float).tiny
 
 
 def _readonly(a):
@@ -38,23 +42,48 @@ def _readonly(a):
     return out
 
 
+# Input rules shared by every module that takes matrices or parameters
+# (classical.py keeps its own, independent of the quantum modules).
+
 def _require_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
 
-# Scalar helpers, extended by continuity to 1 at zero where applicable.
-
-def sinhc(x):
-    """sinh(x)/x, equal to 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x == 0.0, 1.0, np.sinh(np.where(x == 0.0, 1.0, x)) / np.where(x == 0.0, 1.0, x))
+def _require_positive(value, name):
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
 
 
-def tanhc(x):
-    """tanh(x)/x, equal to 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x == 0.0, 1.0, np.tanh(np.where(x == 0.0, 1.0, x)) / np.where(x == 0.0, 1.0, x))
+def _symmetric(a, error, message):
+    """The symmetric part of a; raises error(message) when |a - a^T|
+    exceeds SYMMETRY_RTOL * max(1, max|a|)."""
+    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * max(1.0, float(np.abs(a).max())):
+        raise error(message)
+    return 0.5 * (a + a.T)
+
+
+def _cholesky(a, error, message):
+    """(lower Cholesky factor, ln det) of the symmetric part of a; raises
+    error(message) when it is not positive definite."""
+    try:
+        chol = np.linalg.cholesky(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _same_ccr(a, b):
+    """Whether two CcrMatrix values hold the same commutation matrix."""
+    return a is b or np.array_equal(a.theta, b.theta)
+
+
+# Scalar helpers.
+
+def _over_x(f, x):
+    """f(x)/x for f = sinh or tanh, read as its limit 1 below TINY (mu*theta at subnormal mu)."""
+    x = np.maximum(x, TINY)
+    return f(x) / x
 
 
 def lncosh(x):
@@ -82,7 +111,7 @@ class CcrMatrix:
 
 @dataclass(frozen=True)
 class SymplecticBasis:
-    """Eigenfrequencies and real orthonormal-scaled eigenbasis of a CCR matrix.
+    """Eigenfrequencies and real orthonormal-scaled eigenbasis of the CCR matrix ccr.
 
     Satisfies Theta @ H == H @ kron(diag(gamma), J2) and H.T @ H == I/2,
     with gamma sorted in descending order.  sqrt(2)*H is orthogonal.
@@ -90,7 +119,11 @@ class SymplecticBasis:
 
     H: np.ndarray
     gamma: np.ndarray
-    n: int
+    ccr: CcrMatrix
+
+    @property
+    def n(self):
+        return self.ccr.n
 
     @property
     def n_modes(self):
@@ -155,7 +188,7 @@ def symplectic_eigenbasis(ccr: CcrMatrix) -> SymplecticBasis:
     z = z * (1j * np.abs(lead) / lead)
     # Columns (u_k, v_k) = (Im z_k, Re z_k), interleaved.
     h = np.stack((z.imag, z.real), axis=2).reshape(n, n)
-    basis = SymplecticBasis(H=_readonly(h), gamma=_readonly(gamma), n=n)
+    basis = SymplecticBasis(H=_readonly(h), gamma=_readonly(gamma), ccr=ccr)
     _verify_basis(theta, basis, float(np.abs(theta).max()))
     return basis
 
@@ -194,8 +227,8 @@ def mode_matrix(basis: SymplecticBasis, values) -> np.ndarray:
 # name maps to its hyperbolic counterpart.
 _FUNCTION_TABLE = {
     "cos": np.cosh,
-    "sinc": sinhc,
-    "tanc": tanhc,
+    "sinc": lambda x: _over_x(np.sinh, x),
+    "tanc": lambda x: _over_x(np.tanh, x),
     "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
 }
 
@@ -211,8 +244,7 @@ def matrix_function(basis: SymplecticBasis, f: str, mu: float) -> np.ndarray:
         raise UnsupportedFunction(
             f"unsupported function {f!r}; expected one of {sorted(_FUNCTION_TABLE)}"
         )
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _require_positive(mu, "mu")
     return mode_matrix(basis, _FUNCTION_TABLE[f](mu * basis.gamma))
 
 
@@ -220,7 +252,7 @@ def aux_covariance(basis: SymplecticBasis, mu: float) -> np.ndarray:
     """Covariance tanc(mu*Theta) of the Gaussian averaging vector used by
     the randomized moment estimator.
 
-    Its spectrum is {tanhc(mu*theta_k)}, strictly inside (0, 1), so the
+    Its spectrum is {tanh(mu*theta_k)/(mu*theta_k)}, strictly inside (0, 1), so the
     result is a symmetric positive definite contraction.
     """
     return matrix_function(basis, "tanc", mu)
@@ -232,6 +264,5 @@ def log_det_cos(basis: SymplecticBasis, mu: float) -> float:
     Computed from the eigenfrequencies; forming cos(mu*Theta) and taking a
     determinant would overflow for large mu*theta_k.
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _require_positive(mu, "mu")
     return float(2.0 * np.sum(lncosh(mu * basis.gamma)))

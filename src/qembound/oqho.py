@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import CcrMatrix, J2, SymplecticBasis, _readonly, _require_finite, symplectic_eigenbasis
+from .ccr import (CcrMatrix, J2, SymplecticBasis, _readonly, _require_finite, _require_positive,
+                  _same_ccr, _symmetric, symplectic_eigenbasis)
 from .errors import (
     DimensionMismatch,
     EmptyInterval,
@@ -59,10 +60,8 @@ class OqhoModel:
             raise DimensionMismatch("coupling matrix must have an even number of rows")
         _require_finite(r, "energy matrix")
         _require_finite(nc, "coupling matrix")
-        scale = max(1.0, float(np.abs(r).max()))
-        if float(np.abs(r - r.T).max()) > 1e-12 * scale:
-            raise DimensionMismatch("energy matrix must be symmetric")
-        object.__setattr__(self, "R", _readonly(0.5 * (r + r.T)))
+        r = _symmetric(r, DimensionMismatch, "energy matrix must be symmetric")
+        object.__setattr__(self, "R", _readonly(r))
         object.__setattr__(self, "N", _readonly(nc))
 
     @property
@@ -175,8 +174,8 @@ def gramian_infinite(a, b) -> GramianResult:
 
 
 def _check_model(mix, model, t):
-    if mix.n != model.ccr.n:
-        raise DimensionMismatch("state and model dimensions differ")
+    if not _same_ccr(mix.ccr, model.ccr):
+        raise DimensionMismatch("state and model do not come from one CCR matrix")
     if t < 0.0:
         raise ValueError("time must be nonnegative")
 
@@ -224,8 +223,7 @@ def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> floa
     """
     mix = as_mixture(initial)
     _check_model(mix, model, t)
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _require_positive(lam, "lam")
     a, b = dynamics_matrices(model)
     e_neg, _, sigma = _expm_and_gramian(a, b, t)
     if not np.all(np.isfinite(e_neg)):
@@ -296,8 +294,7 @@ def qem_bound_time(
     lambda_max(Sigma_t) (mu too large for the horizon); NormDivergent when
     the interval is nonempty but no weight keeps the norm finite.
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _require_positive(mu, "mu")
     if basis is None:
         basis = symplectic_eigenbasis(model.ccr)
     return HorizonBoundEngine(initial, model, t, basis).bound(mu)

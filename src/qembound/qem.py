@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_nondecreasing, golden_section_maximize, newton_minimize
-from .ccr import SymplecticBasis, aux_covariance, lnsinh, log_det_cos, mode_matrix
+from ._search import bisect_nondecreasing, golden_section_minimize, newton_minimize
+from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
+                  aux_covariance, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
     DimensionMismatch,
     EmptyFeasibleWindow,
@@ -97,32 +98,31 @@ class TailBound:
     argmax_mu: float | None
 
 
-def _check_dims(state, basis: SymplecticBasis):
-    if state.n != basis.n:
-        raise DimensionMismatch(f"state dimension {state.n} != basis order {basis.n}")
+def _check_basis(state, basis: SymplecticBasis):
+    if not _same_ccr(state.ccr, basis.ccr):
+        raise DimensionMismatch("state and basis do not come from one CCR matrix")
 
 
 class ExactEngine:
     """Exact closed form of a Gaussian or Gaussian-mixture state, reusable
     across mu.
 
-    With the orthogonal Q = sqrt(2) H of the symplectic basis,
-    mu K(mu) = Q diag(e^2) Q^T where e = sqrt(tanh(mu theta)/theta) (one
-    entry per mode, repeated for its pair).  Each component's contraction
-    mu K^(1/2) C K^(1/2) is therefore similar to B = diag(e) C~ diag(e) with
-    the mode-basis covariance C~ = Q^T C Q, and with M~ = Q^T M the closed
-    form reads
+    With the orthogonal Q = sqrt(2) H of the symplectic basis, K(mu) =
+    Q diag(e^2) Q^T where e = sqrt(tanh(mu theta)/(mu theta)) lies in (0, 1]
+    (one entry per mode, repeated for its pair).  Each component's
+    contraction mu K^(1/2) C K^(1/2) is therefore similar to mu B with the
+    unit-scale B = diag(e) C~ diag(e), C~ = Q^T C Q.  With M~ = Q^T M,
 
-        Upsilon = (sum p^2/(1 - w) - sum ln(1 - w) - ln det cos(mu Theta)) / 2
+        Upsilon = (mu sum p^2/(1 - w) - sum ln(1 - w) - ln det cos(mu Theta)) / 2
 
-    over the spectrum B = V diag(w) V^T and p = V^T (e * M~).  Construction
+    over the spectrum B = V diag(w_unit) V^T, w = mu w_unit and
+    p = V^T (e * M~), all finite down to subnormal mu.  Construction
     rotates the covariances and means once; every evaluation is one stacked
-    eigh over all components.  The critical mu* is computed on first use
-    and cached.
+    eigh over all components.  mu* is computed on first use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
-        _check_dims(state, basis)
+        _check_basis(state, basis)
         mix = as_mixture(state)
         q = math.sqrt(2.0) * basis.H
         self.basis = basis
@@ -155,7 +155,7 @@ class ExactEngine:
                 break
             lo = hi
             hi *= 2.0
-        return bisect_nondecreasing(radius, 1.0, lo, hi, rel_tol=1e-10)
+        return bisect_nondecreasing(radius, 1.0, lo, hi)
 
     def mu_max(self) -> float:
         """Truncated validity limit of the CGF (see exact_cgf)."""
@@ -171,28 +171,30 @@ class ExactEngine:
     def cgf_and_slope(self, mu: float):
         """(Upsilon(mu), Upsilon'(mu)) from the same spectrum.
 
-        With c = -e^2 d(e^-2)/dmu = 2 theta/sinh(2 mu theta) and h = V (p/(1 - w)),
+        With c = 2 mu theta/sinh(2 mu theta) in (0, 1] (-mu e^2 d(e^-2)/dmu
+        for e^2 = tanh(mu theta)/theta) and h = V (p/(1 - w)),
 
-            2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_j/(1 - w_j))
+            2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_unit_j/(1 - w_j))
                            - 2 sum_modes theta tanh(mu theta),
 
         where the 1/mu terms of the direct derivative have cancelled
         analytically (sum_j V_ij^2 = 1); the mixture slope is the
-        softmax-weighted sum of the component slopes.
+        softmax-weighted sum of the component slopes.  At mu -> 0 it tends
+        to (tr C + |M|^2)/2.
         """
         return self._evaluate(mu, slope=True)
 
     def _evaluate(self, mu, slope):
-        if not mu > 0.0:
-            raise ValueError("mu must be positive")
+        _require_positive(mu, "mu")
         e, b = _contraction(self.covs, self.theta, mu)
-        w, v = np.linalg.eigh(b)
+        w_unit, v = np.linalg.eigh(b)
+        w = mu * w_unit
         top = float(w.max())
         if top >= 1.0:
             self._raise_too_large(mu, top)
         gap = 1.0 - w
         p = np.matmul((e * self.means)[:, None, :], v)[:, 0, :]
-        parts = 0.5 * ((p * p / gap).sum(axis=1) - np.log1p(-w).sum(axis=1)
+        parts = 0.5 * (mu * (p * p / gap).sum(axis=1) - np.log1p(-w).sum(axis=1)
                        - log_det_cos(self.basis, mu))
         x = parts + self.log_weights
         shift = float(x.max())
@@ -200,9 +202,9 @@ class ExactEngine:
         log_qem = shift + math.log(float(mix.sum()))
         if not slope:
             return log_qem, None
-        c = 2.0 * self.theta / np.sinh(2.0 * mu * self.theta)
+        c = 1.0 / _over_x(np.sinh, 2.0 * mu * self.theta)
         h = np.matmul(v, (p / gap)[:, :, None])[:, :, 0]
-        spread = (v * v * (w / gap)[:, None, :]).sum(axis=2)
+        spread = (v * v * (w_unit / gap)[:, None, :]).sum(axis=2)
         slopes = 0.5 * ((c * (h * h + spread)).sum(axis=1)
                         - float(np.sum(self.theta * np.tanh(mu * self.theta))))
         return log_qem, float(mix @ slopes) / float(mix.sum())
@@ -221,15 +223,16 @@ class ExactEngine:
 
 
 def _contraction(covs, theta, mu):
-    """(e, diag(e) covs diag(e)) with e = sqrt(tanh(mu theta)/theta); covs
-    may be one mode-basis covariance or a stack of them."""
-    e = np.sqrt(np.tanh(mu * theta) / theta)
+    """(e, diag(e) covs diag(e)) with the unit-scale e =
+    sqrt(tanh(mu theta)/(mu theta)); covs may be one mode-basis covariance
+    or a stack of them.  mu times the result is the contraction."""
+    e = np.sqrt(_over_x(np.tanh, mu * theta))
     return e, e[:, None] * covs * e
 
 
 def _radius(covs, theta, mu):
     """Largest eigenvalue of the contraction over a stack of covariances."""
-    return float(np.linalg.eigvalsh(_contraction(covs, theta, mu)[1]).max())
+    return mu * float(np.linalg.eigvalsh(_contraction(covs, theta, mu)[1]).max())
 
 
 def qem_gaussian_exact(state: GaussianState, basis: SymplecticBasis, mu: float) -> QemValue:
@@ -280,9 +283,8 @@ def qem_randomized_mc(
     rel_std_error comes from the sample variance of those summands.
     Deterministic for a fixed seed.
     """
-    _check_dims(state, basis)
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _check_basis(state, basis)
+    _require_positive(mu, "mu")
     if samples < 2:
         raise ValueError("need at least two samples")
     k_mat = aux_covariance(basis, mu)
@@ -322,20 +324,13 @@ def qem_upper_bound(state, basis: SymplecticBasis, mu: float, weight: WeightMatr
     valid for 0 < P < (1/mu) K(mu)^-1 and a finite norm.  Dominates the
     exact value whenever the latter exists.
     """
-    _check_dims(state, basis)
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _check_basis(state, basis)
+    _require_positive(mu, "mu")
     if not isinstance(weight, WeightMatrix):
         weight = WeightMatrix(weight)
     upper = mode_matrix(basis, basis.gamma / np.tanh(mu * basis.gamma))
-    gap = upper - weight.P
-    try:
-        chol = np.linalg.cholesky(0.5 * (gap + gap.T))
-    except np.linalg.LinAlgError as exc:
-        raise WeightOutOfInterval(
-            "weight does not satisfy P < (1/mu) K(mu)^-1"
-        ) from exc
-    logdet_gap = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    _, logdet_gap = _cholesky(upper - weight.P, WeightOutOfInterval,
+                              "weight does not satisfy P < (1/mu) K(mu)^-1")
     log_norm = log_weighted_norm(state, weight)
     log_bound = _log_bound_prefactor(basis, mu) + log_norm - 0.25 * logdet_gap
     return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND)
@@ -348,8 +343,7 @@ def scalar_weight_limit(basis: SymplecticBasis, mu: float) -> float:
     stay strictly below it; raises NumericalOverflowDespiteLogSpace where
     it overflows (at a subnormal mu * theta_min).
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _require_positive(mu, "mu")
     theta_min = float(basis.gamma.min())
     tanh = math.tanh(mu * theta_min)
     limit = theta_min / tanh if tanh > 0.0 else math.inf
@@ -381,7 +375,7 @@ class ScalarBoundEngine:
     """
 
     def __init__(self, state, basis: SymplecticBasis):
-        _check_dims(state, basis)
+        _check_basis(state, basis)
         self.basis = basis
         mix = as_mixture(state)
         comps = mix.components
@@ -547,7 +541,8 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
     lo = grid[j - 1] if j > 0 else grid[0] * 1e-6
     boundary = j == grid_points - 1
     hi = mu_max * (1.0 - 1e-9) if boundary else grid[j + 1]
-    x, best = golden_section_maximize(gain, lo, hi)
+    x, loss = golden_section_minimize(lambda mu: -gain(mu), lo, hi)
+    best = -loss
     if best < values[j]:
         x, best = float(grid[j]), values[j]
     argmax = x
@@ -574,10 +569,8 @@ def tail_bound_bregman(cgf, mu: float, derivative_step: float, mu_max: float = m
     side is nonpositive for a convex CGF.  Returns (threshold, log_bound)
     where threshold = 2 * cgf'(mu).
     """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
-    if not derivative_step > 0.0:
-        raise ValueError("derivative_step must be positive")
+    _require_positive(mu, "mu")
+    _require_positive(derivative_step, "derivative_step")
     h = derivative_step
     if mu - h <= 0.0 or mu + h >= mu_max:
         raise StepTooLargeNearBoundary(

@@ -43,24 +43,22 @@ def log_sum_exp(values):
 def log_mean_exp_stats(log_values):
     """Mean of exp(log_values) in log scale, with its relative standard error.
 
-    Returns (log_mean, rel_se).  rel_se is the standard error of the mean
-    divided by the mean, computed from max-shifted partial sums so the
-    scale factor cancels; by the delta method it is also the absolute
-    standard error of log_mean.
+    Returns (log_mean, rel_se): log_mean from the max-shifted sum, and the
+    standard error of the mean divided by the mean from a second pass over
+    expm1(a - log_mean), which neither overflows (a - log_mean <= ln n) nor
+    cancels when the summands barely spread.  By the delta method rel_se is
+    also the absolute standard error of log_mean.
     """
     a = np.asarray(log_values, dtype=float)
     n = a.size
     if n < 1:
         raise ValueError("need at least one sample")
     m = float(a.max())
-    shifted = np.exp(a - m)
-    s1 = float(shifted.sum())
-    s2 = float((shifted * shifted).sum())
-    log_mean = m + np.log(s1 / n)
+    log_mean = float(m + np.log(float(np.exp(a - m).sum()) / n))
     if n < 2:
-        return float(log_mean), 0.0
-    rel_var = max(0.0, (n * s2 / (s1 * s1) - 1.0) / (n - 1))
-    return float(log_mean), float(np.sqrt(rel_var))
+        return log_mean, 0.0
+    dev = np.expm1(a - log_mean)
+    return log_mean, float(np.sqrt(dev @ dev / (n * (n - 1))))
 
 
 def top_weight_fraction(log_values, top_frac=0.001):

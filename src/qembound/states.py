@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import CcrMatrix, _readonly, _require_finite
+from .ccr import (CcrMatrix, _cholesky, _readonly, _require_finite, _require_positive,
+                  _same_ccr, _symmetric)
 from .errors import (
     DimensionMismatch,
     NormDivergent,
@@ -28,7 +29,6 @@ from .sampling import log_sum_exp
 #: grows with the covariance's scale.
 ADMISSIBILITY_FLOOR = -1e-10
 ADMISSIBILITY_RTOL = 1e-14
-SYMMETRY_RTOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -50,12 +50,9 @@ class GaussianState:
             )
         _require_finite(mean, "mean")
         _require_finite(cov, "covariance")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
-            raise NotAdmissible("covariance is not symmetric within tolerance")
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetric(cov, NotAdmissible, "covariance is not symmetric within tolerance")
         w = np.linalg.eigvalsh(cov + 1j * self.ccr.theta)
-        if w[0] < ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * scale:
+        if w[0] < ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * max(1.0, float(np.abs(cov).max())):
             raise NotAdmissible(
                 f"min eigenvalue of C + i*Theta is {w[0]:.3e}; state is not quantum-admissible"
             )
@@ -86,10 +83,8 @@ class MixtureMgf:
             raise ValueError("mixture weights must be positive")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1")
-        theta0 = comps[0].ccr.theta
-        for c in comps[1:]:
-            if c.ccr.theta is not theta0 and not np.array_equal(c.ccr.theta, theta0):
-                raise DimensionMismatch("all components must share one CCR matrix")
+        if not all(_same_ccr(c.ccr, comps[0].ccr) for c in comps[1:]):
+            raise DimensionMismatch("all components must share one CCR matrix")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "components", comps)
 
@@ -119,14 +114,8 @@ class WeightMatrix:
         p = np.asarray(self.P, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatch(f"weight must be square, got shape {p.shape}")
-        scale = max(1.0, float(np.abs(p).max()))
-        if float(np.abs(p - p.T).max()) > SYMMETRY_RTOL * scale:
-            raise NotPositiveDefinite("weight matrix is not symmetric")
-        p = 0.5 * (p + p.T)
-        try:
-            np.linalg.cholesky(p)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("weight matrix is not positive definite") from exc
+        p = _symmetric(p, NotPositiveDefinite, "weight matrix is not symmetric")
+        _cholesky(p, NotPositiveDefinite, "weight matrix is not positive definite")
         object.__setattr__(self, "P", _readonly(p))
 
 
@@ -163,27 +152,16 @@ def gaussian_moment_integral(a, precision) -> float:
         raise DimensionMismatch(
             f"precision shape {n_mat.shape} does not match vector size {a.size}"
         )
-    scale = max(1.0, float(np.abs(n_mat).max()))
-    if float(np.abs(n_mat - n_mat.T).max()) > SYMMETRY_RTOL * scale:
-        raise NotPositiveDefinite("precision matrix is not symmetric")
-    try:
-        chol = np.linalg.cholesky(0.5 * (n_mat + n_mat.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("precision matrix is not positive definite") from exc
+    n_mat = _symmetric(n_mat, NotPositiveDefinite, "precision matrix is not symmetric")
+    chol, _ = _cholesky(n_mat, NotPositiveDefinite, "precision matrix is not positive definite")
     y = np.linalg.solve(chol, a)
     return 0.5 * float(y @ y)
 
 
 def _pair_log_integral(m_i, m_j, c_i, c_j, p):
     """Log of integral exp((M_i+M_j)^T u - ||u||^2_{P-(C_i+C_j)/2}) du."""
-    gap = p - 0.5 * (c_i + c_j)
-    try:
-        chol = np.linalg.cholesky(0.5 * (gap + gap.T))
-    except np.linalg.LinAlgError as exc:
-        raise NormDivergent(
-            "weight does not dominate the covariances; norm integral diverges"
-        ) from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    chol, logdet = _cholesky(p - 0.5 * (c_i + c_j), NormDivergent,
+                             "weight does not dominate the covariances; norm integral diverges")
     y = np.linalg.solve(chol, m_i + m_j)
     quad = float(y @ y)
     n = p.shape[0]
@@ -223,8 +201,7 @@ def weighted_norm(state, weight) -> float:
 
 def log_scalar_norm(state, lam: float) -> float:
     """log_weighted_norm with the scalar weight P = lam * I."""
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _require_positive(lam, "lam")
     return log_weighted_norm(state, WeightMatrix(lam * np.eye(as_mixture(state).n)))
 
 

@@ -304,12 +304,12 @@ class TestRun:
         cfg = _vacuum_config(
             kind="tail",
             state={"mean": [0.0, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
-            mu_grid=[1e-300, 1e-12, 1e-6, 0.1, 0.2, 0.3, 0.4],
+            mu_grid=[5e-324, 1e-310, 1e-300, 1e-12, 1e-6, 0.1, 0.2, 0.3, 0.4],
         )
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
-        assert [r.status for r in report.rows] == ["ok"] * 6 + ["infeasible_mu"]
-        for row in report.rows[:6]:
+        assert [r.status for r in report.rows] == ["ok"] * 8 + ["infeasible_mu"]
+        for row in report.rows[:8]:
             c, s = math.cosh(row.mu), math.sinh(row.mu)
             # cosh mu - 1 = 2 sinh^2(mu/2), so the reference keeps its digits
             upsilon = -math.log1p(2.0 * math.sinh(0.5 * row.mu) ** 2 - 3.0 * s)
@@ -322,6 +322,45 @@ class TestRun:
                 continue
             assert row.tail_log_bound == pytest.approx(upsilon - row.mu * slope, rel=1e-12)
             assert row.tail_log_bound < 0.0
+
+    @pytest.mark.parametrize("kind", ["gaussian_exact", "randomized_mc", "tail"])
+    def test_rows_where_mu_theta_underflows(self, kind):
+        # On ccr [0.5], mu theta = 2.5e-324 rounds to 0 at mu = 5e-324;
+        # tanh(x)/x and x/sinh(x) then read their limit 1, so the rows keep
+        # the tiny-mu values: Upsilon ~ mu (tr C + |M|^2)/2, slope 1.625.
+        cfg = _vacuum_config(
+            kind=kind,
+            ccr=[0.5],
+            state={"mean": [0.5, 0.0], "cov": [[1.5, 0.0], [0.0, 1.5]]},
+            mu_grid=[5e-324, 1e-300],
+            samples=1000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 0
+        for row in report.rows:
+            assert row.status == "ok"
+            if kind != "randomized_mc":
+                assert 0.0 < row.upsilon_exact <= 2.0 * row.mu
+            if kind == "tail":
+                assert row.tail_eps == pytest.approx(1.625, rel=1e-12)
+
+    def test_mc_error_bar_at_tiny_mu(self):
+        # At mu = 1e-20 the log summands spread by about sqrt(mu) |M| ~ 1e-10,
+        # so a one-pass variance cancels to 0 beside a visibly noisy estimate.
+        cfg = _vacuum_config(
+            kind="randomized_mc",
+            state={"mean": [0.5, 0.0], "cov": [[1.5, 0.0], [0.0, 1.5]]},
+            mu_grid=[1e-20],
+            samples=1000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 0
+        (row,) = report.rows
+        assert row.status == "ok"
+        assert row.mc_se > 0.0
+        assert abs(row.upsilon_mc - 1.625e-20) <= 5.0 * row.mc_se
 
     def test_mc_rows_past_critical_mu_are_infeasible(self):
         # mu* = artanh(1/3) ~ 0.3466: past it the moment is infinite, so no

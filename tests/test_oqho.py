@@ -31,6 +31,7 @@ from qembound import (
     validate_ccr,
 )
 from qembound.errors import (
+    DimensionMismatch,
     EmptyInterval,
     ExpmFailure,
     LambdaTooSmall,
@@ -320,3 +321,39 @@ class TestQemBoundTime:
             propagated = propagate_mgf(mix, DAMPED, t)
             est = qem_randomized_mc(propagated, BASIS2, mu, 50000, seed=90)
             assert est.log_qem <= bound.log_qem + 3.0 * est.rel_std_error
+
+
+class TestModelContract:
+    """A model (and a basis passed with it) must come from the state's CCR
+    matrix (equal Theta), not merely one of the same order."""
+
+    STATE = GaussianState(mean=[0.5, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
+    CALLS = {
+        "propagate_mgf": lambda s, m: log_scalar_norm(propagate_mgf(s, m, 0.5), 3.0),
+        "log_propagated_norm": lambda s, m: log_propagated_norm(s, m, 0.5, 10.0),
+        "qem_bound_time_t0": lambda s, m: qem_bound_time(s, m, 0.2, 0.0),
+        "qem_bound_time_t05": lambda s, m: qem_bound_time(s, m, 0.2, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_model_of_another_ccr_rejected(self, name):
+        other = OqhoModel(R=DAMPED.R, N=DAMPED.N, ccr=validate_ccr(3.0 * J2))
+        with pytest.raises(DimensionMismatch):
+            self.CALLS[name](self.STATE, other)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_basis_of_another_ccr_rejected(self, t):
+        other = symplectic_eigenbasis(validate_ccr(3.0 * J2))
+        with pytest.raises(DimensionMismatch):
+            qem_bound_time(self.STATE, DAMPED, 0.2, t, basis=other)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_model_of_an_equal_ccr_accepted(self, name):
+        twin = OqhoModel(R=DAMPED.R, N=DAMPED.N, ccr=validate_ccr(J2))
+        assert twin.ccr is not CCR2
+        assert self.CALLS[name](self.STATE, twin) == self.CALLS[name](self.STATE, DAMPED)
+
+    def test_basis_of_an_equal_ccr_accepted(self):
+        twin = symplectic_eigenbasis(validate_ccr(J2))
+        assert (qem_bound_time(self.STATE, DAMPED, 0.2, 0.5, basis=twin)
+                == qem_bound_time(self.STATE, DAMPED, 0.2, 0.5, basis=BASIS2))

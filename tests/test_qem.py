@@ -27,7 +27,9 @@ from qembound import (
     tail_bound_bregman,
     validate_ccr,
 )
+from qembound.sampling import log_mean_exp_stats
 from qembound.errors import (
+    DimensionMismatch,
     EmptyFeasibleWindow,
     InvalidRange,
     NormDivergent,
@@ -133,6 +135,17 @@ class TestRandomizedMc:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             qem_randomized_mc(VACUUM, BASIS2, 0.5, 1, seed=1)
+
+    @pytest.mark.parametrize("spread", [1e-10, 1e-4, 1.0])
+    def test_error_bar_matches_two_pass_reference(self, spread):
+        # A one-pass variance n s2/s1^2 - 1 cancels once the log summands
+        # spread by less than about 1e-8.
+        logs = 3.0 + spread * np.random.default_rng(5).standard_normal(1000)
+        shifted = np.exp(logs - logs.max())
+        reference = np.std(shifted, ddof=1) / (math.sqrt(logs.size) * shifted.mean())
+        log_mean, rel_se = log_mean_exp_stats(logs)
+        assert rel_se == pytest.approx(reference, rel=1e-5)
+        assert log_mean == pytest.approx(logs.max() + math.log(shifted.mean()), rel=1e-12)
 
 
 class TestUpperBound:
@@ -351,3 +364,38 @@ class TestClassicalLimit:
             gaps.append(abs(qem_gaussian_exact(state, basis, 0.5).log_qem - classical))
         assert 80.0 <= gaps[0] / gaps[1] <= 120.0
         assert 80.0 <= gaps[1] / gaps[2] <= 120.0
+
+
+def _cgf_at(factory, mu=0.2):
+    def call(state, basis):
+        cgf, mu_max = factory(state, basis)
+        return cgf(mu), mu_max
+    return call
+
+
+class TestBasisContract:
+    """A basis must come from the state's CCR matrix (equal Theta), not
+    merely one of the same order."""
+
+    STATE = GaussianState(mean=[0.5, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
+    CALLS = {
+        "qem_exact": lambda s, b: qem_exact(s, b, 0.2),
+        "critical_mu": critical_mu,
+        "exact_cgf": _cgf_at(exact_cgf),
+        "qem_randomized_mc": lambda s, b: qem_randomized_mc(s, b, 0.2, 1000, seed=3),
+        "qem_upper_bound": lambda s, b: qem_upper_bound(s, b, 0.2, WeightMatrix(2.0 * np.eye(2))),
+        "qem_upper_bound_scalar_opt": lambda s, b: qem_upper_bound_scalar_opt(s, b, 0.2),
+        "scalar_bound_cgf": _cgf_at(scalar_bound_cgf),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_basis_of_another_ccr_rejected(self, name):
+        other = symplectic_eigenbasis(validate_ccr(3.0 * J2))
+        with pytest.raises(DimensionMismatch):
+            self.CALLS[name](self.STATE, other)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_basis_of_an_equal_ccr_accepted(self, name):
+        twin = symplectic_eigenbasis(validate_ccr(J2))
+        assert twin.ccr is not CCR2
+        assert self.CALLS[name](self.STATE, twin) == self.CALLS[name](self.STATE, BASIS2)
