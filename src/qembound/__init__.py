@@ -31,7 +31,6 @@ from .oqho import (
     gramian_infinite,
     log_propagated_norm,
     propagate_mgf,
-    propagated_norm,
     qem_bound_time,
 )
 from .qem import (
@@ -40,7 +39,6 @@ from .qem import (
     critical_mu,
     exact_cgf,
     qem_exact,
-    qem_gaussian_exact,
     qem_randomized_mc,
     qem_upper_bound,
     qem_upper_bound_scalar_opt,
@@ -58,8 +56,6 @@ from .states import (
     log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
-    scalar_norm,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"
@@ -97,20 +93,16 @@ __all__ = [
     "mgf_eval",
     "mode_matrix",
     "propagate_mgf",
-    "propagated_norm",
     "qem_bound_time",
     "qem_exact",
-    "qem_gaussian_exact",
     "qem_randomized_mc",
     "qem_upper_bound",
     "qem_upper_bound_scalar_opt",
     "randomized_identity_check",
     "scalar_bound_cgf",
-    "scalar_norm",
     "scalar_weight_limit",
     "symplectic_eigenbasis",
     "tail_bound",
     "tail_bound_bregman",
     "validate_ccr",
-    "weighted_norm",
 ]

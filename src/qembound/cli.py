@@ -25,8 +25,6 @@ from .ccr import J2, CcrMatrix, symplectic_eigenbasis, validate_ccr
 from .errors import (
     ConfigParse,
     EmptyFeasibleWindow,
-    EmptyInterval,
-    NormDivergent,
     QemBoundError,
     RiskParameterTooLarge,
     SuspectedDivergence,
@@ -36,7 +34,6 @@ from .states import GaussianState, MixtureMgf
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible_mu"
 STATUS_EMPTY = "empty_interval"
-STATUS_DIVERGENT = "divergent_norm"
 STATUS_NUMERICAL = "numerical_error"
 STATUS_INFINITE_VARIANCE = "infinite_variance"
 
@@ -44,8 +41,7 @@ STATUS_INFINITE_VARIANCE = "infinite_variance"
 #: so any other library error reads as a numerical fault.
 ERROR_STATUS = (
     (RiskParameterTooLarge, STATUS_INFEASIBLE),
-    ((EmptyFeasibleWindow, EmptyInterval), STATUS_EMPTY),
-    (NormDivergent, STATUS_DIVERGENT),
+    (EmptyFeasibleWindow, STATUS_EMPTY),
     (QemBoundError, STATUS_NUMERICAL),
 )
 
@@ -336,16 +332,17 @@ _ROUTES = {
     "randomized_mc": (qem.ExactEngine, "_mc_row"),
     "upper_bound": (qem.ScalarBoundEngine, "_bound_row"),
     "tail": (qem.ExactEngine, "_tail_row"),
-    "oqho_sweep": (oqho.HorizonBoundEngine, "_bound_row"),
+    "oqho_sweep": (qem.ScalarBoundEngine, "_bound_row"),
 }
 
 
 def run(config: ScenarioConfig):
     """Execute a scenario; returns (BoundReport, exit_code).
 
-    Each scenario, or each horizon of an oqho_sweep, builds its kind's
-    engine once and maps the kind's row function over mu_grid; a fault
-    while building the engine flags that engine's rows.  Exit code 0 when
+    Each scenario, or each horizon of an oqho_sweep (on the state
+    propagated to that horizon), builds its kind's engine once and maps the
+    kind's row function over mu_grid; a fault while propagating the state
+    or building the engine flags that engine's rows.  Exit code 0 when
     every row is ok, 2 when any row is not.  Rows are ordered by (t, mu).
     """
     if config.kind == "verify":
@@ -362,9 +359,10 @@ def run(config: ScenarioConfig):
     # Overflow warnings are not printed: _cell flags every non-finite value.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in config.t_grid or (None,):
-            # A horizon engine also takes the model and its horizon t.
-            args = (config.state, basis) if t is None else (config.state, config.model, t, basis)
-            engine, status = _attempt(lambda: engine_class(*args))
+            # An oqho_sweep horizon's engine runs on the state propagated to t.
+            engine, status = _attempt(lambda: engine_class(
+                config.state if t is None else oqho.propagate_mgf(config.state, config.model, t),
+                basis))
             rows += [ReportRow(t=t, mu=mu, status=status) if engine is None
                      else row(config, engine, t, i, mu) for i, mu in enumerate(config.mu_grid)]
 
@@ -422,7 +420,7 @@ def verify_checks(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         ccr = validate_ccr(eta * J2)
         basis = symplectic_eigenbasis(ccr)
         state = GaussianState(mean=[1.0, -0.5], cov=np.diag([0.8, 0.5]), ccr=ccr)
-        quantum = qem.qem_gaussian_exact(state, basis, 0.5).log_qem
+        quantum = qem.qem_exact(state, basis, 0.5).log_qem
         cl = classical.classical_gaussian_qem(
             classical.ClassicalGaussian(mean=[1.0, -0.5], cov=np.diag([0.8, 0.5])), 0.5
         )

@@ -93,10 +93,6 @@ class LambdaTooSmall(QemBoundError):
     """Scalar weight does not dominate the noise Gramian."""
 
 
-class EmptyInterval(QemBoundError):
-    """The time-dependent feasibility interval for the scalar weight is empty."""
-
-
 # --- classical oracle ---
 
 class SuspectedDivergence(QemBoundError):

@@ -13,6 +13,8 @@ The time-t moment bound is the static scalar-weight bound on the
 propagated mixture: Pi(t, lam) - (C_i + C_j)/2 is congruent under e^{-tA}
 to lam I - (C_i(t) + C_j(t))/2, so the initial-state norm at Pi(t, lam)
 carries a -2t tr A log-det shift that cancels the -(t/2) tr A prefactor.
+It is therefore computed by qem.ScalarBoundEngine on propagate_mgf's
+state, and the static bound is its t = 0 case.
 """
 
 import math
@@ -24,15 +26,13 @@ from .ccr import (CcrMatrix, J2, SymplecticBasis, _readonly, _require_finite, _r
                   _same_ccr, _symmetric, symplectic_eigenbasis)
 from .errors import (
     DimensionMismatch,
-    EmptyInterval,
     ExpmFailure,
     InternalAdmissibilityViolation,
     LambdaTooSmall,
-    NormDivergent,
     NotAdmissible,
     NotHurwitz,
 )
-from .qem import ScalarBoundEngine, scalar_weight_limit
+from .qem import ScalarBoundEngine
 from .states import GaussianState, MixtureMgf, as_mixture, log_weighted_norm
 
 HURWITZ_MARGIN = -1e-10
@@ -180,26 +180,6 @@ def _check_model(mix, model, t):
         raise ValueError("time must be nonnegative")
 
 
-def _propagate(mix: MixtureMgf, model: OqhoModel, t: float):
-    """(state at time t, Sigma_t); see propagate_mgf."""
-    if t == 0.0:
-        return mix, np.zeros((mix.n, mix.n))
-    a, b = dynamics_matrices(model)
-    _, e_ta, sigma = _expm_and_gramian(a, b, t)
-    comps = []
-    for comp in mix.components:
-        mean_t = e_ta @ comp.mean
-        cov_t = e_ta @ comp.cov @ e_ta.T + sigma
-        cov_t = 0.5 * (cov_t + cov_t.T)
-        try:
-            comps.append(GaussianState(mean=mean_t, cov=cov_t, ccr=model.ccr))
-        except NotAdmissible as exc:
-            raise InternalAdmissibilityViolation(
-                f"propagated covariance violates admissibility at t = {t}: {exc}"
-            ) from exc
-    return MixtureMgf(weights=mix.weights, components=tuple(comps)), sigma
-
-
 def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
     """State at time t: each component (M, C) maps to
     (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t); weights are unchanged.
@@ -209,7 +189,21 @@ def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
     """
     mix = as_mixture(initial)
     _check_model(mix, model, t)
-    return _propagate(mix, model, t)[0]
+    if t == 0.0:
+        return mix
+    a, b = dynamics_matrices(model)
+    _, e_ta, sigma = _expm_and_gramian(a, b, t)
+    comps = []
+    for comp in mix.components:
+        cov_t = e_ta @ comp.cov @ e_ta.T + sigma
+        try:
+            comps.append(GaussianState(mean=e_ta @ comp.mean, cov=0.5 * (cov_t + cov_t.T),
+                                       ccr=model.ccr))
+        except NotAdmissible as exc:
+            raise InternalAdmissibilityViolation(
+                f"propagated covariance violates admissibility at t = {t}: {exc}"
+            ) from exc
+    return MixtureMgf(weights=mix.weights, components=tuple(comps))
 
 
 def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> float:
@@ -238,44 +232,6 @@ def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> floa
     return -0.5 * t * float(np.trace(a)) + log_weighted_norm(mix, weight)
 
 
-def propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> float:
-    """Scalar-weighted norm of the time-t MGF; see log_propagated_norm."""
-    return float(math.exp(log_propagated_norm(initial, model, t, lam)))
-
-
-class HorizonBoundEngine(ScalarBoundEngine):
-    """ScalarBoundEngine on the state at horizon t, built once per t.
-
-    The window's lower end also covers lambda_max(Sigma_t).  bound(mu)
-    raises EmptyInterval when the weight limit falls below
-    lambda_max(Sigma_t) (mu too large for the horizon) and NormDivergent
-    when the window is nonempty but no weight keeps the norm finite.
-    """
-
-    def __init__(self, initial, model: OqhoModel, t: float, basis: SymplecticBasis):
-        mix = as_mixture(initial)
-        _check_model(mix, model, t)
-        state_t, sigma = _propagate(mix, model, t)
-        super().__init__(state_t, basis)
-        self.t = t
-        self.lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
-        self.lam_lo = max(self.lam_lo, self.lam_sigma)
-
-    def bound(self, mu: float):
-        lam_hi = scalar_weight_limit(self.basis, mu)
-        if lam_hi <= self.lam_sigma:
-            raise EmptyInterval(
-                f"scalar weight limit {lam_hi:.6g} <= lambda_max(Sigma_t) = "
-                f"{self.lam_sigma:.6g}; mu = {mu} is too large for horizon t = {self.t}"
-            )
-        if lam_hi <= self.lam_lo:
-            raise NormDivergent(
-                f"no scalar weight below {lam_hi:.6g} keeps the norm finite "
-                f"(needs > {self.lam_lo:.6g})"
-            )
-        return super().bound(mu)
-
-
 def qem_bound_time(
     initial, model: OqhoModel, mu: float, t: float, basis: SymplecticBasis | None = None
 ):
@@ -287,14 +243,16 @@ def qem_bound_time(
 
     over lam in (lambda_max(Sigma_t), theta_min/tanh(mu theta_min)) further
     restricted so the initial-state norm stays finite.  By the congruence
-    in the module docstring this is the static bound
-    qem_upper_bound_scalar_opt on propagate_mgf(initial, model, t), and it
-    is evaluated that way (HorizonBoundEngine).  Returns (QemValue,
-    lam_opt).  EmptyInterval is raised when the weight limit falls below
-    lambda_max(Sigma_t) (mu too large for the horizon); NormDivergent when
-    the interval is nonempty but no weight keeps the norm finite.
+    in the module docstring this is the static bound on
+    propagate_mgf(initial, model, t), and it is evaluated that way, by
+    ScalarBoundEngine; at t = 0 it is the static bound itself.  Each
+    propagated covariance is e^{tA} C e^{tA^T} + Sigma_t with C > 0, so its
+    top eigenvalue exceeds lambda_max(Sigma_t) and the window is the static
+    one, (max_i lambda_max(C_i(t)), theta_min/tanh(mu theta_min)).  Returns
+    (QemValue, lam_opt); raises EmptyFeasibleWindow when that window is
+    empty (mu too large for the horizon), as the static bound does.
     """
     _require_positive(mu, "mu")
     if basis is None:
         basis = symplectic_eigenbasis(model.ccr)
-    return HorizonBoundEngine(initial, model, t, basis).bound(mu)
+    return ScalarBoundEngine(propagate_mgf(initial, model, t), basis).bound(mu)

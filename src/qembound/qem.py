@@ -40,14 +40,7 @@ from .errors import (
     WeightOutOfInterval,
 )
 from .sampling import log_mean_exp_stats, standard_normal_blocks
-from .states import (
-    GaussianState,
-    MixtureMgf,
-    WeightMatrix,
-    as_mixture,
-    log_mgf_batch,
-    log_weighted_norm,
-)
+from .states import WeightMatrix, as_mixture, log_mgf_batch, log_weighted_norm
 
 METHOD_EXACT = "exact_gaussian"
 METHOD_MC = "monte_carlo"
@@ -233,21 +226,6 @@ def _contraction(covs, theta, mu):
 def _radius(covs, theta, mu):
     """Largest eigenvalue of the contraction over a stack of covariances."""
     return mu * float(np.linalg.eigvalsh(_contraction(covs, theta, mu)[1]).max())
-
-
-def qem_gaussian_exact(state: GaussianState, basis: SymplecticBasis, mu: float) -> QemValue:
-    """Closed-form log-moment of a Gaussian state.
-
-    Upsilon(mu) = (||M||^2_{mu K (I - mu C K)^-1}
-                   - ln det(cos(mu*Theta) - mu C sinc(mu*Theta))) / 2,
-    evaluated in log space through the factorization
-    det(cos - mu C sinc) = det(I - mu C K) det(cos), with both the
-    contraction determinant and the mean term taken from one eigh of
-    diag(e) Q^T C Q diag(e) (see ExactEngine).  Requires
-    mu * rho(C K(mu)) < 1; otherwise RiskParameterTooLarge is raised with
-    the critical mu found by bisection.
-    """
-    return qem_exact(state, basis, mu)
 
 
 def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:

@@ -43,18 +43,26 @@ def log_sum_exp(values):
 def log_mean_exp_stats(log_values):
     """Mean of exp(log_values) in log scale, with its relative standard error.
 
-    Returns (log_mean, rel_se): log_mean from the max-shifted sum, and the
-    standard error of the mean divided by the mean from a second pass over
-    expm1(a - log_mean), which neither overflows (a - log_mean <= ln n) nor
-    cancels when the summands barely spread.  By the delta method rel_se is
-    also the absolute standard error of log_mean.
+    Returns (log_mean, rel_se): log_mean from the mean of exp(a - m) with
+    m = max(a), and the standard error of the mean divided by the mean from
+    a second pass over expm1(a - log_mean), which never overflows
+    (a - log_mean <= ln n).  Where that mean exceeds 1/2 the summands spread
+    little, and log_mean = m + log1p(mean(expm1(a - m))) keeps the digits
+    that exp(a - m) ~ 1 rounds away (at tiny mu every one rounds to 1);
+    below 1/2, mean(expm1) would cancel against -1, so its log is taken
+    directly.  By the delta method rel_se is also the absolute standard
+    error of log_mean.
     """
     a = np.asarray(log_values, dtype=float)
     n = a.size
     if n < 1:
         raise ValueError("need at least one sample")
     m = float(a.max())
-    log_mean = float(m + np.log(float(np.exp(a - m).sum()) / n))
+    mean = float(np.exp(a - m).sum()) / n
+    if mean > 0.5:
+        log_mean = m + float(np.log1p(np.expm1(a - m).mean()))
+    else:
+        log_mean = m + float(np.log(mean))
     if n < 2:
         return log_mean, 0.0
     dev = np.expm1(a - log_mean)

@@ -194,17 +194,8 @@ def log_weighted_norm(state, weight) -> float:
     return 0.5 * float(log_sum_exp(np.asarray(terms)))
 
 
-def weighted_norm(state, weight) -> float:
-    """Weighted L2 norm of the MGF; see log_weighted_norm for the closed form."""
-    return float(math.exp(log_weighted_norm(state, weight)))
-
-
 def log_scalar_norm(state, lam: float) -> float:
     """log_weighted_norm with the scalar weight P = lam * I."""
     _require_positive(lam, "lam")
     return log_weighted_norm(state, WeightMatrix(lam * np.eye(as_mixture(state).n)))
 
-
-def scalar_norm(state, lam: float) -> float:
-    """Weighted norm with P = lam * I."""
-    return float(math.exp(log_scalar_norm(state, lam)))

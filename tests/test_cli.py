@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -345,13 +346,17 @@ class TestRun:
             if kind == "tail":
                 assert row.tail_eps == pytest.approx(1.625, rel=1e-12)
 
-    def test_mc_error_bar_at_tiny_mu(self):
-        # At mu = 1e-20 the log summands spread by about sqrt(mu) |M| ~ 1e-10,
-        # so a one-pass variance cancels to 0 beside a visibly noisy estimate.
+    @pytest.mark.parametrize("mu", [1e-20, 1e-300])
+    def test_mc_error_bar_at_tiny_mu(self, mu):
+        # The log summands spread by about sqrt(mu) |M|: 1e-10 at mu = 1e-20,
+        # where a one-pass variance cancels to 0 beside a visibly noisy
+        # estimate, and 1e-150 at mu = 1e-300, where every exp(a - max a)
+        # rounds to 1 and a max-shifted sum returns the largest summand.
+        # Upsilon(mu) ~ mu (tr C + |M|^2)/2 = 1.625 mu.
         cfg = _vacuum_config(
             kind="randomized_mc",
             state={"mean": [0.5, 0.0], "cov": [[1.5, 0.0], [0.0, 1.5]]},
-            mu_grid=[1e-20],
+            mu_grid=[mu],
             samples=1000,
             seed=1,
         )
@@ -360,7 +365,7 @@ class TestRun:
         (row,) = report.rows
         assert row.status == "ok"
         assert row.mc_se > 0.0
-        assert abs(row.upsilon_mc - 1.625e-20) <= 5.0 * row.mc_se
+        assert abs(row.upsilon_mc - 1.625 * mu) <= 5.0 * row.mc_se
 
     def test_mc_rows_past_critical_mu_are_infeasible(self):
         # mu* = artanh(1/3) ~ 0.3466: past it the moment is infinite, so no
@@ -382,6 +387,24 @@ class TestRun:
         for row in report.rows[1:]:
             assert row.upsilon_mc is None
             assert row.mc_se is None
+
+    def test_oqho_sweep_at_zero_time_is_upper_bound(self):
+        # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top
+        # covariance eigenvalue at mu = 0.5, so that window is empty in both
+        # kinds alike, at t = 0 and at a short horizon.
+        cfg = _vacuum_config(
+            kind="upper_bound",
+            state={"mean": [0.0, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
+            mu_grid=[0.1, 0.5],
+        )
+        static, _ = run(parse_config(json.dumps(cfg)))
+        sweep, code = run(parse_config(json.dumps(dict(
+            cfg, kind="oqho_sweep", t_grid=[0.0, 0.01],
+            model={"R": [[0.0, 0.0], [0.0, 0.0]], "N": [[1.0, 0.0], [0.0, 1.0]]}))))
+        assert code == 2
+        assert [r.status for r in static.rows] == ["ok", "empty_interval"]
+        assert [replace(r, t=None) for r in sweep.rows[:2]] == list(static.rows)
+        assert [r.status for r in sweep.rows[2:]] == ["ok", "empty_interval"]
 
     def test_oqho_sweep_flags_faulty_horizon(self):
         # A = +2 I is unstable: the block expm overflows at t = 400, which
@@ -430,14 +453,12 @@ class TestRun:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_output(self, monkeypatch):
+    def test_two_runs_give_identical_bytes(self):
         cfg = _vacuum_config(
             kind="randomized_mc", mu_grid=[0.2, 0.5, 1.0], samples=20000, seed=7
         )
         config = parse_config(json.dumps(cfg))
-        monkeypatch.setenv("QEMBOUND_THREADS", "1")
         first, _ = run(config)
-        monkeypatch.setenv("QEMBOUND_THREADS", "4")
         second, _ = run(config)
         assert first.to_csv_text() == second.to_csv_text()
 

@@ -20,22 +20,19 @@ from qembound import (
     log_propagated_norm,
     log_scalar_norm,
     propagate_mgf,
-    propagated_norm,
     qem_bound_time,
-    qem_gaussian_exact,
+    qem_exact,
     qem_randomized_mc,
     qem_upper_bound_scalar_opt,
-    scalar_norm,
     scalar_weight_limit,
     symplectic_eigenbasis,
     validate_ccr,
 )
 from qembound.errors import (
     DimensionMismatch,
-    EmptyInterval,
+    EmptyFeasibleWindow,
     ExpmFailure,
     LambdaTooSmall,
-    NormDivergent,
     NotHurwitz,
 )
 from qembound.oqho import _expm_and_gramian
@@ -233,16 +230,16 @@ class TestPropagatedNorm:
     def test_damped_vacuum_cross_evaluation(self):
         # C_t = I at every t for the damped vacuum, so the time-t norm at
         # lam = 2 is the vacuum norm sqrt(pi)
-        value = propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, 2.0)
+        value = math.exp(log_propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, 2.0))
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
         propagated = propagate_mgf(as_mixture(VACUUM), DAMPED, 0.5)
-        assert value == pytest.approx(scalar_norm(propagated, 2.0), rel=1e-10)
+        assert value == pytest.approx(math.exp(log_scalar_norm(propagated, 2.0)), rel=1e-10)
 
     def test_lambda_at_gramian_top_rejected(self):
         a, b = dynamics_matrices(DAMPED)
         lam_max = float(np.linalg.eigvalsh(gramian_finite(a, b, 0.5).sigma)[-1])
         with pytest.raises(LambdaTooSmall):
-            propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, lam_max)
+            log_propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, lam_max)
 
     def test_overflowing_inverse_propagator_rejected(self):
         # e^{-tA} = e^{2t} I overflows at t = 400 while Sigma_t stays finite
@@ -286,7 +283,7 @@ class TestQemBoundTime:
             for t in (0.0, 0.3, 0.8):
                 bound, _ = qem_bound_time(as_mixture(state), DAMPED, mu, t)
                 prop = propagate_mgf(as_mixture(state), DAMPED, t).components[0]
-                exact = qem_gaussian_exact(prop, BASIS2, mu).log_qem
+                exact = qem_exact(prop, BASIS2, mu).log_qem
                 assert bound.log_qem >= exact - 1e-12
 
     def test_empty_interval_for_large_mu(self):
@@ -296,17 +293,18 @@ class TestQemBoundTime:
         sigma = gramian_finite(a, b, 4.0).sigma
         lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
         assert lam_sigma > 1.0
-        # choose mu with scalar_weight_limit(mu) below lambda_max(Sigma_t)
+        # choose mu with scalar_weight_limit(mu) below lambda_max(Sigma_t),
+        # and so below the propagated covariance's top eigenvalue
         mu = 2.0 * math.atanh(1.0 / lam_sigma)
         assert scalar_weight_limit(BASIS2, mu) < lam_sigma
-        with pytest.raises(EmptyInterval):
+        with pytest.raises(EmptyFeasibleWindow):
             qem_bound_time(as_mixture(VACUUM), model, mu, 4.0)
 
     def test_divergent_norm_when_state_too_hot(self):
         hot = GaussianState(mean=[0.0, 0.0], cov=3.0 * np.eye(2), ccr=CCR2)
-        # window (lambda_max(Sigma_t) ~ 0, lambda*(0.5) ~ 2.16) is nonempty
-        # but the state needs lam > 3
-        with pytest.raises(NormDivergent):
+        # the weight limit lambda*(0.5) ~ 2.16 lies below the propagated
+        # covariance's top eigenvalue (about 2.9, above lambda_max(Sigma_t) ~ 0.04)
+        with pytest.raises(EmptyFeasibleWindow):
             qem_bound_time(as_mixture(hot), DAMPED, 0.5, 0.01)
 
     def test_mc_cross_check(self):

@@ -10,6 +10,7 @@ position of mu inside the bound's validity range.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,8 @@ from qembound import (
     OqhoModel,
     WeightMatrix,
     critical_mu,
+    dynamics_matrices,
+    gramian_finite,
     propagate_mgf,
     qem_bound_time,
     qem_exact,
@@ -30,7 +33,7 @@ from qembound import (
     tail_bound,
 )
 from qembound._search import golden_section_minimize
-from qembound.errors import RiskParameterTooLarge
+from qembound.errors import EmptyFeasibleWindow, RiskParameterTooLarge
 from qembound.qem import (
     WINDOW_MARGIN,
     ExactEngine,
@@ -150,6 +153,28 @@ def test_time_bound_is_static_bound_on_propagated_state(case, t, frac, seed):
     if t == 0.0:
         at_zero, _ = qem_upper_bound_scalar_opt(state, basis, mu)
         assert timed.log_qem == at_zero.log_qem
+    # Past the window edge, where scalar_weight_limit(mu) = lam_lo, the t = 0
+    # bound fails as the static bound does.  The draws' covariances exceed
+    # ||Theta|| I, so lam_lo > theta_min and the edge is finite.
+    engine = ScalarBoundEngine(state, basis)
+    theta_min = float(basis.gamma.min())
+    beyond = 1.1 * math.atanh(theta_min / engine.lam_lo) / theta_min
+    with pytest.raises(EmptyFeasibleWindow):
+        qem_bound_time(state, model, beyond, 0.0, basis=basis)
+    with pytest.raises(EmptyFeasibleWindow):
+        engine.bound(beyond)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.0, 2.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_propagated_window_lies_above_the_gramian(case, t, seed):
+    # Each propagated covariance is e^{tA} C e^{tA^T} + Sigma_t with C > 0,
+    # so the window's lower end exceeds lambda_max(Sigma_t) unaided.
+    state, basis = case
+    model = _random_model(np.random.default_rng(seed), state.ccr)
+    sigma = gramian_finite(*dynamics_matrices(model), t).sigma
+    engine = ScalarBoundEngine(propagate_mgf(state, model, t), basis)
+    assert engine.lam_lo >= float(np.linalg.eigvalsh(sigma)[-1])
 
 
 @PROPERTY_SETTINGS

@@ -16,7 +16,6 @@ from qembound import (
     critical_mu,
     exact_cgf,
     qem_exact,
-    qem_gaussian_exact,
     qem_randomized_mc,
     qem_upper_bound,
     qem_upper_bound_scalar_opt,
@@ -50,18 +49,18 @@ THERMAL3_LOG_QEM_02 = -math.log(math.cosh(0.2) - 3.0 * math.sinh(0.2))
 class TestExactGaussian:
     @pytest.mark.parametrize("mu", [0.1, 0.7, 1.3, 2.0])
     def test_vacuum_identity(self, mu):
-        value = qem_gaussian_exact(VACUUM, BASIS2, mu)
+        value = qem_exact(VACUUM, BASIS2, mu)
         assert value.log_qem == pytest.approx(mu, abs=1e-12)
         assert value.method == "exact_gaussian"
 
     def test_thermal_value(self):
-        value = qem_gaussian_exact(THERMAL3, BASIS2, 0.2)
+        value = qem_exact(THERMAL3, BASIS2, 0.2)
         assert value.log_qem == pytest.approx(THERMAL3_LOG_QEM_02, abs=1e-12)
 
     def test_beyond_critical_raises(self):
         # 3 * tanh(0.4) = 1.14 > 1
         with pytest.raises(RiskParameterTooLarge) as err:
-            qem_gaussian_exact(THERMAL3, BASIS2, 0.4)
+            qem_exact(THERMAL3, BASIS2, 0.4)
         assert "0.34657" in str(err.value)  # reports the critical mu
 
     def test_mean_contribution(self):
@@ -72,7 +71,7 @@ class TestExactGaussian:
         weight = mu * k / (1.0 - 2.0 * mu * k)
         # det(cos - mu C sinc) = (cosh mu - 2 sinh mu)^2 for C = 2I
         expected = 0.5 * weight * 1.25 - math.log(math.cosh(mu) - 2.0 * math.sinh(mu))
-        value = qem_gaussian_exact(state, BASIS2, mu)
+        value = qem_exact(state, BASIS2, mu)
         assert value.log_qem == pytest.approx(expected, rel=1e-12)
 
     def test_mixture_linearity_exact(self):
@@ -80,7 +79,7 @@ class TestExactGaussian:
             CCR2, means=[[1.0, 0.0], [-1.0, 0.0]], covs=[np.eye(2)] * 2
         )
         mu = 0.3
-        parts = [qem_gaussian_exact(c, BASIS2, mu).log_qem for c in mix.components]
+        parts = [qem_exact(c, BASIS2, mu).log_qem for c in mix.components]
         expected = math.log(0.5 * math.exp(parts[0]) + 0.5 * math.exp(parts[1]))
         assert qem_exact(mix, BASIS2, mu).log_qem == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +238,7 @@ class TestScalarOptimizedBound:
             _, mu_max_bound = scalar_bound_cgf(state, basis)
             top = 0.9 * min(mu_max_exact, mu_max_bound)
             for mu in np.linspace(0.1 * top, top, 6):
-                exact = qem_gaussian_exact(state, basis, mu).log_qem
+                exact = qem_exact(state, basis, mu).log_qem
                 bound, _ = qem_upper_bound_scalar_opt(state, basis, mu)
                 assert bound.log_qem >= exact - 1e-12
 
@@ -361,7 +360,7 @@ class TestClassicalLimit:
             ccr = validate_ccr(eta * J2)
             basis = symplectic_eigenbasis(ccr)
             state = GaussianState(mean=mean, cov=cov, ccr=ccr)
-            gaps.append(abs(qem_gaussian_exact(state, basis, 0.5).log_qem - classical))
+            gaps.append(abs(qem_exact(state, basis, 0.5).log_qem - classical))
         assert 80.0 <= gaps[0] / gaps[1] <= 120.0
         assert 80.0 <= gaps[1] / gaps[2] <= 120.0
 

@@ -13,11 +13,10 @@ from qembound import (
     MixtureMgf,
     WeightMatrix,
     gaussian_moment_integral,
+    log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
-    scalar_norm,
     validate_ccr,
-    weighted_norm,
 )
 from qembound.errors import (
     DimensionMismatch,
@@ -142,20 +141,21 @@ def _quadrature_norm(state, p):
 class TestWeightedNorm:
     def test_vacuum_sqrt_pi(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
-        assert weighted_norm(state, WeightMatrix(2.0 * np.eye(2))) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-12
-        )
+        value = math.exp(log_weighted_norm(state, WeightMatrix(2.0 * np.eye(2))))
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_boundary_divergent(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
         with pytest.raises(NormDivergent):
-            weighted_norm(state, WeightMatrix(np.eye(2)))
+            log_weighted_norm(state, WeightMatrix(np.eye(2)))
 
     def test_degenerate_mixture_equals_single(self):
         state = GaussianState(mean=[0.3, -0.2], cov=1.5 * np.eye(2), ccr=CCR2)
         mix = MixtureMgf(weights=(0.25, 0.75), components=(state, state))
         p = WeightMatrix(np.array([[2.5, 0.3], [0.3, 2.2]]))
-        assert weighted_norm(mix, p) == pytest.approx(weighted_norm(state, p), rel=1e-12)
+        assert math.exp(log_weighted_norm(mix, p)) == pytest.approx(
+            math.exp(log_weighted_norm(state, p)), rel=1e-12
+        )
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_quadrature_oracle_gaussian(self, seed):
@@ -164,7 +164,7 @@ class TestWeightedNorm:
         shift = float(np.linalg.eigvalsh(state.cov)[-1])
         base = rng.normal(size=(2, 2))
         p_mat = base @ base.T * 0.2 + (shift + 0.5) * np.eye(2)
-        closed = weighted_norm(state, WeightMatrix(p_mat))
+        closed = math.exp(log_weighted_norm(state, WeightMatrix(p_mat)))
         assert closed == pytest.approx(_quadrature_norm(state, p_mat), rel=1e-6)
 
     def test_quadrature_oracle_mixture(self):
@@ -175,7 +175,7 @@ class TestWeightedNorm:
             weights=(0.6, 0.4),
         )
         p_mat = np.array([[2.2, -0.2], [-0.2, 2.6]])
-        closed = weighted_norm(mix, WeightMatrix(p_mat))
+        closed = math.exp(log_weighted_norm(mix, WeightMatrix(p_mat)))
         assert closed == pytest.approx(_quadrature_norm(mix, p_mat), rel=1e-6)
 
     def test_scalar_sandwich_ordering(self):
@@ -196,15 +196,16 @@ class TestWeightedNorm:
 class TestScalarNorm:
     def test_vacuum_value(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
-        assert scalar_norm(state, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        value = math.exp(log_scalar_norm(state, 2.0))
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_divergent_at_cov_top(self):
         state = GaussianState(mean=[0.0, 0.0], cov=2.0 * np.eye(2), ccr=CCR2)
         with pytest.raises(NormDivergent):
-            scalar_norm(state, 2.0)
+            log_scalar_norm(state, 2.0)
         with pytest.raises(NormDivergent):
-            scalar_norm(state, 1.5)
+            log_scalar_norm(state, 1.5)
 
     def test_monotone_in_lambda(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
-        assert scalar_norm(state, 3.0) < scalar_norm(state, 2.0)
+        assert math.exp(log_scalar_norm(state, 3.0)) < math.exp(log_scalar_norm(state, 2.0))
