@@ -1,9 +1,7 @@
 """Scalar search utilities: safeguarded Newton for convex objectives,
-golden-section search and monotone bisection."""
+Brent's bracketed root-finder and monotone bisection."""
 
 import math
-
-GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: newton_minimize's logit bracket half-width (at |x| = 50 a point sits
 #: within 2e-22 window widths of its edge), its Newton-decrement stop
@@ -14,9 +12,8 @@ DECREMENT_RTOL = 1e-15
 STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
-#: Bracket width at which golden-section search and bisection stop, relative
-#: to max(1, |a|, |b|) and max(|a|, |b|) of the bracket [a, b], and their
-#: iteration cap.
+#: Bracket width at which brent_root and bisection stop, relative to
+#: max(|a|, |b|) of the bracket [a, b], and their iteration cap.
 SEARCH_RTOL = 1e-10
 SEARCH_MAX_ITER = 200
 
@@ -70,38 +67,49 @@ def newton_minimize(fdf, lo, hi):
     return best_lam, best_f
 
 
-def golden_section_minimize(f, lo, hi):
-    """Minimize a scalar function on [lo, hi] by golden-section search.
-
-    Assumes near-unimodality but tracks the best evaluated point, so the
-    returned (x_best, f_best) never degrades if the assumption is off.
+def brent_root(f, a, b, fa, fb):
+    """Root of f in [a, b] by Brent's zeroin (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), given fa = f(a) and fb = f(b) of
+    opposite signs or with one zero.  Secant or inverse quadratic steps fall
+    back to bisection when they would not shrink the bracket fast enough,
+    so every evaluation lies inside it.  Stops at a bracket narrower than
+    SEARCH_RTOL * max(|a|, |b|) or at an exact zero.
     """
-    if not hi > lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN_INV * (b - a)
-    d = a + GOLDEN_INV * (b - a)
-    fc, fd = f(c), f(d)
-    if fc <= fd:
-        best_x, best_f = c, fc
-    else:
-        best_x, best_f = d, fd
+    if fa == 0.0 or fb == 0.0:
+        return float(a) if fa == 0.0 else float(b)
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} do not bracket a root")
+    # cur is the best iterate, pre the one before it, blk the far end of
+    # the bracket; step and prev_step are the last two steps taken.
+    pre, f_pre, cur, f_cur = float(a), fa, float(b), fb
+    step = prev_step = 0.0
     for _ in range(SEARCH_MAX_ITER):
-        if (b - a) <= SEARCH_RTOL * max(1.0, abs(a), abs(b)):
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step = prev_step = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        tol = 0.5 * SEARCH_RTOL * max(abs(cur), abs(blk))
+        half = 0.5 * (blk - cur)
+        if f_cur == 0.0 or abs(half) <= tol:
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_INV * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
+        trial = math.inf
+        if abs(prev_step) > tol and abs(f_cur) < abs(f_pre):
+            if pre == blk:
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+        if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol):
+            prev_step, step = step, trial
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_INV * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            prev_step = step = half
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > tol else math.copysign(tol, half)
+        f_cur = f(cur)
+    return cur
 
 
 def bisect_nondecreasing(g, target, lo, hi):

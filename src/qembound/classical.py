@@ -82,6 +82,17 @@ def classical_gaussian_qem(g: ClassicalGaussian, mu: float) -> float:
     return 0.5 * (quad - logdet)
 
 
+def classical_gaussian_cgf_and_slope(g: ClassicalGaussian, mu: float):
+    """(classical_gaussian_qem(g, mu), its slope), the pair tail_bound takes;
+    over C = V diag(c) V^T the slope (|(I - mu C)^-1 M|^2 + sum c/(1 - mu c))/2
+    reads (tr C + |M|^2)/2 at mu = 0."""
+    value = classical_gaussian_qem(g, mu)
+    c, v = np.linalg.eigh(g.cov)
+    gap = 1.0 - mu * c
+    y = (g.mean @ v) / gap
+    return value, 0.5 * (float(y @ y) + float((c / gap).sum()))
+
+
 def classical_qem_mc(g: ClassicalGaussian, mu: float, samples: int, seed: int):
     """Monte-Carlo estimate of ln E exp((mu/2)|X|^2) with X ~ g.
 

@@ -403,7 +403,7 @@ def verify_checks(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         results.append(("divergence-detection", True, "supercritical mu flagged"))
 
     def cgf(mu):
-        return classical.classical_gaussian_qem(g1, mu)
+        return classical.classical_gaussian_cgf_and_slope(g1, mu)
 
     dominated = True
     details = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_nondecreasing, golden_section_minimize, newton_minimize
+from ._search import bisect_nondecreasing, brent_root, newton_minimize
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
@@ -413,75 +413,87 @@ class ScalarBoundEngine:
         """The optimized bound on Upsilon(mu) (see bound)."""
         return self.bound(mu)[0].log_qem
 
+    def cgf_and_slope(self, mu: float):
+        """(B(mu), B'(mu)) for the optimized bound B, at no cost beyond bound.
+
+        By the envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
+        B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 with the
+        objective's own u = theta/tanh(mu theta).  Newton's value-based stop
+        leaves lam_opt about sqrt(1e-15) relative off the minimizer, to which
+        the second sum is first order (enough to flip B' at small mu), so it
+        is moved by its lam-derivative times the Newton offset -f'/f''.
+        """
+        log_bound, lam_opt, upper, (d1, d2) = self._minimize(mu)
+        gamma = self.basis.gamma
+        gap = upper - lam_opt
+        terms = (gamma / np.sinh(mu * gamma)) ** 2 / gap
+        return log_bound, 0.5 * float((terms * (1.0 - d1 / (d2 * gap))).sum()) - float(upper.sum())
+
     def bound(self, mu: float):
         """Minimize the weighted-norm bound over lam in the feasible window
         (lam_lo, theta_min/tanh(mu theta_min)), shrunk by WINDOW_MARGIN at
-        both ends.
+        both ends but never onto them.
 
-        The convex objective
-
-            f(lam) = N(lam) - sum_k ln(u_k - lam)/2,
-            u = theta/tanh(mu theta),
-
-        with the log-norm N, goes to newton_minimize with its derivatives
-        f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2; a
-        few Newton steps in the window's logit reach the minimum.  Returns
-        (QemValue, lam_opt) at the best evaluated point; raises
+        The convex objective f(lam) = N(lam) - sum_k ln(u_k - lam)/2, with
+        the log-norm N and u = theta/tanh(mu theta), goes to newton_minimize
+        with f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2.
+        Returns (QemValue, lam_opt) at the best evaluated point; raises
         EmptyFeasibleWindow when the window is empty.
         """
+        log_bound, lam_opt = self._minimize(mu)[:2]
+        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
+
+    def _minimize(self, mu):
+        """(log bound, lam_opt, u, (f', f'') at lam_opt) at mu; see bound."""
         lam_hi = scalar_weight_limit(self.basis, mu)
-        if not lam_hi > self.lam_lo:
-            raise EmptyFeasibleWindow(
-                f"no scalar weight window: limit {lam_hi:.6g} <= largest covariance "
-                f"eigenvalue {self.lam_lo:.6g}"
-            )
-        width = lam_hi - self.lam_lo
-        lo = self.lam_lo + WINDOW_MARGIN * width
-        hi = lam_hi - WINDOW_MARGIN * width
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
+        width = lam_hi - self.lam_lo
+        lo = max(self.lam_lo + WINDOW_MARGIN * width, math.nextafter(self.lam_lo, math.inf))
+        hi = min(lam_hi - WINDOW_MARGIN * width, math.nextafter(min(upper.tolist()), -math.inf))
+        if not lo < hi:
+            raise EmptyFeasibleWindow(
+                f"no scalar weight window: limit {lam_hi:.6g} is not above the largest "
+                f"covariance eigenvalue {self.lam_lo:.6g} by more than rounding"
+            )
+
+        evaluated = {}
 
         def objective(lam):
             value, slope, curvature = self.log_norm_derivatives(lam)
             gap = upper - lam
             inv = 1.0 / gap
-            return (value - 0.5 * float(np.log(gap).sum()),
-                    slope + 0.5 * float(inv.sum()),
-                    curvature + 0.5 * float((inv * inv).sum()))
+            evaluated[lam] = (value - 0.5 * float(np.log(gap).sum()),
+                              slope + 0.5 * float(inv.sum()),
+                              curvature + 0.5 * float((inv * inv).sum()))
+            return evaluated[lam]
 
         lam_opt, inner = newton_minimize(objective, lo, hi)
-        log_bound = _log_bound_prefactor(self.basis, mu) + inner
-        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
+        return (_log_bound_prefactor(self.basis, mu) + inner, lam_opt, upper,
+                evaluated[lam_opt][1:])
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
-    """Minimize the weighted-norm bound over scalar weights lam * I.
-
-    The feasible window is (max_i lambda_max(C_i), theta_min/tanh(mu theta_min)),
-    shrunk by a relative margin at both ends.  On it the objective is
-    smooth and convex in lam (the log-norm falls and the determinant-gap
-    term rises towards the upper end), so safeguarded Newton on its
-    closed-form derivatives converges to the minimum.  Evaluated by
-    ScalarBoundEngine, whose objective equals qem_upper_bound at
-    WeightMatrix(lam * I) without factorizing a matrix per step.  Returns
-    (QemValue, lam_opt).
-    """
+    """Minimize the weighted-norm bound over scalar weights lam * I by
+    ScalarBoundEngine.bound, whose objective equals qem_upper_bound at
+    WeightMatrix(lam * I); returns (QemValue, lam_opt)."""
     return ScalarBoundEngine(state, basis).bound(mu)
 
 
 def exact_cgf(state, basis: SymplecticBasis):
     """CGF callable for the exact route, with its truncated validity limit.
 
-    Returns (cgf, mu_max) where mu_max = CGF_SAFETY * mu_star when the
-    critical value is finite, otherwise the span CGF_SPAN / theta_min, and
+    Returns (ExactEngine.cgf_and_slope, mu_max), the pair tail_bound takes;
+    mu_max = CGF_SAFETY * mu_star when the critical value is finite, otherwise the span CGF_SPAN / theta_min, and
     is capped at the saturation limit SATURATION_SPAN / theta_max.
     """
     engine = ExactEngine(state, basis)
-    return engine.cgf, engine.mu_max()
+    return engine.cgf_and_slope, engine.mu_max()
 
 
 def scalar_bound_cgf(state, basis: SymplecticBasis):
-    """Upper-bound CGF callable from the scalar-weight optimizer.
+    """Upper-bound CGF callable from the scalar-weight optimizer:
+    (ScalarBoundEngine.cgf_and_slope, mu_max), the pair tail_bound takes.
 
     The bound is finite while scalar_weight_limit(mu) stays above the
     largest component covariance eigenvalue; mu_max is CGF_SAFETY times that
@@ -489,19 +501,20 @@ def scalar_bound_cgf(state, basis: SymplecticBasis):
     when the window stays open that far.
     """
     engine = ScalarBoundEngine(state, basis)
-    return engine.cgf, engine.mu_max()
+    return engine.cgf_and_slope, engine.mu_max()
 
 
 def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBound:
-    """Chernoff tail bound ln P(Q >= 2*eps) <= -(sup eps*mu - cgf(mu)).
+    """Chernoff tail bound ln P(Q >= 2*eps) <= -(sup eps*mu - Upsilon(mu)).
 
-    cgf may be the exact CGF or any valid upper bound of it; either way
-    every evaluated point yields a valid bound, and the search (coarse grid
-    plus golden-section refinement, with the last bracket reaching toward
-    mu_max) only tightens it.  The result is clamped at 0 since a log
-    probability bound cannot be positive.  When the supremum is still
-    increasing at the upper truncation, the boundary value is reported and
-    argmax_mu is flagged as mu_max itself.
+    cgf(mu) returns (value, slope) of the exact CGF or any upper bound of
+    it, as exact_cgf and scalar_bound_cgf give them, so every evaluated
+    point yields a valid bound.  The sign of the gain's slope eps - slope at
+    the best of grid_points grid points picks the neighbouring half-bracket
+    (the outer ones end at grid[0] * 1e-6 and mu_max * (1 - 1e-9)), where
+    brent_root solves slope = eps.  The best gain evaluated is reported,
+    clamped at 0; if it still climbs at the upper end, mu_max itself is
+    probed and flagged as argmax_mu.
     """
     if not (eps >= 0.0 and math.isfinite(eps)):
         raise InvalidRange(f"eps must be finite and nonnegative, got {eps!r}")
@@ -509,29 +522,31 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         raise InvalidRange(f"mu_max must be finite and positive, got {mu_max!r}")
     if grid_points < 1:
         raise InvalidRange(f"grid_points must be at least 1, got {grid_points!r}")
+    evaluated = []
 
-    def gain(mu):
-        return eps * mu - cgf(mu)
+    def gain_slope(mu):
+        value, slope = cgf(mu)
+        evaluated.append((eps * mu - value, mu))
+        return eps - slope
 
-    grid = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
-    values = [gain(mu) for mu in grid]
-    j = int(np.argmax(values))
-    lo = grid[j - 1] if j > 0 else grid[0] * 1e-6
-    boundary = j == grid_points - 1
-    hi = mu_max * (1.0 - 1e-9) if boundary else grid[j + 1]
-    x, loss = golden_section_minimize(lambda mu: -gain(mu), lo, hi)
-    best = -loss
-    if best < values[j]:
-        x, best = float(grid[j]), values[j]
-    argmax = x
-    if boundary and hi - x <= 1e-6 * mu_max:
+    grid = (mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)).tolist()
+    slopes = {mu: gain_slope(mu) for mu in grid}
+    j = int(np.argmax([gain for gain, _ in evaluated]))
+    ends = [grid[0] * 1e-6] + grid + [mu_max * (1.0 - 1e-9)]
+    k = j + 1 if slopes[grid[j]] < 0.0 else j + 2
+    a, b = ends[k - 1], ends[k]
+    fa = slopes[a] if a in slopes else gain_slope(a)
+    fb = slopes[b] if b in slopes else gain_slope(b)
+    if fa >= 0.0 >= fb:
+        brent_root(gain_slope, a, b, fa, fb)
+    best, argmax = max(evaluated, key=lambda point: point[0])
+    if k == grid_points + 1 and fb > 0.0:
         # still climbing at the truncation point: report the limit value
         try:
-            edge = gain(mu_max)
+            edge = eps * mu_max - cgf(mu_max)[0]
         except QemBoundError:
             edge = best
-        if edge >= best:
-            best = edge
+        best = max(best, edge)
         argmax = mu_max
     if best <= 0.0:
         return TailBound(eps=eps, log_prob_bound=0.0, argmax_mu=None)

@@ -1,4 +1,6 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and reference oracles for the test suite."""
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -11,6 +13,9 @@ from qembound import (
     mode_matrix,
     validate_ccr,
 )
+from qembound._search import SEARCH_MAX_ITER, SEARCH_RTOL
+
+GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def block_ccr(freqs) -> CcrMatrix:
@@ -60,3 +65,38 @@ def simple_mixture(ccr, means, covs, weights=None) -> MixtureMgf:
     if weights is None:
         weights = tuple(1.0 / len(comps) for _ in comps)
     return MixtureMgf(weights=tuple(weights), components=comps)
+
+
+def golden_section_minimize(f, lo, hi):
+    """Minimize a scalar function on [lo, hi] by golden-section search; the
+    value-only oracle for the Newton and root-finding searches.
+
+    Assumes near-unimodality but tracks the best evaluated point, so the
+    returned (x_best, f_best) never degrades if the assumption is off.
+    """
+    if not hi > lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    a, b = float(lo), float(hi)
+    c = b - GOLDEN_INV * (b - a)
+    d = a + GOLDEN_INV * (b - a)
+    fc, fd = f(c), f(d)
+    if fc <= fd:
+        best_x, best_f = c, fc
+    else:
+        best_x, best_f = d, fd
+    for _ in range(SEARCH_MAX_ITER):
+        if (b - a) <= SEARCH_RTOL * max(1.0, abs(a), abs(b)):
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN_INV * (b - a)
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN_INV * (b - a)
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f

@@ -37,6 +37,7 @@ from qembound import (
 )
 from qembound.cli import BoundReport, main
 from qembound.ccr import mode_matrix
+from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import EmptyFeasibleWindow
 
 CCR2 = validate_ccr(J2)
@@ -262,7 +263,7 @@ def test_criterion_09_chernoff_validity():
     g = ClassicalGaussian(mean=[0.0], cov=[[1.0]])
 
     def cgf(mu):
-        return classical_gaussian_qem(g, mu)
+        return classical_gaussian_cgf_and_slope(g, mu)
 
     for eps in (0.5, 1.0, 2.0, 4.0):
         bound = tail_bound(cgf, eps, mu_max=0.999)

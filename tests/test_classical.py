@@ -14,6 +14,7 @@ from qembound import (
     empirical_tail,
     randomized_identity_check,
 )
+from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
     DimensionMismatch,
     RiskParameterTooLarge,
@@ -44,6 +45,30 @@ class TestClosedForm:
     def test_beyond_threshold(self):
         with pytest.raises(RiskParameterTooLarge):
             classical_gaussian_qem(STANDARD_1D, 1.0)
+
+
+SHIFTED_2D = ClassicalGaussian(mean=[0.7, -0.3], cov=[[1.2, 0.4], [0.4, 0.6]])
+
+
+class TestSlope:
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.6])
+    def test_matches_central_difference(self, mu):
+        h = 1e-6 * mu
+        value, slope = classical_gaussian_cgf_and_slope(SHIFTED_2D, mu)
+        assert value == classical_gaussian_qem(SHIFTED_2D, mu)
+        difference = (classical_gaussian_qem(SHIFTED_2D, mu + h)
+                      - classical_gaussian_qem(SHIFTED_2D, mu - h)) / (2.0 * h)
+        assert slope == pytest.approx(difference, rel=1e-8)
+
+    def test_zero_mu_reads_the_mean_half_quadratic(self):
+        value, slope = classical_gaussian_cgf_and_slope(SHIFTED_2D, 0.0)
+        assert value == 0.0
+        expected = 0.5 * (float(np.trace(SHIFTED_2D.cov)) + float(SHIFTED_2D.mean @ SHIFTED_2D.mean))
+        assert slope == pytest.approx(expected, rel=1e-14)
+
+    def test_beyond_threshold(self):
+        with pytest.raises(RiskParameterTooLarge):
+            classical_gaussian_cgf_and_slope(STANDARD_1D, 1.0)
 
 
 class TestMonteCarlo:

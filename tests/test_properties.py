@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_ccr, random_admissible_state
+from conftest import block_ccr, golden_section_minimize, random_admissible_state
 from qembound import (
     MixtureMgf,
     matrix_function,
@@ -22,6 +22,7 @@ from qembound import (
     WeightMatrix,
     critical_mu,
     dynamics_matrices,
+    exact_cgf,
     gramian_finite,
     propagate_mgf,
     qem_bound_time,
@@ -32,8 +33,7 @@ from qembound import (
     symplectic_eigenbasis,
     tail_bound,
 )
-from qembound._search import golden_section_minimize
-from qembound.errors import EmptyFeasibleWindow, RiskParameterTooLarge
+from qembound.errors import EmptyFeasibleWindow, QemBoundError, RiskParameterTooLarge
 from qembound.qem import (
     WINDOW_MARGIN,
     ExactEngine,
@@ -177,18 +177,76 @@ def test_propagated_window_lies_above_the_gramian(case, t, seed):
     assert engine.lam_lo >= float(np.linalg.eigvalsh(sigma)[-1])
 
 
+def _mean_half_quadratic(state):
+    """E X^T X / 2 of the mixture, the CGF slope at mu = 0."""
+    return sum(w * 0.5 * (float(np.trace(c.cov)) + float(c.mean @ c.mean))
+               for w, c in zip(state.weights, state.components))
+
+
 @PROPERTY_SETTINGS
 @given(mixtures(), st.floats(0.0, 4.0))
 def test_tail_bound_on_bound_cgf_is_nonpositive(case, eps_scale):
     state, basis = case
     cgf, mu_max = scalar_bound_cgf(state, basis)
-    mean_half_quadratic = sum(
-        w * 0.5 * (float(np.trace(c.cov)) + float(c.mean @ c.mean))
-        for w, c in zip(state.weights, state.components)
-    )
-    result = tail_bound(cgf, eps_scale * mean_half_quadratic, mu_max, grid_points=8)
+    result = tail_bound(cgf, eps_scale * _mean_half_quadratic(state), mu_max, grid_points=8)
     assert result.log_prob_bound <= 0.0
     assert math.isfinite(result.log_prob_bound)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), fractions)
+def test_bound_slope_matches_central_difference(case, frac):
+    # The envelope slope is the derivative of the optimized bound; the
+    # difference's own error at h = 1e-6 mu is far below the tolerance.
+    state, basis = case
+    engine = ScalarBoundEngine(state, basis)
+    mu = frac * engine.mu_max()
+    h = 1e-6 * mu
+    value, slope = engine.cgf_and_slope(mu)
+    assert value == engine.cgf(mu)
+    difference = (engine.cgf(mu + h) - engine.cgf(mu - h)) / (2.0 * h)
+    assert abs(slope - difference) <= 1e-6 * abs(slope)
+
+
+def _golden_tail(cgf, eps, mu_max, grid_points):
+    """Value-only reference for tail_bound's log bound: the same grid, then
+    golden-section search on the gain over the best point's neighbours, and
+    the same edge probe and clamp."""
+    def gain(mu):
+        return eps * mu - cgf(mu)[0]
+
+    grid = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
+    values = [gain(mu) for mu in grid]
+    j = int(np.argmax(values))
+    lo = grid[j - 1] if j > 0 else grid[0] * 1e-6
+    boundary = j == grid_points - 1
+    hi = mu_max * (1.0 - 1e-9) if boundary else grid[j + 1]
+    x, loss = golden_section_minimize(lambda mu: -gain(mu), lo, hi)
+    best = max(-loss, values[j])
+    if boundary and hi - x <= 1e-6 * mu_max:
+        try:
+            best = max(best, gain(mu_max))
+        except QemBoundError:
+            pass
+    return min(-best, 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.sampled_from([exact_cgf, scalar_bound_cgf]), st.floats(0.0, 4.0))
+def test_tail_bound_matches_golden_oracle(case, factory, eps_scale):
+    state, basis = case
+    cgf, mu_max = factory(state, basis)
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return cgf(mu)
+
+    eps = eps_scale * _mean_half_quadratic(state)
+    result = tail_bound(counted, eps, mu_max, grid_points=8)
+    assert len(calls) <= 8 + 14
+    reference = _golden_tail(cgf, eps, mu_max, grid_points=8)
+    assert abs(result.log_prob_bound - reference) <= 1e-9 * abs(reference) + 1e-15
 
 
 def _dense_exact(state, basis, mu):

@@ -2,11 +2,13 @@
 the tail-probability machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import block_ccr, random_ccr, simple_mixture, thermal_state
+from conftest import (block_ccr, random_admissible_state, random_ccr, simple_mixture,
+                      thermal_state)
 from qembound import (
     GaussianState,
     J2,
@@ -26,7 +28,9 @@ from qembound import (
     tail_bound_bregman,
     validate_ccr,
 )
+from qembound.qem import ScalarBoundEngine
 from qembound.sampling import log_mean_exp_stats
+from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
     DimensionMismatch,
     EmptyFeasibleWindow,
@@ -214,7 +218,31 @@ class TestScalarOptimizedBound:
         cgf, mu_max = scalar_bound_cgf(state, basis)
         assert 0.99e-13 < mu_max < 1e-13
         assert scalar_weight_limit(basis, mu_max) > 1e13
-        assert math.isfinite(cgf(0.5 * mu_max))
+        assert math.isfinite(cgf(0.5 * mu_max)[0])
+
+    def test_window_a_few_ulps_wide_is_evaluated_strictly_inside(self):
+        # At mu = (1 - 1e-15) * edge the window (lam_lo, limit) is a few ulps
+        # wide, so the WINDOW_MARGIN shrink rounds back onto its ends; the
+        # search must still evaluate strictly inside, with no division by a
+        # zero gap, or report the window empty.
+        rng = np.random.default_rng(5)
+        empty = 0
+        for _ in range(300):
+            ccr, _ = random_ccr(rng, int(rng.integers(1, 4)))
+            state = random_admissible_state(rng, ccr)
+            basis = symplectic_eigenbasis(ccr)
+            engine = ScalarBoundEngine(state, basis)
+            theta_min = float(basis.gamma.min())
+            mu = (1.0 - 1e-15) * math.atanh(theta_min / engine.lam_lo) / theta_min
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value, slope = engine.cgf_and_slope(mu)
+                except EmptyFeasibleWindow:
+                    empty += 1
+                    continue
+            assert math.isfinite(value) and math.isfinite(slope)
+        assert empty <= 10
 
     def test_beats_fixed_probes(self):
         state = GaussianState(mean=[0.4, 0.1], cov=1.3 * np.eye(2), ccr=CCR2)
@@ -250,20 +278,24 @@ def classical_cgf(mu):
     return classical_gaussian_qem(CLASSICAL_N1, mu)
 
 
+def classical_pair(mu):
+    return classical_gaussian_cgf_and_slope(CLASSICAL_N1, mu)
+
+
 class TestTailBound:
     def test_vacuum_large_eps_boundary(self):
         # symbolic vacuum CGF: Upsilon(mu) = mu, truncated at 50
-        result = tail_bound(lambda mu: mu, eps=2.0, mu_max=50.0)
+        result = tail_bound(lambda mu: (mu, 1.0), eps=2.0, mu_max=50.0)
         assert result.log_prob_bound <= -(2.0 - 1.0) * 50.0
         assert result.argmax_mu == 50.0
 
     def test_vacuum_small_eps_vacuous(self):
-        result = tail_bound(lambda mu: mu, eps=0.5, mu_max=50.0)
+        result = tail_bound(lambda mu: (mu, 1.0), eps=0.5, mu_max=50.0)
         assert result.log_prob_bound == 0.0
         assert result.argmax_mu is None
 
     def test_classical_gaussian_interior_optimum(self):
-        result = tail_bound(classical_cgf, eps=2.0, mu_max=0.999)
+        result = tail_bound(classical_pair, eps=2.0, mu_max=0.999)
         assert result.argmax_mu == pytest.approx(0.75, abs=1e-6)
         expected = -(2.0 * 0.75 + 0.5 * math.log(0.25))
         assert result.log_prob_bound == pytest.approx(expected, abs=1e-10)
@@ -271,7 +303,7 @@ class TestTailBound:
 
     def test_monotone_in_eps(self):
         values = [
-            tail_bound(classical_cgf, eps, mu_max=0.999).log_prob_bound
+            tail_bound(classical_pair, eps, mu_max=0.999).log_prob_bound
             for eps in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(v <= 0.0 for v in values)
@@ -290,19 +322,19 @@ class TestTailBound:
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
-            tail_bound(classical_cgf, eps=-1.0, mu_max=0.9)
+            tail_bound(classical_pair, eps=-1.0, mu_max=0.9)
         with pytest.raises(InvalidRange):
-            tail_bound(classical_cgf, eps=1.0, mu_max=0.0)
+            tail_bound(classical_pair, eps=1.0, mu_max=0.0)
 
     @pytest.mark.parametrize("grid_points", [0, -3])
     def test_grid_needs_a_point(self, grid_points):
         with pytest.raises(InvalidRange, match="grid_points"):
-            tail_bound(classical_cgf, eps=1.0, mu_max=0.9, grid_points=grid_points)
+            tail_bound(classical_pair, eps=1.0, mu_max=0.9, grid_points=grid_points)
 
     def test_single_point_grid(self):
-        result = tail_bound(classical_cgf, eps=2.0, mu_max=0.999, grid_points=1)
+        result = tail_bound(classical_pair, eps=2.0, mu_max=0.999, grid_points=1)
         assert result.log_prob_bound == pytest.approx(
-            tail_bound(classical_cgf, eps=2.0, mu_max=0.999).log_prob_bound, abs=1e-8)
+            tail_bound(classical_pair, eps=2.0, mu_max=0.999).log_prob_bound, abs=1e-8)
 
     def test_edge_probe_propagates_program_errors(self):
         # The gain still climbs at mu_max, so the limit value is probed
@@ -310,7 +342,7 @@ class TestTailBound:
         def broken(mu):
             if mu == 1.0:
                 raise ZeroDivisionError("bug at the edge")
-            return 0.0
+            return 0.0, 0.0
 
         with pytest.raises(ZeroDivisionError):
             tail_bound(broken, eps=2.0, mu_max=1.0)
@@ -319,7 +351,7 @@ class TestTailBound:
         def too_large_at_edge(mu):
             if mu == 1.0:
                 raise RiskParameterTooLarge("edge")
-            return 0.0
+            return 0.0, 0.0
 
         result = tail_bound(too_large_at_edge, eps=2.0, mu_max=1.0)
         assert result.argmax_mu == 1.0

@@ -1,11 +1,13 @@
-"""Tests for the scalar search utilities, chiefly the safeguarded Newton
-minimizer behind the scalar-weight bound."""
+"""Tests for the scalar search utilities: the safeguarded Newton
+minimizer behind the scalar-weight bound and Brent's root-finder behind the
+tail bound."""
 
 import math
 
 import pytest
 
-from qembound._search import golden_section_minimize, newton_minimize
+from conftest import golden_section_minimize
+from qembound._search import SEARCH_RTOL, brent_root, newton_minimize
 
 
 def _counting(fdf):
@@ -79,3 +81,43 @@ def test_returns_the_best_evaluated_point():
 def test_empty_window_is_rejected():
     with pytest.raises(ValueError, match="empty interval"):
         newton_minimize(lambda lam: (0.0, 0.0, 0.0), 1.0, 1.0)
+
+
+def _root_case(f, a, b):
+    """brent_root on [a, b] with the ends' values given; returns the root
+    and the points it evaluated."""
+    g, calls = _counting(f)
+    return brent_root(g, a, b, f(a), f(b)), calls
+
+
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: 3.0 * x - 1.2, 0.0, 1.0, 0.4),
+    (lambda x: x ** 3 - 2.0, 0.5, 3.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: 2.0 - math.exp(x), -1.0, 4.0, math.log(2.0)),
+], ids=["linear", "cubic", "exponential"])
+def test_root_of_a_smooth_function(f, a, b, root):
+    x, calls = _root_case(f, a, b)
+    assert abs(x - root) <= SEARCH_RTOL * max(abs(a), abs(b), 1.0)
+    assert all(a <= c <= b for c in calls)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_root_at_a_bracket_end(end):
+    x, calls = _root_case(lambda x: x - 1.0 if end == "lower" else 2.0 - x, 1.0, 2.0)
+    assert x == (1.0 if end == "lower" else 2.0)
+    assert calls == []
+
+
+def test_root_evaluations_stay_inside_the_bracket():
+    # A step function defeats every interpolation, so the search falls
+    # back to bisection and still keeps to [a, b].
+    x, calls = _root_case(lambda x: 1.0 if x < 0.3 else -1.0, 0.2, 0.9)
+    assert abs(x - 0.3) <= 1e-9
+    assert all(0.2 < c < 0.9 for c in calls)
+    assert len(calls) <= 200
+
+
+def test_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match="bracket"):
+        brent_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
