@@ -45,7 +45,6 @@ from .qem import (
     scalar_bound_cgf,
     scalar_weight_limit,
     tail_bound,
-    tail_bound_bregman,
 )
 from .states import (
     GaussianState,
@@ -103,6 +102,5 @@ __all__ = [
     "scalar_weight_limit",
     "symplectic_eigenbasis",
     "tail_bound",
-    "tail_bound_bregman",
     "validate_ccr",
 ]

@@ -1,5 +1,5 @@
-"""Scalar search utilities: safeguarded Newton for convex objectives,
-Brent's bracketed root-finder and monotone bisection."""
+"""Scalar search utilities: safeguarded Newton for convex objectives and
+Brent's bracketed root-finder."""
 
 import math
 
@@ -12,8 +12,8 @@ DECREMENT_RTOL = 1e-15
 STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
-#: Bracket width at which brent_root and bisection stop, relative to
-#: max(|a|, |b|) of the bracket [a, b], and their iteration cap.
+#: Bracket width at which brent_root stops, relative to max(|a|, |b|) of
+#: the bracket [a, b], and its iteration cap.
 SEARCH_RTOL = 1e-10
 SEARCH_MAX_ITER = 200
 
@@ -110,17 +110,3 @@ def brent_root(f, a, b, fa, fb):
         cur += step if abs(step) > tol else math.copysign(tol, half)
         f_cur = f(cur)
     return cur
-
-
-def bisect_nondecreasing(g, target, lo, hi):
-    """Solve g(x) = target for nondecreasing g with g(lo) <= target <= g(hi)."""
-    a, b = float(lo), float(hi)
-    for _ in range(SEARCH_MAX_ITER):
-        if (b - a) <= SEARCH_RTOL * max(abs(a), abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if g(mid) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)

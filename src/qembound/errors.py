@@ -67,10 +67,6 @@ class InvalidRange(QemBoundError):
     """Invalid search range for the tail-bound optimization."""
 
 
-class StepTooLargeNearBoundary(QemBoundError):
-    """Finite-difference step leaves the validity range of the CGF."""
-
-
 class NumericalOverflowDespiteLogSpace(QemBoundError):
     """Non-finite intermediate in a log-space computation (defensive)."""
 

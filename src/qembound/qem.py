@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_nondecreasing, brent_root, newton_minimize
+from ._search import brent_root, newton_minimize
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
@@ -36,7 +36,6 @@ from .errors import (
     NumericalOverflowDespiteLogSpace,
     QemBoundError,
     RiskParameterTooLarge,
-    StepTooLargeNearBoundary,
     WeightOutOfInterval,
 )
 from .sampling import log_mean_exp_stats, standard_normal_blocks
@@ -50,10 +49,9 @@ METHOD_BOUND = "upper_bound"
 #: optimizing, keeping evaluations away from divergent boundaries.
 WINDOW_MARGIN = 1e-9
 
-#: Truncation of sup_{mu>0} searches: fraction of the critical mu for exact
-#: CGFs, and span/theta_min otherwise.
+#: Truncation of sup_{mu>0} searches: the fraction of a finite validity
+#: limit (the critical mu*, or the edge of the scalar-weight window) kept.
 CGF_SAFETY = 0.999
-CGF_SPAN = 50.0
 
 #: Resolution of the contraction gap in the closed forms is lost near
 #: mu * theta ~ 18, where 1 - tanh(mu*theta) falls under double precision;
@@ -131,10 +129,12 @@ class ExactEngine:
 
     @functools.cached_property
     def mu_star(self) -> float:
-        """The critical mu* of the state (see critical_mu): one doubling
-        bracket and bisection on the stacked radius of the components whose
-        limit radius exceeds 1.  The others never cross, and are left out so
-        a saturated radius cannot read 1 first."""
+        """The critical mu* of the state (see critical_mu): the stacked
+        radius of the components whose limit radius exceeds 1 is doubled
+        from 1/theta_max until it reaches 1, then brent_root solves
+        radius = 1 on [0, hi] (radius(0) = 0).  The other components never
+        cross, and are left out so a saturated radius cannot read 1 first.
+        If the doubling never reaches 1, its last hi is returned."""
         e_limit = 1.0 / np.sqrt(self.theta)
         limits = np.linalg.eigvalsh(e_limit[:, None] * self.covs * e_limit)[:, -1]
         covs = self.covs[limits > 1.0]
@@ -142,20 +142,18 @@ class ExactEngine:
             return math.inf
         radius = functools.partial(_radius, covs, self.theta)
         hi = 1.0 / float(self.theta.max())
-        lo = 0.0
         for _ in range(200):
-            if radius(hi) >= 1.0:
+            top = radius(hi)
+            if top >= 1.0:
                 break
-            lo = hi
             hi *= 2.0
-        return bisect_nondecreasing(radius, 1.0, lo, hi)
+        if not top >= 1.0:
+            return hi
+        return brent_root(lambda mu: radius(mu) - 1.0, 0.0, hi, -1.0, top - 1.0)
 
     def mu_max(self) -> float:
         """Truncated validity limit of the CGF (see exact_cgf)."""
-        saturation = SATURATION_SPAN / float(self.basis.gamma.max())
-        if math.isfinite(self.mu_star):
-            return min(CGF_SAFETY * self.mu_star, saturation)
-        return min(CGF_SPAN / float(self.basis.gamma.min()), saturation)
+        return min(CGF_SAFETY * self.mu_star, SATURATION_SPAN / float(self.basis.gamma.max()))
 
     def cgf(self, mu: float) -> float:
         """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
@@ -243,7 +241,8 @@ def critical_mu(state, basis: SymplecticBasis) -> float:
 
     mu * K(mu) has nondecreasing eigenvalues tanh(mu*theta_k)/theta_k with
     supremum 1/theta_k, so the map is nondecreasing in mu and bounded by
-    the spectral radius at the limit matrix; bisection to relative 1e-10.
+    the spectral radius at the limit matrix; Brent's root-finder on a
+    doubling bracket solves it to relative 1e-10 (ExactEngine.mu_star).
     For a mixture the smallest component root is returned.
     """
     return ExactEngine(state, basis).mu_star
@@ -402,7 +401,7 @@ class ScalarBoundEngine:
     def mu_max(self) -> float:
         """Truncated validity limit of the bound CGF (see scalar_bound_cgf)."""
         theta_min = float(self.basis.gamma.min())
-        span = min(CGF_SPAN / theta_min, SATURATION_SPAN / float(self.basis.gamma.max()))
+        span = SATURATION_SPAN / float(self.basis.gamma.max())
         if scalar_weight_limit(self.basis, span) > self.lam_lo:
             return span
         # scalar_weight_limit(mu) = lam_lo, inverted in closed form;
@@ -484,8 +483,8 @@ def exact_cgf(state, basis: SymplecticBasis):
     """CGF callable for the exact route, with its truncated validity limit.
 
     Returns (ExactEngine.cgf_and_slope, mu_max), the pair tail_bound takes;
-    mu_max = CGF_SAFETY * mu_star when the critical value is finite, otherwise the span CGF_SPAN / theta_min, and
-    is capped at the saturation limit SATURATION_SPAN / theta_max.
+    mu_max = min(CGF_SAFETY * mu_star, SATURATION_SPAN / theta_max), the
+    saturation limit alone when mu* is infinite.
     """
     engine = ExactEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -497,8 +496,8 @@ def scalar_bound_cgf(state, basis: SymplecticBasis):
 
     The bound is finite while scalar_weight_limit(mu) stays above the
     largest component covariance eigenvalue; mu_max is CGF_SAFETY times that
-    window edge, or min(CGF_SPAN / theta_min, SATURATION_SPAN / theta_max)
-    when the window stays open that far.
+    window edge, or the saturation limit SATURATION_SPAN / theta_max when
+    the window stays open that far.
     """
     engine = ScalarBoundEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -551,29 +550,3 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
     if best <= 0.0:
         return TailBound(eps=eps, log_prob_bound=0.0, argmax_mu=None)
     return TailBound(eps=eps, log_prob_bound=-best, argmax_mu=argmax)
-
-
-def tail_bound_bregman(cgf, mu: float, derivative_step: float, mu_max: float = math.inf):
-    """Threshold-bound pair from the CGF slope at one point:
-
-        ln P(Q >= 2*cgf'(mu)) <= cgf(mu) - mu * cgf'(mu),
-
-    with cgf'(mu) by central difference at the given step.  The right-hand
-    side is nonpositive for a convex CGF.  Returns (threshold, log_bound)
-    where threshold = 2 * cgf'(mu).
-    """
-    _require_positive(mu, "mu")
-    _require_positive(derivative_step, "derivative_step")
-    h = derivative_step
-    if mu - h <= 0.0 or mu + h >= mu_max:
-        raise StepTooLargeNearBoundary(
-            f"central difference at mu = {mu} with step {h} leaves (0, {mu_max})"
-        )
-    try:
-        up = cgf(mu + h)
-        down = cgf(mu - h)
-        mid = cgf(mu)
-    except (RiskParameterTooLarge, EmptyFeasibleWindow, NormDivergent) as exc:
-        raise StepTooLargeNearBoundary(str(exc)) from exc
-    slope = (up - down) / (2.0 * h)
-    return 2.0 * slope, mid - mu * slope

@@ -100,3 +100,17 @@ def golden_section_minimize(f, lo, hi):
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
+
+
+def bisect_nondecreasing(g, target, lo, hi):
+    """Solve g(x) = target for nondecreasing g with g(lo) <= target <= g(hi)."""
+    a, b = float(lo), float(hi)
+    for _ in range(SEARCH_MAX_ITER):
+        if (b - a) <= SEARCH_RTOL * max(abs(a), abs(b)):
+            break
+        mid = 0.5 * (a + b)
+        if g(mid) < target:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)

@@ -70,6 +70,19 @@ class TestSlope:
         with pytest.raises(RiskParameterTooLarge):
             classical_gaussian_cgf_and_slope(STANDARD_1D, 1.0)
 
+    def test_threshold_bound_pair(self):
+        # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu); for
+        # X ~ N(0, 1), Upsilon = -ln(1 - mu)/2, so at mu = 0.75 the slope is
+        # 1/(2(1 - mu)) = 2.
+        value, slope = classical_gaussian_cgf_and_slope(STANDARD_1D, 0.75)
+        assert slope == pytest.approx(2.0, rel=1e-14)
+        assert value - 0.75 * slope == pytest.approx(-(1.5 + 0.5 * math.log(0.25)), rel=1e-14)
+
+    def test_threshold_bound_is_nonpositive(self):
+        for mu in np.linspace(0.05, 0.9, 12):
+            value, slope = classical_gaussian_cgf_and_slope(STANDARD_1D, mu)
+            assert value - mu * slope <= 1e-12
+
 
 class TestMonteCarlo:
     def test_matches_closed_form(self):

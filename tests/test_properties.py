@@ -7,14 +7,17 @@ spectrum, the component count, the seed of the random matrices, and the
 position of mu inside the bound's validity range.
 """
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_ccr, golden_section_minimize, random_admissible_state
+from conftest import (bisect_nondecreasing, block_ccr, golden_section_minimize,
+                      random_admissible_state)
 from qembound import (
     MixtureMgf,
     matrix_function,
@@ -33,14 +36,22 @@ from qembound import (
     symplectic_eigenbasis,
     tail_bound,
 )
+from qembound._search import SEARCH_RTOL
 from qembound.errors import EmptyFeasibleWindow, QemBoundError, RiskParameterTooLarge
 from qembound.qem import (
     WINDOW_MARGIN,
     ExactEngine,
     ScalarBoundEngine,
     _log_bound_prefactor,
+    _radius,
     scalar_weight_limit,
 )
+
+# hypothesis's failure report imports mypy_extensions.TypedDict, whose
+# DeprecationWarning would turn into an INTERNALERROR under -W error and
+# hide the falsifying example.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -316,3 +327,25 @@ def test_feasibility_flips_at_critical_mu(case):
     assert engine.mu_star == mu_star
     assert engine.radius(mu_star * (1.0 - 1e-8)) < 1.0
     assert engine.radius(mu_star * (1.0 + 1e-8)) >= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(mixtures())
+def test_mu_star_matches_bisection_oracle(case):
+    # mu_star closes its doubling bracket [0, hi] by Brent; bisection on the
+    # same bracket and the same stacked radius is the reference.
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    calls = []
+
+    def counted(covs, theta, mu):
+        value = _radius(covs, theta, mu)
+        calls.append((covs, mu, value))
+        return value
+
+    with mock.patch("qembound.qem._radius", counted):
+        mu_star = engine.mu_star
+    assert len(calls) <= 15
+    covs, hi, _ = next(call for call in calls if call[2] >= 1.0)
+    reference = bisect_nondecreasing(functools.partial(_radius, covs, engine.theta), 1.0, 0.0, hi)
+    assert abs(mu_star - reference) <= 2.0 * SEARCH_RTOL * reference

@@ -25,10 +25,9 @@ from qembound import (
     scalar_weight_limit,
     symplectic_eigenbasis,
     tail_bound,
-    tail_bound_bregman,
     validate_ccr,
 )
-from qembound.qem import ScalarBoundEngine
+from qembound.qem import ExactEngine, ScalarBoundEngine
 from qembound.sampling import log_mean_exp_stats
 from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
@@ -37,7 +36,6 @@ from qembound.errors import (
     InvalidRange,
     NormDivergent,
     RiskParameterTooLarge,
-    StepTooLargeNearBoundary,
     WeightOutOfInterval,
 )
 
@@ -107,6 +105,13 @@ class TestCriticalMu:
         state = thermal_state(basis, ccr, occupancies=[1.0, 0.0])
         expected = 0.5 * math.atanh(1.0 / 3.0)
         assert critical_mu(state, basis) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [0.5, math.nan])
+    def test_unreached_bracket_returns_its_end(self, monkeypatch, radius):
+        # If the doubling never reads radius 1, mu_star returns its last hi,
+        # as bisection did, and never hands brent_root an unbracketed root.
+        monkeypatch.setattr("qembound.qem._radius", lambda covs, theta, mu: radius)
+        assert ExactEngine(THERMAL3, BASIS2).mu_star == 2.0 ** 200
 
 
 class TestRandomizedMc:
@@ -274,10 +279,6 @@ class TestScalarOptimizedBound:
 CLASSICAL_N1 = ClassicalGaussian(mean=[0.0], cov=[[1.0]])
 
 
-def classical_cgf(mu):
-    return classical_gaussian_qem(CLASSICAL_N1, mu)
-
-
 def classical_pair(mu):
     return classical_gaussian_cgf_and_slope(CLASSICAL_N1, mu)
 
@@ -357,29 +358,6 @@ class TestTailBound:
         assert result.argmax_mu == 1.0
         assert result.log_prob_bound == pytest.approx(-2.0, rel=1e-8)
         assert result.log_prob_bound > -2.0
-
-
-class TestBregmanTail:
-    def test_vacuum_pair(self):
-        threshold, log_bound = tail_bound_bregman(lambda mu: mu, 1.0, 1e-6)
-        assert threshold == pytest.approx(2.0, abs=1e-9)
-        assert log_bound == pytest.approx(0.0, abs=1e-9)
-
-    def test_classical_gaussian_pair(self):
-        threshold, log_bound = tail_bound_bregman(classical_cgf, 0.75, 1e-7, mu_max=0.999)
-        assert threshold == pytest.approx(4.0, abs=1e-6)
-        assert log_bound == pytest.approx(-(1.5 + 0.5 * math.log(0.25)), abs=1e-6)
-
-    def test_nonpositive_on_grid(self):
-        for mu in np.linspace(0.05, 0.9, 12):
-            _, log_bound = tail_bound_bregman(classical_cgf, mu, 1e-7, mu_max=0.999)
-            assert log_bound <= 1e-12
-
-    def test_step_near_boundary(self):
-        with pytest.raises(StepTooLargeNearBoundary):
-            tail_bound_bregman(classical_cgf, 0.99, 0.05, mu_max=0.999)
-        with pytest.raises(StepTooLargeNearBoundary):
-            tail_bound_bregman(classical_cgf, 0.01, 0.05, mu_max=0.999)
 
 
 class TestClassicalLimit:
