@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RiskParameterTooLarge, SuspectedDivergence
-from .sampling import log_mean_exp_stats, standard_normal_blocks, top_weight_fraction
+from .sampling import (check_samples, log_mean_exp_stats, standard_normal_blocks,
+                       top_weight_fraction)
 
 COV_FLOOR = -1e-12
 TOP_WEIGHT_FRACTION = 0.001
@@ -102,13 +103,12 @@ def classical_qem_mc(g: ClassicalGaussian, mu: float, samples: int, seed: int):
     """
     if not mu >= 0.0:
         raise ValueError("mu must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    blocks = standard_normal_blocks(seed, 0, check_samples(samples, 2), g.n)
     if mu == 0.0:
         return 0.0, 0.0
     chol = _cov_factor(g.cov)
     logs = []
-    for z in standard_normal_blocks(seed, 0, samples, g.n):
+    for z in blocks:
         x = z @ chol.T + g.mean
         logs.append(0.5 * mu * np.einsum("bi,bi->b", x, x))
     all_logs = np.concatenate(logs)
@@ -161,11 +161,10 @@ def empirical_tail(g: ClassicalGaussian, eps: float, samples: int, seed: int):
     """Empirical probability of |X|^2 >= 2*eps with its Wald standard error."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    blocks = standard_normal_blocks(seed, 0, check_samples(samples, 1), g.n)
     chol = _cov_factor(g.cov)
     hits = 0
-    for z in standard_normal_blocks(seed, 0, samples, g.n):
+    for z in blocks:
         x = z @ chol.T + g.mean
         hits += int(np.count_nonzero(np.einsum("bi,bi->b", x, x) >= 2.0 * eps))
     p_hat = hits / samples

@@ -29,6 +29,7 @@ from .errors import (
     RiskParameterTooLarge,
     SuspectedDivergence,
 )
+from .sampling import check_samples, check_seed
 from .states import GaussianState, MixtureMgf
 
 STATUS_OK = "ok"
@@ -167,14 +168,20 @@ def _is_a(value, types):
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _checked(check, value, message):
+    """check(value) from qembound.sampling, its ValueError reported as ConfigParse."""
+    try:
+        return check(value)
+    except ValueError:
+        raise ConfigParse(message) from None
+
+
 def _samples(value, name="samples"):
-    _require(_is_a(value, int) and value >= 2, f"{name} must be an integer >= 2")
-    return value
+    return _checked(lambda v: check_samples(v, 2), value, f"{name} must be an integer >= 2")
 
 
 def _seed(value, name="seed"):
-    _require(_is_a(value, int) and 0 <= value < 2**64, f"{name} must be a 64-bit unsigned integer")
-    return value
+    return _checked(check_seed, value, f"{name} must be a 64-bit unsigned integer")
 
 
 def _parse_grid(raw, name, *, positive):

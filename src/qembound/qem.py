@@ -38,8 +38,8 @@ from .errors import (
     RiskParameterTooLarge,
     WeightOutOfInterval,
 )
-from .sampling import log_mean_exp_stats, standard_normal_blocks
-from .states import WeightMatrix, as_mixture, log_mgf_batch, log_weighted_norm
+from .sampling import check_samples, log_mean_exp_stats, standard_normal_blocks
+from .states import WeightMatrix, as_mixture, log_mixture_mgf, log_weighted_norm
 
 METHOD_EXACT = "exact_gaussian"
 METHOD_MC = "monte_carlo"
@@ -255,22 +255,23 @@ def qem_randomized_mc(
 
         Xi(mu) = E psi(sqrt(mu) Z) / sqrt(det cos(mu*Theta)),
 
-    with Z ~ N(0, K(mu)) drawn through a Cholesky factor of K(mu).  All
+    with sqrt(mu) Z = a z for a = sqrt(mu) L, L a Cholesky factor of K(mu)
+    and z standard normal.  Each component is mapped once per mu,
+    psi_k(a z) = exp((a^T M_k)^T z + z^T (a^T C_k a / 2) z), so a block of z
+    costs one GEMM per component and no per-sample transform.  All
     aggregation is done on max-shifted log summands; the reported
-    rel_std_error comes from the sample variance of those summands.
-    Deterministic for a fixed seed.
+    rel_std_error comes from their sample variance.  Deterministic for a
+    fixed seed.
     """
     _check_basis(state, basis)
     _require_positive(mu, "mu")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    k_mat = aux_covariance(basis, mu)
-    chol = np.linalg.cholesky(k_mat)
-    root_mu = math.sqrt(mu)
-    logs = []
-    for z in standard_normal_blocks(seed, 0, samples, basis.n):
-        u = root_mu * (z @ chol.T)
-        logs.append(log_mgf_batch(state, u))
+    blocks = standard_normal_blocks(seed, 0, check_samples(samples, 2), basis.n)
+    a = math.sqrt(mu) * np.linalg.cholesky(aux_covariance(basis, mu))
+    mix = as_mixture(state)
+    means = [a.T @ c.mean for c in mix.components]
+    half_covs = [0.5 * (a.T @ c.cov @ a) for c in mix.components]
+    log_w = np.log(mix.weights)
+    logs = [log_mixture_mgf(log_w, means, half_covs, z) for z in blocks]
     all_logs = np.concatenate(logs)
     if not np.all(np.isfinite(all_logs)):
         raise NumericalOverflowDespiteLogSpace("non-finite log-MGF summand")

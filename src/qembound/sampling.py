@@ -6,38 +6,65 @@ Philox stream keyed by (seed, stream, block index).  The draw for a given
 over blocks, which makes every estimator bit-reproducible for a fixed seed.
 """
 
+import math
+import operator
+
 import numpy as np
 
 BLOCK_SIZE = 16384
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
+
+
+def _integer_in(value, name, lo, hi=math.inf) -> int:
+    """value as an int; ValueError unless it is an integer (not a bool) in [lo, hi)."""
+    try:
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not lo <= number < hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return number
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; a seed is never masked, so none aliases another."""
+    return _integer_in(seed, "seed", 0, 2**64)
+
+
+def check_samples(samples, least: int) -> int:
+    """The sample count as an int; ValueError unless it is an integer >= least."""
+    return _integer_in(samples, "samples", least)
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """Independent generator for one (seed, stream, block) cell."""
-    key = np.array(
-        [seed & _MASK64, ((stream & _MASK32) << 32) | (block & _MASK32)],
-        dtype=np.uint64,
-    )
+    key = np.array([seed, ((stream & _MASK32) << 32) | (block & _MASK32)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def standard_normal_blocks(seed: int, stream: int, samples: int, dim: int):
-    """Yield standard-normal blocks of shape (<= BLOCK_SIZE, dim)."""
-    produced = 0
-    block = 0
-    while produced < samples:
-        take = min(BLOCK_SIZE, samples - produced)
-        yield block_rng(seed, stream, block).standard_normal((take, dim))
-        produced += take
-        block += 1
+    """Iterator over standard-normal blocks of shape (<= BLOCK_SIZE, dim);
+    the seed and sample count are checked at the call, before any draw."""
+    seed = check_seed(seed)
+    samples = check_samples(samples, 0)
+
+    def blocks():
+        for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
+            take = min(BLOCK_SIZE, samples - start)
+            yield block_rng(seed, stream, block).standard_normal((take, dim))
+
+    return blocks()
 
 
 def log_sum_exp(values):
-    """ln sum exp over the last axis, shifted by the maximum so no term overflows."""
-    top = np.maximum.reduce(values, axis=-1)
-    return top + np.log(np.add.reduce(np.exp(values - top[..., None]), axis=-1))
+    """ln sum exp over the first axis, shifted by the maximum so no term overflows.
+
+    A (K, m) array of K stacked terms per column gives m results; a 1-D
+    array gives one.
+    """
+    top = np.maximum.reduce(values, axis=0)
+    return top + np.log(np.add.reduce(np.exp(values - top), axis=0))
 
 
 def log_mean_exp_stats(log_values):
@@ -51,7 +78,8 @@ def log_mean_exp_stats(log_values):
     that exp(a - m) ~ 1 rounds away (at tiny mu every one rounds to 1);
     below 1/2, mean(expm1) would cancel against -1, so its log is taken
     directly.  By the delta method rel_se is also the absolute standard
-    error of log_mean.
+    error of log_mean.  Every sum is a numpy reduction, not a BLAS dot,
+    whose summation order would change with the BLAS thread count.
     """
     a = np.asarray(log_values, dtype=float)
     n = a.size
@@ -66,7 +94,7 @@ def log_mean_exp_stats(log_values):
     if n < 2:
         return log_mean, 0.0
     dev = np.expm1(a - log_mean)
-    return log_mean, float(np.sqrt(dev @ dev / (n * (n - 1))))
+    return log_mean, float(np.sqrt(np.add.reduce(dev * dev) / (n * (n - 1))))
 
 
 def top_weight_fraction(log_values, top_frac=0.001):

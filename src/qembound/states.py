@@ -7,6 +7,9 @@ admissibility constraint C + i*Theta >= 0.  Finite mixtures of Gaussians
 keep both the MGF and all weighted norms in closed form, which is what
 makes them usable as exactly checkable non-Gaussian states.  The
 scalar-weight reduction of these norms lives in qem.ScalarBoundEngine.
+
+Batched log-MGFs take each component as a (linear, half-quadratic) pair
+(log_mixture_mgf), so a change of variables is applied to the pairs once.
 """
 
 import math
@@ -119,16 +122,27 @@ class WeightMatrix:
         object.__setattr__(self, "P", _readonly(p))
 
 
+def log_mixture_mgf(log_w, means, half_covs, z) -> np.ndarray:
+    """ln sum_k w_k exp(b_k^T z + z^T G_k z) at each row of z (shape (m, n)), for
+    b_k = means[k], G_k = half_covs[k]: one GEMM per component, the K exponents
+    stacked along the first axis for log_sum_exp."""
+    terms = np.empty((len(log_w), z.shape[0]))
+    for row, lw, b, g in zip(terms, log_w, means, half_covs):
+        np.einsum("ij,ij->i", z @ g, z, out=row)
+        row += z @ b
+        row += lw
+    return log_sum_exp(terms)
+
+
 def log_mgf_batch(state, u) -> np.ndarray:
-    """Log-MGF of a Gaussian or mixture at each row of u (shape (m, n))."""
+    """Log-MGF of a Gaussian or mixture at each row of u (shape (m, n)):
+    log_mixture_mgf with the pairs (M_k, C_k / 2)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != state.n:
         raise DimensionMismatch(f"argument dimension {u.shape[1]} != state dimension {state.n}")
-    if isinstance(state, GaussianState):
-        return u @ state.mean + 0.5 * ((u @ state.cov) * u).sum(axis=1)
     mix = as_mixture(state)
-    cols = np.stack([log_mgf_batch(c, u) for c in mix.components], axis=1)
-    return log_sum_exp(cols + np.log(mix.weights))
+    return log_mixture_mgf(np.log(mix.weights), [c.mean for c in mix.components],
+                           [0.5 * c.cov for c in mix.components], u)
 
 
 def mgf_eval(state, u) -> float:

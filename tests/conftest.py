@@ -10,10 +10,13 @@ from qembound import (
     GaussianState,
     J2,
     MixtureMgf,
+    aux_covariance,
+    log_det_cos,
     mode_matrix,
     validate_ccr,
 )
 from qembound._search import SEARCH_MAX_ITER, SEARCH_RTOL
+from qembound.sampling import log_mean_exp_stats, standard_normal_blocks
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,3 +117,28 @@ def bisect_nondecreasing(g, target, lo, hi):
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def per_sample_log_mgf(state, u):
+    """Log-MGF at each row of u, one component at a time, combined by a
+    log-sum-exp over the last (component) axis."""
+    if isinstance(state, GaussianState):
+        return u @ state.mean + 0.5 * ((u @ state.cov) * u).sum(axis=1)
+    cols = np.stack([per_sample_log_mgf(c, u) for c in state.components], axis=1)
+    cols = cols + np.log(state.weights)
+    top = np.maximum.reduce(cols, axis=-1)
+    return top + np.log(np.add.reduce(np.exp(cols - top[..., None]), axis=-1))
+
+
+def per_sample_randomized_mc(state, basis, mu, samples, seed):
+    """Monte-Carlo (log_qem, rel_std_error) with every draw mapped to
+    u = sqrt(mu) L z before the MGF is evaluated; the oracle for
+    qem_randomized_mc, which maps the components instead."""
+    chol = np.linalg.cholesky(aux_covariance(basis, mu))
+    root_mu = math.sqrt(mu)
+    logs = []
+    for z in standard_normal_blocks(seed, 0, samples, basis.n):
+        u = root_mu * (z @ chol.T)
+        logs.append(per_sample_log_mgf(state, u))
+    log_mean, rel_se = log_mean_exp_stats(np.concatenate(logs))
+    return log_mean - 0.5 * log_det_cos(basis, mu), rel_se

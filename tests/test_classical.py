@@ -108,6 +108,23 @@ class TestMonteCarlo:
         b = classical_qem_mc(STANDARD_1D, 0.4, 20000, seed=8)
         assert a == b
 
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [2**64 + 8, -1], ids=["2**64+8", "negative"])
+    def test_seed_outside_uint64_rejected(self, seed, mu):
+        # Rejected even at mu = 0, where no sample is drawn.
+        with pytest.raises(ValueError, match="seed"):
+            classical_qem_mc(STANDARD_1D, mu, 1000, seed=seed)
+
+    def test_non_integer_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            classical_qem_mc(STANDARD_1D, 0.4, 1e4, seed=8)
+        with pytest.raises(ValueError, match="samples"):
+            empirical_tail(STANDARD_1D, 1.0, 1e4, seed=8)
+
+    def test_numpy_integers_accepted(self):
+        assert classical_qem_mc(STANDARD_1D, 0.4, np.int64(2000), seed=np.int64(8)) == \
+            classical_qem_mc(STANDARD_1D, 0.4, 2000, seed=8)
+
 
 class TestIdentityCheck:
     def test_isotropic_case(self):

@@ -220,6 +220,22 @@ class TestParseConfig:
             parse_config(json.dumps(dict(cfg, samples=1)))
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [("seed", 2**64 + 5, "seed must be a 64-bit unsigned integer"),
+         ("seed", -1, "seed must be a 64-bit unsigned integer"),
+         ("seed", 5.0, "seed must be a 64-bit unsigned integer"),
+         ("seed", True, "seed must be a 64-bit unsigned integer"),
+         ("samples", 1e4, "samples must be an integer >= 2"),
+         ("samples", "100", "samples must be an integer >= 2")],
+    )
+    def test_samples_and_seed_keys_checked(self, key, value, message):
+        # The library's sampling checks, reported in the parser's own words.
+        cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2, seed=2**64 - 1)
+        assert parse_config(json.dumps(cfg)).seed == 2**64 - 1
+        with pytest.raises(ConfigParse, match=f"^{message}$"):
+            parse_config(json.dumps(dict(cfg, **{key: value})))
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--samples", "1"), ("--seed", "-1"), ("--seed", str(2**64))],
         ids=["samples-1", "seed-negative", "seed-2**64"],
@@ -637,3 +653,38 @@ def test_runs_without_scipy():
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "[FAIL]" not in proc.stdout
+
+
+def _four_component_mc_doc():
+    """randomized_mc at n = 8 with four components, its mu grid below mu_var."""
+    rng = np.random.default_rng(14)
+    freqs = [1.0, 1.5, 2.0, 2.5]
+    comps = []
+    for _ in range(4):
+        w = rng.normal(scale=0.5, size=(8, 8))
+        comps.append({"mean": rng.normal(scale=0.3, size=8).tolist(),
+                      "cov": (w @ w.T + 2.5 * np.eye(8)).tolist()})
+    doc = {"kind": "randomized_mc", "ccr": freqs,
+           "state": {"weights": [0.25] * 4, "components": comps},
+           "mu_grid": [0.01, 0.02], "samples": qembound.sampling.BLOCK_SIZE + 1, "seed": 3}
+    return doc
+
+
+def test_mc_rows_do_not_depend_on_blas_threads():
+    # MC draws are bit-reproducible for a fixed seed however the BLAS
+    # splits its work; two blocks and four components run here.
+    doc = _four_component_mc_doc()
+    report, code = run(parse_config(json.dumps(doc)))
+    assert code == 0 and all(row.mc_se is not None for row in report.rows)
+    src = str(Path(qembound.__file__).resolve().parents[1])
+    script = "import sys; from qembound.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    with_path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=with_path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script, "run", "/dev/stdin"],
+                              input=json.dumps(doc).encode(), capture_output=True, env=env,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == report.to_csv_text().encode()

@@ -1,5 +1,5 @@
-"""Property tests for the scalar-weight bound engine, the exact-CGF engine
-and their invariants.
+"""Property tests for the scalar-weight bound engine, the exact-CGF engine,
+the Monte-Carlo estimator and their invariants.
 
 States are admissible by construction (C = W W^T + ||Theta|| I, as in
 conftest.random_admissible_state); hypothesis draws the commutation
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bisect_nondecreasing, block_ccr, golden_section_minimize,
-                      random_admissible_state)
+                      per_sample_randomized_mc, random_admissible_state)
 from qembound import (
     MixtureMgf,
     matrix_function,
@@ -30,6 +30,7 @@ from qembound import (
     propagate_mgf,
     qem_bound_time,
     qem_exact,
+    qem_randomized_mc,
     qem_upper_bound,
     qem_upper_bound_scalar_opt,
     scalar_bound_cgf,
@@ -46,6 +47,7 @@ from qembound.qem import (
     _radius,
     scalar_weight_limit,
 )
+from qembound.sampling import BLOCK_SIZE
 
 # hypothesis's failure report imports mypy_extensions.TypedDict, whose
 # DeprecationWarning would turn into an INTERNALERROR under -W error and
@@ -57,10 +59,10 @@ PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
 
 @st.composite
-def mixtures(draw):
-    """(mixture, basis) with 1-3 modes and 1-3 admissible components."""
+def mixtures(draw, max_components=3):
+    """(mixture, basis) with 1-3 modes and 1 to max_components admissible components."""
     freqs = draw(st.lists(st.floats(0.5, 2.5), min_size=1, max_size=3))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, max_components))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ccr = block_ccr(freqs)
     comps = tuple(random_admissible_state(rng, ccr) for _ in range(k))
@@ -349,3 +351,27 @@ def test_mu_star_matches_bisection_oracle(case):
     covs, hi, _ = next(call for call in calls if call[2] >= 1.0)
     reference = bisect_nondecreasing(functools.partial(_radius, covs, engine.theta), 1.0, 0.0, hi)
     assert abs(mu_star - reference) <= 2.0 * SEARCH_RTOL * reference
+
+
+# A lone Gaussian, or a mixture of one to four components.
+gaussians_or_mixtures = st.one_of(
+    mixtures(max_components=1).map(lambda case: (case[0].components[0], case[1])),
+    mixtures(max_components=4))
+
+
+@PROPERTY_SETTINGS
+@given(gaussians_or_mixtures, fractions, st.sampled_from([100, BLOCK_SIZE + 1]),
+       st.integers(0, 2**64 - 1))
+def test_randomized_mc_matches_per_sample_oracle(case, frac, samples, seed):
+    # The components are mapped through a = sqrt(mu) L once per mu; the
+    # oracle maps every draw.  Same draws, so only rounding may differ.
+    # (A handful of samples is left out: two nearly equal summands make
+    # rel_std_error small and its relative rounding error large.)
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    mu_var = bisect_nondecreasing(engine.radius, 0.5, 0.0, engine.mu_star)
+    mu = frac * mu_var
+    value = qem_randomized_mc(state, basis, mu, samples, seed)
+    log_qem, rel_se = per_sample_randomized_mc(state, basis, mu, samples, seed)
+    assert abs(value.log_qem - log_qem) <= 1e-12
+    assert abs(value.rel_std_error - rel_se) <= 1e-12 * rel_se

@@ -144,6 +144,23 @@ class TestRandomizedMc:
         with pytest.raises(ValueError):
             qem_randomized_mc(VACUUM, BASIS2, 0.5, 1, seed=1)
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1, 5.0, True],
+                             ids=["2**64+5", "2**64", "negative", "float", "bool"])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # Masked to 64 bits, 2**64 + 5 would alias seed 5 and -1 seed 2**64 - 1.
+        with pytest.raises(ValueError, match="seed"):
+            qem_randomized_mc(VACUUM, BASIS2, 0.5, 100, seed=seed)
+
+    @pytest.mark.parametrize("samples", [1e4, 100.0, "100"])
+    def test_non_integer_sample_count_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            qem_randomized_mc(VACUUM, BASIS2, 0.5, samples, seed=1)
+
+    def test_numpy_integers_accepted(self):
+        a = qem_randomized_mc(VACUUM, BASIS2, 0.5, 100, seed=2**64 - 1)
+        b = qem_randomized_mc(VACUUM, BASIS2, 0.5, np.int64(100), seed=np.uint64(2**64 - 1))
+        assert a == b
+
     @pytest.mark.parametrize("spread", [1e-10, 1e-4, 1.0])
     def test_error_bar_matches_two_pass_reference(self, spread):
         # A one-pass variance n s2/s1^2 - 1 cancels once the log summands

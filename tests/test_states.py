@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from conftest import random_admissible_state, simple_mixture
+from conftest import block_ccr, random_admissible_state, simple_mixture
 from qembound import (
     GaussianState,
     J2,
@@ -24,6 +24,8 @@ from qembound.errors import (
     NotAdmissible,
     NotPositiveDefinite,
 )
+from qembound.sampling import log_sum_exp
+from qembound.states import log_mgf_batch
 
 CCR2 = validate_ccr(J2)
 
@@ -107,6 +109,43 @@ class TestMgfEval:
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
         with pytest.raises(DimensionMismatch):
             mgf_eval(state, [1.0, 0.0, 0.0])
+
+
+class TestLogMgfBatch:
+    CCR4 = block_ccr([1.0, 2.0])
+
+    def test_gaussian_is_linear_plus_half_quadratic(self):
+        rng = np.random.default_rng(11)
+        state = random_admissible_state(rng, self.CCR4)
+        u = rng.normal(size=(50, 4))
+        expected = [m @ state.mean + 0.5 * m @ state.cov @ m for m in u]
+        np.testing.assert_allclose(log_mgf_batch(state, u), expected, rtol=1e-14, atol=1e-14)
+
+    def test_mixture_is_log_of_weighted_sum(self):
+        rng = np.random.default_rng(12)
+        comps = [random_admissible_state(rng, self.CCR4) for _ in range(3)]
+        mix = MixtureMgf(weights=(0.2, 0.3, 0.5), components=tuple(comps))
+        u = rng.normal(size=(50, 4))
+        expected = [math.log(sum(w * math.exp(m @ c.mean + 0.5 * m @ c.cov @ m)
+                                 for w, c in zip(mix.weights, comps))) for m in u]
+        np.testing.assert_allclose(log_mgf_batch(mix, u), expected, rtol=1e-14, atol=1e-14)
+
+    def test_dimension_mismatch(self):
+        state = random_admissible_state(np.random.default_rng(13), self.CCR4)
+        with pytest.raises(DimensionMismatch):
+            log_mgf_batch(state, np.ones((5, 3)))
+
+
+class TestLogSumExp:
+    def test_reduces_the_first_axis_without_overflow(self):
+        # exp(710) overflows; the shift by each column's maximum keeps it finite.
+        values = np.array([[700.0, 1.0, -5.0], [710.0, 1.0, -700.0]])
+        expected = [710.0 + math.log1p(math.exp(-10.0)), 1.0 + math.log(2.0), -5.0]
+        np.testing.assert_allclose(log_sum_exp(values), expected, rtol=1e-15)
+
+    def test_one_dimensional_input_gives_a_scalar(self):
+        assert log_sum_exp(np.array([700.0, 710.0])) == pytest.approx(
+            710.0 + math.log1p(math.exp(-10.0)), rel=1e-15)
 
 
 class TestGaussianMomentIntegral:
