@@ -30,7 +30,10 @@ def newton_minimize(fdf, lo, hi):
     nonpositive phi'', bisects it instead.  The search stops on the Newton
     decrement phi'^2/phi'' <= DECREMENT_RTOL * max(1, |f|), on a step of at
     most STEP_TOL, on a zero slope, or after NEWTON_MAX_ITER evaluations.
-    Returns (lam_best, f_best), the best evaluated point.
+    That stop can leave the best point sqrt(DECREMENT_RTOL) relative off the
+    minimizer, so it returns (lam, f): that point moved by its own Newton
+    step -f'/f'' (clamped to [lo, hi], skipped where f'' <= 0), and the best
+    value.
     """
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -47,7 +50,7 @@ def newton_minimize(fdf, lo, hi):
         lam = hi - width * down if x >= 0.0 else lo + width * up
         f, d1, d2 = fdf(lam)
         if best_lam is None or f < best_f:
-            best_lam, best_f = lam, f
+            best_lam, best_f, best_d1, best_d2 = lam, f, d1, d2
         jac = width * up * down
         slope = d1 * jac
         curvature = d2 * jac * jac + slope * (down - up)
@@ -64,6 +67,8 @@ def newton_minimize(fdf, lo, hi):
         if abs(step - x) <= STEP_TOL:
             break
         x = step
+    if best_d2 > 0.0:
+        best_lam = min(max(best_lam - best_d1 / best_d2, lo), hi)
     return best_lam, best_f
 
 

@@ -163,33 +163,40 @@ def _build(what, make):
         raise ConfigParse(f"invalid {what}: {exc}") from exc
 
 
-def _is_a(value, types):
-    """isinstance that does not count booleans as numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
+def _numbers(raw, name):
+    """raw, checked to hold no string or boolean, which float() reads as numbers."""
+    stack = [raw]
+    while stack:
+        value = stack.pop()
+        _require(not isinstance(value, (str, bool)),
+                 f"{name} must contain finite numbers, got {value!r}")
+        stack += value if isinstance(value, list) else []
+    return raw
 
 
-def _checked(check, value, message):
-    """check(value) from qembound.sampling, its ValueError reported as ConfigParse."""
+def _checked(check, value, name, rule):
+    """check(value) from qembound.sampling, a ValueError reported as ConfigParse;
+    a flag's text (name "--seed" or "--samples") is read by int() first."""
     try:
-        return check(value)
+        return check(int(value) if name.startswith("--") else value)
     except ValueError:
-        raise ConfigParse(message) from None
+        raise ConfigParse(f"{name} must be {rule}") from None
 
 
 def _samples(value, name="samples"):
-    return _checked(lambda v: check_samples(v, 2), value, f"{name} must be an integer >= 2")
+    return _checked(lambda v: check_samples(v, 2), value, name, "an integer >= 2")
 
 
 def _seed(value, name="seed"):
-    return _checked(check_seed, value, f"{name} must be a 64-bit unsigned integer")
+    return _checked(check_seed, value, name, "a 64-bit unsigned integer")
 
 
 def _parse_grid(raw, name, *, positive):
     _require(isinstance(raw, list) and raw, f"{name} must be a nonempty list")
     # Exact comparison keeps NaN, infinities and integers past the double
     # range out, so float() below neither overflows nor yields inf.
-    _require(all(_is_a(x, (int, float)) and abs(x) <= sys.float_info.max for x in raw),
-             f"{name} must contain finite numbers")
+    _require(all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+                 for x in _numbers(raw, name)), f"{name} must contain finite numbers")
     grid = [float(x) for x in raw]
     _require(all(x > 0.0 for x in grid) if positive else all(x >= 0.0 for x in grid),
              f"{name} entries must be {'positive' if positive else 'nonnegative'}")
@@ -199,7 +206,7 @@ def _parse_grid(raw, name, *, positive):
 
 def _parse_ccr(raw):
     _require(isinstance(raw, list) and raw, "ccr must be a nonempty list")
-    if all(_is_a(x, (int, float)) for x in raw):
+    if all(isinstance(x, (int, float)) for x in _numbers(raw, "ccr")):
         _require(all(0 < x <= sys.float_info.max for x in raw),
                  "ccr eigenfrequencies must be finite and positive")
         raw = np.kron(np.diag([float(f) for f in raw]), J2)
@@ -208,8 +215,8 @@ def _parse_ccr(raw):
 
 def _parse_gaussian(raw, ccr):
     _keys(raw, "state component", ("mean", "cov"))
-    return _build("state", lambda: GaussianState(mean=np.asarray(raw["mean"], dtype=float),
-                                                 cov=np.asarray(raw["cov"], dtype=float), ccr=ccr))
+    return _build("state", lambda: GaussianState(mean=_numbers(raw["mean"], "mean"),
+                                                 cov=_numbers(raw["cov"], "cov"), ccr=ccr))
 
 
 def _parse_state(raw, ccr):
@@ -219,14 +226,14 @@ def _parse_state(raw, ccr):
     comps = raw["components"]
     _require(isinstance(comps, list) and comps, "components must be a nonempty list")
     components = tuple(_parse_gaussian(c, ccr) for c in comps)
-    return _build("mixture", lambda: MixtureMgf(weights=tuple(float(w) for w in raw["weights"]),
+    return _build("mixture", lambda: MixtureMgf(weights=_numbers(raw["weights"], "weights"),
                                                 components=components))
 
 
 def _parse_model(raw, ccr):
     _keys(raw, "model", ("R", "N"))
-    return _build("model", lambda: oqho.OqhoModel(R=np.asarray(raw["R"], dtype=float),
-                                                  N=np.asarray(raw["N"], dtype=float), ccr=ccr))
+    return _build("model", lambda: oqho.OqhoModel(R=_numbers(raw["R"], "R"),
+                                                  N=_numbers(raw["N"], "N"), ccr=ccr))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -449,8 +456,8 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="execute a JSON scenario and emit a CSV report")
     run_parser.add_argument("config", help="path to the scenario JSON document")
     run_parser.add_argument("--output", help="CSV output path (overrides config)")
-    run_parser.add_argument("--seed", type=int, help="seed override")
-    run_parser.add_argument("--samples", type=int, help="sample-count override")
+    run_parser.add_argument("--seed", help="seed override")
+    run_parser.add_argument("--samples", help="sample-count override")
     verify_parser = sub.add_parser("verify", help="run the commutative-oracle checks")
     verify_parser.add_argument("--quick", action="store_true", help="smaller sample counts")
     args = parser.parse_args(argv)

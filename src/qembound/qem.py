@@ -33,6 +33,7 @@ from .errors import (
     EmptyFeasibleWindow,
     InvalidRange,
     NormDivergent,
+    NotPositiveDefinite,
     NumericalOverflowDespiteLogSpace,
     QemBoundError,
     RiskParameterTooLarge,
@@ -177,8 +178,8 @@ class ExactEngine:
 
     def _evaluate(self, mu, slope):
         _require_positive(mu, "mu")
-        e, b = _contraction(self.covs, self.theta, mu)
-        w_unit, v = np.linalg.eigh(b)
+        e = np.sqrt(_over_x(np.tanh, mu * self.theta))
+        w_unit, v = np.linalg.eigh(e[:, None] * self.covs * e)
         w = mu * w_unit
         top = float(w.max())
         if top >= 1.0:
@@ -213,17 +214,11 @@ class ExactEngine:
         )
 
 
-def _contraction(covs, theta, mu):
-    """(e, diag(e) covs diag(e)) with the unit-scale e =
-    sqrt(tanh(mu theta)/(mu theta)); covs may be one mode-basis covariance
-    or a stack of them.  mu times the result is the contraction."""
-    e = np.sqrt(_over_x(np.tanh, mu * theta))
-    return e, e[:, None] * covs * e
-
-
 def _radius(covs, theta, mu):
-    """Largest eigenvalue of the contraction over a stack of covariances."""
-    return mu * float(np.linalg.eigvalsh(_contraction(covs, theta, mu)[1]).max())
+    """Largest eigenvalue of the contraction over a stack of covariances, from
+    mu e^2 = tanh(mu theta)/theta, which reads its limit where mu theta overflows."""
+    d = np.sqrt(np.tanh(mu * theta) / theta)
+    return float(np.linalg.eigvalsh(d[:, None] * covs * d).max())
 
 
 def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
@@ -266,7 +261,8 @@ def qem_randomized_mc(
     _check_basis(state, basis)
     _require_positive(mu, "mu")
     blocks = standard_normal_blocks(seed, 0, check_samples(samples, 2), basis.n)
-    a = math.sqrt(mu) * np.linalg.cholesky(aux_covariance(basis, mu))
+    a = math.sqrt(mu) * _cholesky(aux_covariance(basis, mu), NotPositiveDefinite,
+                                  f"K(mu) is not positive definite at mu = {mu!r}")[0]
     mix = as_mixture(state)
     means = [a.T @ c.mean for c in mix.components]
     half_covs = [0.5 * (a.T @ c.cov @ a) for c in mix.components]
@@ -414,20 +410,15 @@ class ScalarBoundEngine:
         return self.bound(mu)[0].log_qem
 
     def cgf_and_slope(self, mu: float):
-        """(B(mu), B'(mu)) for the optimized bound B, at no cost beyond bound.
-
-        By the envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
-        B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 with the
-        objective's own u = theta/tanh(mu theta).  Newton's value-based stop
-        leaves lam_opt about sqrt(1e-15) relative off the minimizer, to which
-        the second sum is first order (enough to flip B' at small mu), so it
-        is moved by its lam-derivative times the Newton offset -f'/f''.
-        """
-        log_bound, lam_opt, upper, (d1, d2) = self._minimize(mu)
+        """(B(mu), B'(mu)) for the optimized bound B, at no cost beyond bound:
+        by the envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
+        B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at
+        bound's lam_opt, with u = theta/tanh(mu theta)."""
+        value, lam_opt = self.bound(mu)
         gamma = self.basis.gamma
-        gap = upper - lam_opt
-        terms = (gamma / np.sinh(mu * gamma)) ** 2 / gap
-        return log_bound, 0.5 * float((terms * (1.0 - d1 / (d2 * gap))).sum()) - float(upper.sum())
+        upper = gamma / np.tanh(mu * gamma)
+        terms = (gamma / np.sinh(mu * gamma)) ** 2 / (upper - lam_opt)
+        return value.log_qem, 0.5 * float(terms.sum()) - float(upper.sum())
 
     def bound(self, mu: float):
         """Minimize the weighted-norm bound over lam in the feasible window
@@ -437,14 +428,9 @@ class ScalarBoundEngine:
         The convex objective f(lam) = N(lam) - sum_k ln(u_k - lam)/2, with
         the log-norm N and u = theta/tanh(mu theta), goes to newton_minimize
         with f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2.
-        Returns (QemValue, lam_opt) at the best evaluated point; raises
-        EmptyFeasibleWindow when the window is empty.
+        Returns (QemValue, lam_opt), lam_opt Newton-refined (see
+        newton_minimize); raises EmptyFeasibleWindow when the window is empty.
         """
-        log_bound, lam_opt = self._minimize(mu)[:2]
-        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
-
-    def _minimize(self, mu):
-        """(log bound, lam_opt, u, (f', f'') at lam_opt) at mu; see bound."""
         lam_hi = scalar_weight_limit(self.basis, mu)
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
@@ -457,20 +443,16 @@ class ScalarBoundEngine:
                 f"covariance eigenvalue {self.lam_lo:.6g} by more than rounding"
             )
 
-        evaluated = {}
-
         def objective(lam):
             value, slope, curvature = self.log_norm_derivatives(lam)
             gap = upper - lam
             inv = 1.0 / gap
-            evaluated[lam] = (value - 0.5 * float(np.log(gap).sum()),
-                              slope + 0.5 * float(inv.sum()),
-                              curvature + 0.5 * float((inv * inv).sum()))
-            return evaluated[lam]
+            return (value - 0.5 * float(np.log(gap).sum()), slope + 0.5 * float(inv.sum()),
+                    curvature + 0.5 * float((inv * inv).sum()))
 
         lam_opt, inner = newton_minimize(objective, lo, hi)
-        return (_log_bound_prefactor(self.basis, mu) + inner, lam_opt, upper,
-                evaluated[lam_opt][1:])
+        log_bound = _log_bound_prefactor(self.basis, mu) + inner
+        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):

@@ -213,6 +213,39 @@ class TestParseConfig:
         config_path.write_text(text)
         assert main(["run", str(config_path)]) == 1
 
+    @pytest.mark.parametrize("literal", ['"1.0"', "true"], ids=["string", "boolean"])
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ('"ccr": [1.0]', '"ccr": [[0, ENTRY], [-1, 0]]', "ccr"),
+            ('"mean": [0.0, 0.0]', '"mean": [ENTRY, 0.0]', "mean"),
+            ('"cov": [[1.0, 0.0], [0.0, 1.0]]', '"cov": [[ENTRY, 0.0], [0.0, 1.0]]', "cov"),
+            ('"weights": [1.0]', '"weights": [ENTRY]', "weights"),
+            ('"R": [[1.0, 0.0], [0.0, 1.0]]', '"R": [[ENTRY, 0.0], [0.0, 1.0]]', "R"),
+            ('"N": [[1.0, 0.0], [0.0, 1.0]]', '"N": [[ENTRY, 0.0], [0.0, 1.0]]', "N"),
+        ],
+        ids=["ccr-matrix", "mean", "cov", "weights", "energy", "coupling"],
+    )
+    def test_numeric_entries_must_be_json_numbers(self, tmp_path, old, new, name, literal):
+        # float() and numpy read "1.0" and true as numbers; the parser does not.
+        component = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg = {
+            "kind": "oqho_sweep",
+            "ccr": [1.0],
+            "state": {"weights": [1.0], "components": [component]},
+            "model": {"R": [[1.0, 0.0], [0.0, 1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu_grid": [0.1],
+            "t_grid": [0.0],
+        }
+        text = json.dumps(cfg)
+        assert old in text
+        text = text.replace(old, new.replace("ENTRY", literal))
+        with pytest.raises(ConfigParse, match=f"{name} must contain finite numbers"):
+            parse_config(text)
+        config_path = tmp_path / "scenario.json"
+        config_path.write_text(text)
+        assert main(["run", str(config_path)]) == 1
+
     def test_samples_at_least_two(self):
         cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
         assert parse_config(json.dumps(cfg)).samples == 2
@@ -237,15 +270,19 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--samples", "1"), ("--seed", "-1"), ("--seed", str(2**64))],
-        ids=["samples-1", "seed-negative", "seed-2**64"],
+        [("--samples", "1"), ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "abc"),
+         ("--samples", "1.5")],
+        ids=["samples-1", "seed-negative", "seed-2**64", "seed-text", "samples-fraction"],
     )
-    def test_samples_and_seed_flags_checked(self, tmp_path, flag, value):
+    def test_samples_and_seed_flags_checked(self, tmp_path, capsys, flag, value):
         # The flags share the config keys' checks: samples >= 2, seed in [0, 2**64).
+        # A value that is no integer is a config error too (exit 1), not a
+        # usage error (argparse's 2, the code of a flagged row).
         cfg = _vacuum_config(kind="randomized_mc", mu_grid=[0.5], samples=2)
         config_path = tmp_path / "scenario.json"
         config_path.write_text(json.dumps(cfg))
         assert main(["run", str(config_path), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
 
 
 class TestRun:
@@ -403,6 +440,29 @@ class TestRun:
         for row in report.rows[1:]:
             assert row.upsilon_mc is None
             assert row.mc_se is None
+
+    @pytest.mark.parametrize("scale, statuses", [
+        (6.0, ["ok", "infeasible_mu"]),
+        (2.0, ["ok", "numerical_error"]),
+    ], ids=["finite-mu-star", "infinite-mu-star"])
+    def test_mc_rows_where_mu_theta_overflows(self, scale, statuses):
+        # At mu = 1e308, mu * theta = inf: tanh(x)/x reads 0, so K(mu) is
+        # the zero matrix, while the radius reads its limit.  Cov 6 I has
+        # mu* ~ 0.173, so that row is infeasible; cov 2 I has mu* = inf, so
+        # K(mu) reaches the Cholesky factorization and the row is a
+        # numerical fault.
+        cfg = _vacuum_config(
+            kind="randomized_mc",
+            ccr=[2.0],
+            state={"mean": [0.0, 0.0], "cov": [[scale, 0.0], [0.0, scale]]},
+            mu_grid=[0.01, 1e308],
+            samples=1000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == statuses
+        assert report.rows[1].upsilon_mc is None and report.rows[1].mc_se is None
 
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top

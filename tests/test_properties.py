@@ -95,6 +95,22 @@ def test_engine_matches_general_weight_route(case, frac):
     assert abs(value.log_qem - reference.log_qem) <= 1e-10
 
 
+def _scalar_objective(engine, mu):
+    """ScalarBoundEngine.bound's objective f(lam) -> (f, f', f''), without
+    the prefactor, and its window (lo, hi) shrunk by WINDOW_MARGIN."""
+    upper = engine.basis.gamma / np.tanh(mu * engine.basis.gamma)
+    lam_hi = scalar_weight_limit(engine.basis, mu)
+    width = lam_hi - engine.lam_lo
+
+    def objective(x):
+        norm, slope, curvature = engine.log_norm_derivatives(x)
+        inv = 1.0 / (upper - x)
+        return (norm - 0.5 * float(np.log(upper - x).sum()),
+                slope + 0.5 * float(inv.sum()), curvature + 0.5 * float((inv * inv).sum()))
+
+    return objective, engine.lam_lo + WINDOW_MARGIN * width, lam_hi - WINDOW_MARGIN * width
+
+
 @PROPERTY_SETTINGS
 @given(mixtures(), st.floats(0.001, 0.999))
 def test_newton_bound_is_the_minimum_of_the_scalar_objective(case, frac):
@@ -104,22 +120,61 @@ def test_newton_bound_is_the_minimum_of_the_scalar_objective(case, frac):
     mu = _mu_inside(state, basis, frac)
     engine = ScalarBoundEngine(state, basis)
     value, lam = engine.bound(mu)
-    upper = basis.gamma / np.tanh(mu * basis.gamma)
-    lam_hi = scalar_weight_limit(basis, mu)
-    width = lam_hi - engine.lam_lo
-    lo, hi = engine.lam_lo + WINDOW_MARGIN * width, lam_hi - WINDOW_MARGIN * width
-
-    def objective(x):
-        norm, slope, curvature = engine.log_norm_derivatives(x)
-        inv = 1.0 / (upper - x)
-        return (norm - 0.5 * float(np.log(upper - x).sum()),
-                slope + 0.5 * float(inv.sum()), curvature + 0.5 * float((inv * inv).sum()))
-
+    objective, lo, hi = _scalar_objective(engine, mu)
+    width = scalar_weight_limit(basis, mu) - engine.lam_lo
     _, golden = golden_section_minimize(lambda x: objective(x)[0], lo, hi)
     assert value.log_qem <= _log_bound_prefactor(basis, mu) + golden + 1e-12
     f, slope, curvature = objective(lam)
     at_edge = min(lam - lo, hi - lam) <= 1e-9 * width
     assert at_edge or slope * slope <= 1e-10 * max(1.0, abs(f)) * curvature
+
+
+def _converged_minimizer(engine, mu, lam):
+    """Newton in lam on the scalar objective from lam, clamped to its window,
+    until a step no longer moves the iterate (at most 50 steps)."""
+    objective, lo, hi = _scalar_objective(engine, mu)
+    for _ in range(50):
+        _, slope, curvature = objective(lam)
+        step = min(max(lam - slope / curvature, lo), hi)
+        if step == lam:
+            break
+        lam = step
+    return lam
+
+
+def _assert_lam_opt_converged(engine, mu):
+    _, lam = engine.bound(mu)
+    reference = _converged_minimizer(engine, mu, lam)
+    assert abs(lam - reference) <= 1e-12 * abs(reference)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(0.001, 0.999))
+def test_lam_opt_is_the_minimizer(case, frac):
+    state, basis = case
+    _assert_lam_opt_converged(ScalarBoundEngine(state, basis), _mu_inside(state, basis, frac))
+
+
+@pytest.mark.parametrize("seed", [13, 190])
+def test_lam_opt_is_the_minimizer_at_tiny_mu(seed):
+    # One mode, two components, mu = 5.7e-8: lam_opt ~ 1/(2 mu), and the
+    # envelope slope moves by about 2 per unit of lam_opt's offset, so a
+    # point 1e-7 relative off the minimizer, where the value stop can leave
+    # the best evaluated point, would move it by about half its value.
+    rng = np.random.default_rng(seed)
+    ccr = block_ccr([rng.uniform(0.5, 2.5)])
+    comps = tuple(random_admissible_state(rng, ccr) for _ in range(2))
+    weights = rng.uniform(0.5, 1.5, size=2)
+    state = MixtureMgf(weights=tuple(weights / weights.sum()), components=comps)
+    engine = ScalarBoundEngine(state, symplectic_eigenbasis(ccr))
+    mu = 5.7e-8
+    _assert_lam_opt_converged(engine, mu)
+    # The bound's values carry round-off of about 1e-15 here, so a central
+    # difference needs a wide step; the bound is smooth across it.
+    h = 0.1 * mu
+    _, slope = engine.cgf_and_slope(mu)
+    difference = (engine.cgf(mu + h) - engine.cgf(mu - h)) / (2.0 * h)
+    assert abs(slope - difference) <= 1e-5 * abs(slope)
 
 
 @PROPERTY_SETTINGS

@@ -40,14 +40,15 @@ def test_interior_minimizer_of_a_convex_function():
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lower-edge", "upper-edge"])
 def test_minimum_at_a_window_edge(sign):
     # f' has one sign on the whole window, so the minimum sits on the edge
-    # it points away from; the search approaches it geometrically and stops.
+    # it points away from; the search approaches it geometrically and stops,
+    # and the final Newton step is clamped onto the edge.
     def f(lam):
         return sign * lam + 0.1 * lam * lam, sign + 0.2 * lam, 0.2
 
     fdf, calls = _counting(f)
     lam, value = newton_minimize(fdf, 1.0, 3.0)
     edge = 1.0 if sign > 0 else 3.0
-    assert abs(lam - edge) <= 1e-12
+    assert lam == edge
     assert value <= f(edge)[0] + 1e-12
     assert all(1.0 <= x <= 3.0 for x in calls)
     assert len(calls) <= 40
@@ -76,6 +77,21 @@ def test_returns_the_best_evaluated_point():
     lam, value = newton_minimize(fdf, 0.0, 1.0)
     assert len(calls) > 1
     assert lam == value == calls[0] == min(calls)
+
+
+def test_returns_the_best_point_moved_by_its_newton_step():
+    # The value stop can end before the slope is at round-off; the
+    # reported value is still the best evaluated one, and the reported
+    # point that one's Newton step -f'/f'', with no further evaluation.
+    def f(lam):
+        return (math.exp(lam) - 3.0 * lam, math.exp(lam) - 3.0, math.exp(lam))
+
+    fdf, calls = _counting(f)
+    lam, value = newton_minimize(fdf, -2.0, 4.0)
+    best = min(calls, key=lambda x: f(x)[0])
+    assert value == f(best)[0]
+    assert lam == best - f(best)[1] / f(best)[2]
+    assert lam == pytest.approx(math.log(3.0), rel=1e-15)
 
 
 def test_empty_window_is_rejected():
