@@ -29,7 +29,6 @@ from .oqho import (
     dynamics_matrices,
     gramian_finite,
     gramian_infinite,
-    log_propagated_norm,
     propagate_mgf,
     qem_bound_time,
 )
@@ -51,7 +50,6 @@ from .states import (
     MixtureMgf,
     WeightMatrix,
     as_mixture,
-    gaussian_moment_integral,
     log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
@@ -81,11 +79,9 @@ __all__ = [
     "dynamics_matrices",
     "empirical_tail",
     "exact_cgf",
-    "gaussian_moment_integral",
     "gramian_finite",
     "gramian_infinite",
     "log_det_cos",
-    "log_propagated_norm",
     "log_scalar_norm",
     "log_weighted_norm",
     "matrix_function",

@@ -55,7 +55,6 @@ _REQUIRED_KEYS = {
     "upper_bound": _STATE_KEYS,
     "tail": _STATE_KEYS,
     "oqho_sweep": _STATE_KEYS + ("model", "t_grid"),
-    "verify": (),
 }
 _COMMON_KEYS = ("kind", "samples", "seed", "output")
 KINDS = tuple(_REQUIRED_KEYS)
@@ -111,9 +110,12 @@ class BoundReport:
             raise ConfigParse("unrecognized report header")
         rows = []
         for parts in lines[1:]:
-            if len(parts) != len(CSV_COLUMNS):
+            try:
+                vals = [None if p == "" else float(p) for p in parts[:-1]]
+            except ValueError:
+                vals = None
+            if vals is None or len(parts) != len(CSV_COLUMNS):
                 raise ConfigParse(f"malformed report row: {','.join(parts)!r}")
-            vals = [None if p == "" else float(p) for p in parts[:-1]]
             rows.append(ReportRow(*vals, status=parts[-1]))
         return cls(rows=tuple(rows))
 
@@ -168,9 +170,10 @@ def _numbers(raw, name):
     stack = [raw]
     while stack:
         value = stack.pop()
-        _require(not isinstance(value, (str, bool)),
-                 f"{name} must contain finite numbers, got {value!r}")
-        stack += value if isinstance(value, list) else []
+        if isinstance(value, (str, bool)):
+            raise ConfigParse(f"{name} must contain finite numbers, got {value!r}")
+        if isinstance(value, list):
+            stack += value
     return raw
 
 
@@ -256,8 +259,6 @@ def parse_config(text: str) -> ScenarioConfig:
     _require(output is None or isinstance(output, str), "output must be a string path")
     config = ScenarioConfig(kind=kind, samples=_samples(raw.get("samples", DEFAULT_SAMPLES)),
                             seed=_seed(raw.get("seed", DEFAULT_SEED)), output=output)
-    if kind == "verify":
-        return config
     ccr = _parse_ccr(raw["ccr"])
     config = replace(config, ccr=ccr, state=_parse_state(raw["state"], ccr),
                      mu_grid=_parse_grid(raw["mu_grid"], "mu_grid", positive=True))
@@ -359,13 +360,6 @@ def run(config: ScenarioConfig):
     or building the engine flags that engine's rows.  Exit code 0 when
     every row is ok, 2 when any row is not.  Rows are ordered by (t, mu).
     """
-    if config.kind == "verify":
-        checks = verify_checks(config.samples, config.seed)
-        for name, passed, detail in checks:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        ok = all(passed for _, passed, _ in checks)
-        return BoundReport(rows=()), 0 if ok else 2
-
     basis = symplectic_eigenbasis(config.ccr)
     engine_class, row_name = _ROUTES[config.kind]
     row = globals()[row_name]
@@ -463,9 +457,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        samples = 20000 if args.quick else DEFAULT_SAMPLES
-        _, code = run(ScenarioConfig(kind="verify", samples=samples))
-        return code
+        checks = verify_checks(20000 if args.quick else DEFAULT_SAMPLES)
+        for name, passed, detail in checks:
+            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+        return 0 if all(passed for _, passed, _ in checks) else 2
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -488,7 +483,7 @@ def main(argv=None) -> int:
     try:
         if destination:
             report.write_csv(destination)
-        elif config.kind != "verify":
+        else:
             sys.stdout.write(report.to_csv_text())
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)

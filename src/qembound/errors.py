@@ -85,10 +85,6 @@ class InternalAdmissibilityViolation(QemBoundError):
     """Propagated state lost quantum admissibility; indicates a numerical fault."""
 
 
-class LambdaTooSmall(QemBoundError):
-    """Scalar weight does not dominate the noise Gramian."""
-
-
 # --- classical oracle ---
 
 class SuspectedDivergence(QemBoundError):

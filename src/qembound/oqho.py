@@ -28,12 +28,11 @@ from .errors import (
     DimensionMismatch,
     ExpmFailure,
     InternalAdmissibilityViolation,
-    LambdaTooSmall,
     NotAdmissible,
     NotHurwitz,
 )
 from .qem import ScalarBoundEngine
-from .states import GaussianState, MixtureMgf, as_mixture, log_weighted_norm
+from .states import GaussianState, MixtureMgf, as_mixture
 
 HURWITZ_MARGIN = -1e-10
 PSD_FLOOR = -1e-10
@@ -92,14 +91,14 @@ def dynamics_matrices(model: OqhoModel):
 
 
 def _expm_and_gramian(a, b, t):
-    """e^{-tA}, e^{tA} and Sigma_t from one block matrix exponential.
+    """e^{tA} and Sigma_t from one block matrix exponential.
 
     exp(s * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-sA},
     upper-right block e^{-sA} * Sigma_s and lower-right block e^{sA^T}.
     Recovering Sigma_s = e^{sA} (e^{-sA} Sigma_s) cancels catastrophically
     once e^{-sA} grows, so a degree-18 Taylor series is taken at s = t / 2^k
     with s ||A||_1 <= 1 and the horizon is doubled k times:
-    Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{+-2sA} squared.
+    Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{2sA} squared.
     The block is block-triangular, so its diagonal blocks keep a remainder
     below e/19! ~ 2e-17 and the off-diagonal one, relative to Sigma_s, one
     set by ||sA|| alone; BB^T needs no scaling.  Raises ExpmFailure when
@@ -118,17 +117,15 @@ def _expm_and_gramian(a, b, t):
     big = eye = np.eye(2 * n)
     for j in range(18, 0, -1):
         big = eye + (scaled @ big) / j
-    e_neg = big[:n, :n]
     e_ta = big[n:, n:].T
     sigma = e_ta @ big[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             sigma = sigma + e_ta @ sigma @ e_ta.T
             e_ta = e_ta @ e_ta
-            e_neg = e_neg @ e_neg
     if not (np.all(np.isfinite(e_ta)) and np.all(np.isfinite(sigma))):
         raise ExpmFailure("matrix exponential produced non-finite entries")
-    return e_neg, e_ta, 0.5 * (sigma + sigma.T)
+    return e_ta, 0.5 * (sigma + sigma.T)
 
 
 def gramian_finite(a, b, t: float) -> GramianResult:
@@ -137,7 +134,7 @@ def gramian_finite(a, b, t: float) -> GramianResult:
     b = np.asarray(b, dtype=float)
     if t < 0.0:
         raise ValueError("horizon must be nonnegative")
-    _, _, sigma = _expm_and_gramian(a, b, t)
+    _, sigma = _expm_and_gramian(a, b, t)
     floor = PSD_FLOOR * max(1.0, float(np.abs(sigma).max()))
     if float(np.linalg.eigvalsh(sigma)[0]) < floor:
         raise ExpmFailure("computed Gramian is not positive semidefinite")
@@ -158,7 +155,7 @@ def gramian_infinite(a, b) -> GramianResult:
             f"max real part of eigenvalues is {spectrum.real.max():.3e}; "
             "infinite-horizon Gramian needs a strictly stable drift"
         )
-    _, e_sa, sigma = _expm_and_gramian(a, b, 1.0 / max(1.0, float(np.abs(a).sum(axis=0).max())))
+    e_sa, sigma = _expm_and_gramian(a, b, 1.0 / max(1.0, float(np.abs(a).sum(axis=0).max())))
     for _ in range(200):
         step = e_sa @ sigma @ e_sa.T
         sigma = sigma + step
@@ -173,13 +170,6 @@ def gramian_infinite(a, b) -> GramianResult:
     return GramianResult(sigma=_readonly(sigma), horizon=math.inf, hurwitz=True)
 
 
-def _check_model(mix, model, t):
-    if not _same_ccr(mix.ccr, model.ccr):
-        raise DimensionMismatch("state and model do not come from one CCR matrix")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-
-
 def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
     """State at time t: each component (M, C) maps to
     (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t); weights are unchanged.
@@ -188,11 +178,14 @@ def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
     failure there signals a numerical fault, not a user error.
     """
     mix = as_mixture(initial)
-    _check_model(mix, model, t)
+    if not _same_ccr(mix.ccr, model.ccr):
+        raise DimensionMismatch("state and model do not come from one CCR matrix")
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
     if t == 0.0:
         return mix
     a, b = dynamics_matrices(model)
-    _, e_ta, sigma = _expm_and_gramian(a, b, t)
+    e_ta, sigma = _expm_and_gramian(a, b, t)
     comps = []
     for comp in mix.components:
         cov_t = e_ta @ comp.cov @ e_ta.T + sigma
@@ -204,32 +197,6 @@ def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
                 f"propagated covariance violates admissibility at t = {t}: {exc}"
             ) from exc
     return MixtureMgf(weights=mix.weights, components=tuple(comps))
-
-
-def log_propagated_norm(initial, model: OqhoModel, t: float, lam: float) -> float:
-    """Log of the scalar-weighted norm of the time-t MGF, evaluated on the
-    initial state:
-
-        ln |||psi_t|||_lam = -(t/2) tr A + ln |||psi_0|||_{Pi(t, lam)},
-
-    with Pi(t, lam) = e^{-tA} (lam I - Sigma_t) e^{-tA^T}, valid for
-    lam > lambda_max(Sigma_t).
-    """
-    mix = as_mixture(initial)
-    _check_model(mix, model, t)
-    _require_positive(lam, "lam")
-    a, b = dynamics_matrices(model)
-    e_neg, _, sigma = _expm_and_gramian(a, b, t)
-    if not np.all(np.isfinite(e_neg)):
-        raise ExpmFailure(f"e^(-tA) overflows at t = {t}")
-    lam_sigma = float(np.linalg.eigvalsh(sigma)[-1])
-    if lam <= lam_sigma:
-        raise LambdaTooSmall(
-            f"lam = {lam} must exceed lambda_max(Sigma_t) = {lam_sigma:.12g}"
-        )
-    weight = e_neg @ (lam * np.eye(a.shape[0]) - sigma) @ e_neg.T
-    weight = 0.5 * (weight + weight.T)
-    return -0.5 * t * float(np.trace(a)) + log_weighted_norm(mix, weight)
 
 
 def qem_bound_time(

@@ -303,6 +303,8 @@ def qem_upper_bound(state, basis: SymplecticBasis, mu: float, weight: WeightMatr
     if not isinstance(weight, WeightMatrix):
         weight = WeightMatrix(weight)
     upper = mode_matrix(basis, basis.gamma / np.tanh(mu * basis.gamma))
+    if weight.P.shape != upper.shape:
+        raise DimensionMismatch(f"weight order {weight.P.shape[0]} != state dimension {state.n}")
     _, logdet_gap = _cholesky(upper - weight.P, WeightOutOfInterval,
                               "weight does not satisfy P < (1/mu) K(mu)^-1")
     log_norm = log_weighted_norm(state, weight)

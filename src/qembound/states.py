@@ -134,42 +134,14 @@ def log_mixture_mgf(log_w, means, half_covs, z) -> np.ndarray:
     return log_sum_exp(terms)
 
 
-def log_mgf_batch(state, u) -> np.ndarray:
-    """Log-MGF of a Gaussian or mixture at each row of u (shape (m, n)):
-    log_mixture_mgf with the pairs (M_k, C_k / 2)."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] != state.n:
-        raise DimensionMismatch(f"argument dimension {u.shape[1]} != state dimension {state.n}")
-    mix = as_mixture(state)
-    return log_mixture_mgf(np.log(mix.weights), [c.mean for c in mix.components],
-                           [0.5 * c.cov for c in mix.components], u)
-
-
 def mgf_eval(state, u) -> float:
     """MGF value E exp(u^T X); strictly positive, equal to 1 at u = 0."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    return float(np.exp(log_mgf_batch(state, u[None, :])[0]))
-
-
-def gaussian_moment_integral(a, precision) -> float:
-    """Log of the Gaussian MGF identity in terms of the precision matrix:
-
-        ln[(2 pi)^(-m/2) sqrt(det N) * integral exp(a^T u - ||u||_N^2 / 2) du]
-        = ||a||^2_{N^-1} / 2,
-
-    from a Cholesky factor of N.  A reference identity: the norm and bound
-    closed forms evaluate their own integrals.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    n_mat = np.asarray(precision, dtype=float)
-    if n_mat.shape != (a.size, a.size):
-        raise DimensionMismatch(
-            f"precision shape {n_mat.shape} does not match vector size {a.size}"
-        )
-    n_mat = _symmetric(n_mat, NotPositiveDefinite, "precision matrix is not symmetric")
-    chol, _ = _cholesky(n_mat, NotPositiveDefinite, "precision matrix is not positive definite")
-    y = np.linalg.solve(chol, a)
-    return 0.5 * float(y @ y)
+    if u.size != state.n:
+        raise DimensionMismatch(f"argument dimension {u.size} != state dimension {state.n}")
+    mix = as_mixture(state)
+    return float(np.exp(log_mixture_mgf(np.log(mix.weights), [c.mean for c in mix.components],
+                                        [0.5 * c.cov for c in mix.components], u[None, :])[0]))
 
 
 def _pair_log_integral(m_i, m_j, c_i, c_j, p):

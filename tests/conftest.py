@@ -11,7 +11,10 @@ from qembound import (
     J2,
     MixtureMgf,
     aux_covariance,
+    dynamics_matrices,
+    gramian_finite,
     log_det_cos,
+    log_weighted_norm,
     mode_matrix,
     validate_ccr,
 )
@@ -142,3 +145,19 @@ def per_sample_randomized_mc(state, basis, mu, samples, seed):
         logs.append(per_sample_log_mgf(state, u))
     log_mean, rel_se = log_mean_exp_stats(np.concatenate(logs))
     return log_mean - 0.5 * log_det_cos(basis, mu), rel_se
+
+
+def log_propagated_norm(initial, model, t, lam):
+    """Log of the scalar-weighted norm of the time-t MGF, evaluated on the
+    initial state (the paper's norm transport):
+
+        ln |||psi_t|||_lam = -(t/2) tr A + ln |||psi_0|||_{Pi(t, lam)},
+
+    with Pi(t, lam) = e^{-tA} (lam I - Sigma_t) e^{-tA^T} for
+    lam > lambda_max(Sigma_t), and e^{-tA} from scipy.linalg.expm; the
+    oracle for the static norm of propagate_mgf's state.
+    """
+    a, b = dynamics_matrices(model)
+    e_neg = scipy.linalg.expm(-t * a)
+    weight = e_neg @ (lam * np.eye(a.shape[0]) - gramian_finite(a, b, t).sigma) @ e_neg.T
+    return -0.5 * t * float(np.trace(a)) + log_weighted_norm(initial, 0.5 * (weight + weight.T))

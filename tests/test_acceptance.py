@@ -8,7 +8,8 @@ import time
 
 import numpy as np
 
-from conftest import random_admissible_state, random_ccr, simple_mixture, thermal_state
+from conftest import (log_propagated_norm, random_admissible_state, random_ccr, simple_mixture,
+                      thermal_state)
 from qembound import (
     ClassicalGaussian,
     GaussianState,
@@ -22,7 +23,6 @@ from qembound import (
     exact_cgf,
     gramian_finite,
     gramian_infinite,
-    log_propagated_norm,
     log_scalar_norm,
     propagate_mgf,
     qem_bound_time,

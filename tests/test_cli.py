@@ -518,15 +518,6 @@ class TestRun:
             (0.0, "ok"), (0.0, "ok"), (1e308, "numerical_error"), (1e308, "numerical_error")]
         assert all(r.upsilon_bound is None for r in report.rows[2:])
 
-    def test_verify_scenario(self, capsys):
-        cfg = {"kind": "verify", "samples": 20000}
-        report, code = run(parse_config(json.dumps(cfg)))
-        assert code == 0
-        assert report.rows == ()
-        out = capsys.readouterr().out
-        assert "[PASS]" in out
-        assert "[FAIL]" not in out
-
 
 class TestDeterminism:
     def test_two_runs_give_identical_bytes(self):
@@ -562,6 +553,13 @@ class TestReportSerialization:
         report = BoundReport(rows=rows)
         again = BoundReport.from_csv_text(report.to_csv_text())
         assert again == report
+
+    @pytest.mark.parametrize("row", [",0.1,,,,,,,ok", ",abc,,,,,,,,ok"],
+                             ids=["short", "non-numeric"])
+    def test_malformed_row_rejected(self, row):
+        text = BoundReport(rows=()).to_csv_text() + row + "\n"
+        with pytest.raises(ConfigParse, match="malformed report row"):
+            BoundReport.from_csv_text(text)
 
     def test_file_round_trip(self, tmp_path):
         rows = (ReportRow(None, 0.25, math.pi, None, None, None, None, None, None, "ok"),)
@@ -613,6 +611,17 @@ class TestMain:
     def test_verify_quick(self, capsys):
         assert main(["verify", "--quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["seed", "output"])
+    def test_verify_is_not_a_scenario_kind(self, tmp_path, capsys, key):
+        # The oracle checks run only as `qembound verify`; no report is written.
+        out_path = tmp_path / "r.csv"
+        config_path = tmp_path / "verify.json"
+        value = {"seed": 2**64 - 1, "output": str(out_path)}[key]
+        config_path.write_text(json.dumps({"kind": "verify", key: value}))
+        assert main(["run", str(config_path)]) == 1
+        assert "error: kind must be one of" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestHonestRows:

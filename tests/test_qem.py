@@ -199,6 +199,12 @@ class TestUpperBound:
         with pytest.raises(WeightOutOfInterval):
             qem_upper_bound(VACUUM, BASIS2, mu, WeightMatrix(limit * np.eye(2)))
 
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_weight_of_another_order_rejected(self, order):
+        # A 1x1 weight would broadcast against the 2x2 limit; a 4x4 one would not.
+        with pytest.raises(DimensionMismatch, match="weight order"):
+            qem_upper_bound(VACUUM, BASIS2, 0.5, WeightMatrix(1.2 * np.eye(order)))
+
     def test_divergent_norm_propagates(self):
         state = GaussianState(mean=[0.0, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
         with pytest.raises(NormDivergent):

@@ -12,7 +12,7 @@ from qembound import (
     J2,
     MixtureMgf,
     WeightMatrix,
-    gaussian_moment_integral,
+    as_mixture,
     log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
@@ -22,10 +22,9 @@ from qembound.errors import (
     DimensionMismatch,
     NormDivergent,
     NotAdmissible,
-    NotPositiveDefinite,
 )
 from qembound.sampling import log_sum_exp
-from qembound.states import log_mgf_batch
+from qembound.states import log_mixture_mgf
 
 CCR2 = validate_ccr(J2)
 
@@ -111,7 +110,16 @@ class TestMgfEval:
             mgf_eval(state, [1.0, 0.0, 0.0])
 
 
+def _log_mgf_batch(state, u):
+    """log_mixture_mgf on the state's pairs (M_k, C_k / 2), as mgf_eval calls it."""
+    mix = as_mixture(state)
+    return log_mixture_mgf(np.log(mix.weights), [c.mean for c in mix.components],
+                           [0.5 * c.cov for c in mix.components], u)
+
+
 class TestLogMgfBatch:
+    """The batched log-MGF kernel of mgf_eval and the Monte-Carlo route."""
+
     CCR4 = block_ccr([1.0, 2.0])
 
     def test_gaussian_is_linear_plus_half_quadratic(self):
@@ -119,7 +127,7 @@ class TestLogMgfBatch:
         state = random_admissible_state(rng, self.CCR4)
         u = rng.normal(size=(50, 4))
         expected = [m @ state.mean + 0.5 * m @ state.cov @ m for m in u]
-        np.testing.assert_allclose(log_mgf_batch(state, u), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(_log_mgf_batch(state, u), expected, rtol=1e-14, atol=1e-14)
 
     def test_mixture_is_log_of_weighted_sum(self):
         rng = np.random.default_rng(12)
@@ -128,12 +136,12 @@ class TestLogMgfBatch:
         u = rng.normal(size=(50, 4))
         expected = [math.log(sum(w * math.exp(m @ c.mean + 0.5 * m @ c.cov @ m)
                                  for w, c in zip(mix.weights, comps))) for m in u]
-        np.testing.assert_allclose(log_mgf_batch(mix, u), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(_log_mgf_batch(mix, u), expected, rtol=1e-14, atol=1e-14)
 
     def test_dimension_mismatch(self):
         state = random_admissible_state(np.random.default_rng(13), self.CCR4)
         with pytest.raises(DimensionMismatch):
-            log_mgf_batch(state, np.ones((5, 3)))
+            mgf_eval(state, np.ones(3))
 
 
 class TestLogSumExp:
@@ -146,26 +154,6 @@ class TestLogSumExp:
     def test_one_dimensional_input_gives_a_scalar(self):
         assert log_sum_exp(np.array([700.0, 710.0])) == pytest.approx(
             710.0 + math.log1p(math.exp(-10.0)), rel=1e-15)
-
-
-class TestGaussianMomentIntegral:
-    def test_zero_vector(self):
-        assert gaussian_moment_integral([0.0, 0.0], 3.0 * np.eye(2)) == 0.0
-
-    def test_scalar_matrix(self):
-        assert gaussian_moment_integral([2.0, 0.0], 2.0 * np.eye(2)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        value = gaussian_moment_integral([1.0, 1.0], np.diag([2.0, 4.0]))
-        assert value == pytest.approx(0.375)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            gaussian_moment_integral([1.0, 0.0], np.diag([1.0, -1.0]))
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotPositiveDefinite):
-            gaussian_moment_integral([1.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def _quadrature_norm(state, p):
