@@ -6,9 +6,9 @@ Upsilon(mu) = ln Xi(mu) (the CGF of the half quadratic form).  Three routes
 are provided:
 
 * exact Gaussian closed form, valid while mu * rho(C K(mu)) < 1 with
-  K(mu) = tanc(mu*Theta), evaluated for a whole mixture by ExactEngine
-  from one batched eigh per mu, which also yields the analytic slope
-  Upsilon'(mu);
+  K(mu) = tanc(mu*Theta), evaluated for a whole mixture over a grid of mu
+  by ExactEngine from one stacked eigh per grid chunk, which also yields
+  the analytic slope Upsilon'(mu);
 * a randomized Monte-Carlo estimator that averages the state's MGF over an
   auxiliary Gaussian vector with covariance K(mu) and divides by
   sqrt(det cos(mu*Theta));
@@ -27,7 +27,7 @@ import numpy as np
 
 from ._search import brent_root, newton_minimize
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
-                  aux_covariance, lnsinh, log_det_cos, mode_matrix)
+                  aux_covariance, lncosh, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
     DimensionMismatch,
     EmptyFeasibleWindow,
@@ -58,6 +58,10 @@ CGF_SAFETY = 0.999
 #: mu * theta ~ 18, where 1 - tanh(mu*theta) falls under double precision;
 #: CGF spans are capped at mu * theta_max = 14, a margin before that point.
 SATURATION_SPAN = 14.0
+
+#: Most mu values that ExactEngine.grid puts into one stacked eigh, so a
+#: long grid never holds more than GRID_CHUNK * K n x n matrices at once.
+GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,10 @@ class ExactEngine:
 
     over the spectrum B = V diag(w_unit) V^T, w = mu w_unit and
     p = V^T (e * M~), all finite down to subnormal mu.  Construction
-    rotates the covariances and means once; every evaluation is one stacked
-    eigh over all components.  mu* is computed on first use and cached.
+    rotates the covariances and means once; grid evaluates a whole grid of
+    mu by one stacked eigh over every (mu, component) pair of each chunk of
+    GRID_CHUNK mu, and cgf and cgf_and_slope are its one-point case.  mu*
+    is computed on first use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -158,13 +164,27 @@ class ExactEngine:
 
     def cgf(self, mu: float) -> float:
         """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
-        return self._evaluate(mu, slope=False)[0]
+        return self.cgf_and_slope(mu, slope=False)[0]
 
-    def cgf_and_slope(self, mu: float):
-        """(Upsilon(mu), Upsilon'(mu)) from the same spectrum.
+    def cgf_and_slope(self, mu: float, slope=True):
+        """(Upsilon(mu), Upsilon'(mu)), the one-point grid (the slope None
+        when slope is false); raises RiskParameterTooLarge past the
+        contraction limit (see grid)."""
+        values, slopes, top = self.grid([mu], slope)
+        if top[0] >= 1.0:
+            self._raise_too_large(mu, float(top[0]))
+        return float(values[0]), None if slopes is None else float(slopes[0])
 
-        With c = 2 mu theta/sinh(2 mu theta) in (0, 1] (-mu e^2 d(e^-2)/dmu
-        for e^2 = tanh(mu theta)/theta) and h = V (p/(1 - w)),
+    def grid(self, mus, slope=False):
+        """(values, slopes, top) of Upsilon over the positive mus, in chunks
+        of at most GRID_CHUNK mu per stacked eigh.
+
+        top is mu rho(C K(mu)), the largest over the components; values (and
+        slopes) are NaN where top >= 1, the moment being infinite there (or,
+        for an infinite mu*, its contraction gap below double precision).
+        slopes is None unless slope is true.  With c = 2 mu theta/sinh(2 mu
+        theta) in (0, 1] (-mu e^2 d(e^-2)/dmu for e^2 = tanh(mu theta)/theta)
+        and h = V (p/(1 - w)),
 
             2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_unit_j/(1 - w_j))
                            - 2 sum_modes theta tanh(mu theta),
@@ -174,32 +194,39 @@ class ExactEngine:
         softmax-weighted sum of the component slopes.  At mu -> 0 it tends
         to (tr C + |M|^2)/2.
         """
-        return self._evaluate(mu, slope=True)
+        mus = np.asarray(mus, dtype=float)
+        if not np.all(mus > 0.0):
+            raise ValueError("mu must be positive")
+        values, slopes, top = zip(*[self._chunk(mus[i:i + GRID_CHUNK], slope)
+                                    for i in range(0, max(mus.size, 1), GRID_CHUNK)])
+        return np.concatenate(values), np.concatenate(slopes) if slope else None, np.concatenate(top)
 
-    def _evaluate(self, mu, slope):
-        _require_positive(mu, "mu")
-        e = np.sqrt(_over_x(np.tanh, mu * self.theta))
-        w_unit, v = np.linalg.eigh(e[:, None] * self.covs * e)
-        w = mu * w_unit
-        top = float(w.max())
-        if top >= 1.0:
-            self._raise_too_large(mu, top)
+    def _chunk(self, mus, slope):
+        x = mus[:, None] * self.theta
+        e = np.sqrt(_over_x(np.tanh, x))
+        w_unit, v = np.linalg.eigh(e[:, None, :, None] * self.covs * e[:, None, None, :])
+        w = mus[:, None, None] * w_unit
+        top = w.max(axis=(1, 2))
+        # NaN rows past the limit keep log1p and the divisions quiet.
+        w[top >= 1.0] = np.nan
         gap = 1.0 - w
-        p = np.matmul((e * self.means)[:, None, :], v)[:, 0, :]
-        parts = 0.5 * (mu * (p * p / gap).sum(axis=1) - np.log1p(-w).sum(axis=1)
-                       - log_det_cos(self.basis, mu))
-        x = parts + self.log_weights
-        shift = float(x.max())
-        mix = np.exp(x - shift)
-        log_qem = shift + math.log(float(mix.sum()))
+        p = np.matmul((e[:, None, :] * self.means)[:, :, None, :], v)[:, :, 0, :]
+        log_cos = 2.0 * lncosh(mus[:, None] * self.basis.gamma).sum(axis=1)
+        parts = 0.5 * (mus[:, None] * (p * p / gap).sum(axis=2) - np.log1p(-w).sum(axis=2)
+                       - log_cos[:, None])
+        x_mix = parts + self.log_weights
+        shift = x_mix.max(axis=1)
+        mix = np.exp(x_mix - shift[:, None])
+        total = mix.sum(axis=1)
+        values = shift + np.log(total)
         if not slope:
-            return log_qem, None
-        c = 1.0 / _over_x(np.sinh, 2.0 * mu * self.theta)
-        h = np.matmul(v, (p / gap)[:, :, None])[:, :, 0]
-        spread = (v * v * (w_unit / gap)[:, None, :]).sum(axis=2)
-        slopes = 0.5 * ((c * (h * h + spread)).sum(axis=1)
-                        - float(np.sum(self.theta * np.tanh(mu * self.theta))))
-        return log_qem, float(mix @ slopes) / float(mix.sum())
+            return values, None, top
+        c = 1.0 / _over_x(np.sinh, 2.0 * x)
+        h = np.matmul(v, (p / gap)[..., None])[..., 0]
+        spread = (v * v * (w_unit / gap)[:, :, None, :]).sum(axis=3)
+        slopes = 0.5 * ((c[:, None, :] * (h * h + spread)).sum(axis=2)
+                        - (self.theta * np.tanh(x)).sum(axis=1)[:, None])
+        return values, (mix * slopes).sum(axis=1) / total, top
 
     def _raise_too_large(self, mu, top):
         if math.isfinite(self.mu_star):

@@ -15,11 +15,13 @@ import pytest
 import qembound
 from qembound.cli import (
     CSV_COLUMNS,
+    STATUSES,
     BoundReport,
     ReportRow,
     main,
     parse_config,
     run,
+    verify_checks,
 )
 from qembound.errors import ConfigParse
 
@@ -554,8 +556,16 @@ class TestReportSerialization:
         again = BoundReport.from_csv_text(report.to_csv_text())
         assert again == report
 
-    @pytest.mark.parametrize("row", [",0.1,,,,,,,ok", ",abc,,,,,,,,ok"],
-                             ids=["short", "non-numeric"])
+    def test_round_trip_of_every_status(self):
+        rows = tuple(ReportRow(mu=0.5, status=status) for status in STATUSES)
+        assert len(set(STATUSES)) == 5
+        assert BoundReport.from_csv_text(BoundReport(rows=rows).to_csv_text()).rows == rows
+
+    @pytest.mark.parametrize("row", [",0.1,,,,,,,ok", ",abc,,,,,,,,ok", ",nan,,,,,,,,ok",
+                                     ",0.1,inf,,,,,,,ok", ",0.1,,-inf,,,,,,ok",
+                                     ",0.1,,,,,,,,bogus", ",0.1,,,,,,,,", ",nan,inf,,,,,,,bogus"],
+                             ids=["short", "non-numeric", "nan", "inf", "minus-inf",
+                                  "unknown-status", "blank-status", "nan-inf-bogus"])
     def test_malformed_row_rejected(self, row):
         text = BoundReport(rows=()).to_csv_text() + row + "\n"
         with pytest.raises(ConfigParse, match="malformed report row"):
@@ -611,6 +621,12 @@ class TestMain:
     def test_verify_quick(self, capsys):
         assert main(["verify", "--quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_verify_checks_at_the_largest_seed(self):
+        # Case k draws from seed + k, which wraps modulo 2^64.
+        checks = verify_checks(2000, 2**64 - 1)
+        assert [name for name, _, _ in checks][:4] == [f"moment-identity-{k}" for k in range(4)]
+        assert all(passed for _, passed, _ in checks)
 
     @pytest.mark.parametrize("key", ["seed", "output"])
     def test_verify_is_not_a_scenario_kind(self, tmp_path, capsys, key):

@@ -40,6 +40,7 @@ from qembound import (
 from qembound._search import SEARCH_RTOL
 from qembound.errors import EmptyFeasibleWindow, QemBoundError, RiskParameterTooLarge
 from qembound.qem import (
+    GRID_CHUNK,
     WINDOW_MARGIN,
     ExactEngine,
     ScalarBoundEngine,
@@ -384,6 +385,34 @@ def test_feasibility_flips_at_critical_mu(case):
     assert engine.mu_star == mu_star
     assert engine.radius(mu_star * (1.0 - 1e-8)) < 1.0
     assert engine.radius(mu_star * (1.0 + 1e-8)) >= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.integers(1, GRID_CHUNK - 1))
+def test_grid_matches_scalar_evaluations(case, chunk):
+    # A grid longer than one chunk that crosses mu*: every point equals the
+    # one-point evaluation, is NaN exactly where that raises, and does not
+    # depend on where the chunks split.
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    mus = np.linspace(0.01, 1.5, GRID_CHUNK + 9) * engine.mu_star
+    values, slopes, top = engine.grid(mus, slope=True)
+    assert values.shape == slopes.shape == top.shape == mus.shape
+    assert np.any(top >= 1.0) and np.any(top < 1.0)
+    for mu, value, slope, t in zip(mus, values, slopes, top):
+        assert math.isnan(value) == math.isnan(slope) == (t >= 1.0)
+        try:
+            reference = engine.cgf_and_slope(mu)
+        except RiskParameterTooLarge:
+            assert math.isnan(value)
+            continue
+        assert value == pytest.approx(reference[0], rel=1e-12, abs=0.0)
+        assert slope == pytest.approx(reference[1], rel=1e-12, abs=0.0)
+    with mock.patch("qembound.qem.GRID_CHUNK", chunk):
+        rechunked = engine.grid(mus, slope=True)
+    for result, again in zip((values, slopes, top), rechunked):
+        np.testing.assert_allclose(again, result, rtol=1e-12, atol=0.0)
+    assert engine.grid(mus)[1] is None
 
 
 @PROPERTY_SETTINGS
