@@ -47,18 +47,10 @@ ERROR_STATUS = (
     (QemBoundError, STATUS_NUMERICAL),
 )
 
-#: Required config keys of each kind; every kind also takes the
-#: _COMMON_KEYS ("kind" is checked first, the others are optional).
+#: Config keys every kind requires, and those every kind takes ("kind" is
+#: checked first, the others are optional); _KINDS adds a kind's own keys.
 _STATE_KEYS = ("ccr", "state", "mu_grid")
-_REQUIRED_KEYS = {
-    "gaussian_exact": _STATE_KEYS,
-    "randomized_mc": _STATE_KEYS,
-    "upper_bound": _STATE_KEYS,
-    "tail": _STATE_KEYS,
-    "oqho_sweep": _STATE_KEYS + ("model", "t_grid"),
-}
 _COMMON_KEYS = ("kind", "samples", "seed", "output")
-KINDS = tuple(_REQUIRED_KEYS)
 
 DEFAULT_SAMPLES = 100000
 DEFAULT_SEED = 42
@@ -257,7 +249,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     kind = raw.get("kind")
     _require(kind in KINDS, f"kind must be one of {list(KINDS)}, got {kind!r}")
-    _keys(raw, f"config for kind {kind!r}", _REQUIRED_KEYS[kind], _COMMON_KEYS)
+    _keys(raw, f"config for kind {kind!r}", _STATE_KEYS + _KINDS[kind][2], _COMMON_KEYS)
     output = raw.get("output")
     _require(output is None or isinstance(output, str), "output must be a string path")
     config = ScenarioConfig(kind=kind, samples=_samples(raw.get("samples", DEFAULT_SAMPLES)),
@@ -294,16 +286,24 @@ def _cell(compute, t, mu, status=STATUS_OK):
     return ReportRow(t=t, mu=mu, status=status, **values)
 
 
-def _grid_rows(t, grid, top, **columns):
-    """Report rows of one ExactEngine.grid call, as _cell gives them:
-    infeasible_mu where top >= 1, numerical_error (values blanked) where a
-    column is not finite, else ok with the columns."""
+def _verdict(engine, top):
+    """Status of each row of one ExactEngine.grid call from its top: ok below
+    1; from 1, infeasible_mu if mu* is finite (an infinite moment), else
+    numerical_error (a finite moment whose contraction gap rounded away)."""
+    # mu_star is solved (once, cached) only if a row reaches 1.
+    return [STATUS_OK if x < 1.0 else STATUS_INFEASIBLE if math.isfinite(engine.mu_star)
+            else STATUS_NUMERICAL for x in top.tolist()]
+
+
+def _grid_rows(engine, t, grid, top, **columns):
+    """Report rows of one ExactEngine.grid call, as _cell gives them: the
+    _verdict where not ok, else numerical_error where a column is not finite."""
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
     columns = {name: c.tolist() for name, c in columns.items()}
-    return [ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE) if top[i] >= 1.0
+    return [ReportRow(t=t, mu=mu, status=status) if status != STATUS_OK
             else ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL) if not finite[i]
             else ReportRow(t=t, mu=mu, **{name: c[i] for name, c in columns.items()})
-            for i, mu in enumerate(grid)]
+            for i, (mu, status) in enumerate(zip(grid, _verdict(engine, top)))]
 
 
 # Routes: (config, engine, t, grid) -> list of ReportRow, one per mu.
@@ -311,7 +311,7 @@ def _grid_rows(t, grid, top, **columns):
 
 def _exact_rows(config, engine, t, grid):
     values, _, top = engine.grid(grid)
-    return _grid_rows(t, grid, top, upsilon_exact=values)
+    return _grid_rows(engine, t, grid, top, upsilon_exact=values)
 
 
 def _tail_rows(config, engine, t, grid):
@@ -322,31 +322,32 @@ def _tail_rows(config, engine, t, grid):
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    rows = _grid_rows(t, grid[:cut], top, upsilon_exact=upsilon, tail_eps=slope,
+    rows = _grid_rows(engine, t, grid[:cut], top, upsilon_exact=upsilon, tail_eps=slope,
                       tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
     return rows + [ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE) for mu in grid[cut:]]
 
 
 def _mc_rows(config, engine, t, grid):
-    return [_mc_row(config, engine, t, i, mu) for i, mu in enumerate(grid)]
+    # One grid call gives every row's top = mu rho(C K(mu)): past the
+    # _verdict no sample is drawn; from 1/2 the estimator's variance is
+    # infinite, so no error bar is printed.
+    top = engine.grid(grid)[2]
+    statuses = [STATUS_INFINITE_VARIANCE if s == STATUS_OK and x >= 0.5 else s
+                for s, x in zip(_verdict(engine, top), top.tolist())]
+    return [_mc_row(config, engine, t, i, mu, s) for i, (mu, s) in enumerate(zip(grid, statuses))]
 
 
-def _mc_row(config, engine, t, index, mu):
-    # One eigvalsh gives mu * rho(C K(mu)).  From 1 the moment is infinite
-    # (the cached mu* keeps a saturated contraction gap from reading so);
-    # from 1/2 the estimator's variance is, so no error bar is printed.
-    radius = engine.radius(mu)
-    if radius >= 1.0 and mu >= engine.mu_star:
-        return ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE)
-    finite_variance = radius < 0.5
+def _mc_row(config, engine, t, index, mu, status):
+    if status not in (STATUS_OK, STATUS_INFINITE_VARIANCE):
+        return ReportRow(t=t, mu=mu, status=status)
 
     def values():
         # Only Monte-Carlo rows draw samples, so only they get a row seed.
         seed = _row_seed(config.seed, index)
         value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
-        return {"upsilon_mc": value.log_qem, "mc_se": value.rel_std_error if finite_variance else None}
+        return {"upsilon_mc": value.log_qem, "mc_se": value.rel_std_error if status == STATUS_OK else None}
 
-    return _cell(values, t, mu, STATUS_OK if finite_variance else STATUS_INFINITE_VARIANCE)
+    return _cell(values, t, mu, status)
 
 
 def _bound_rows(config, engine, t, grid):
@@ -361,17 +362,20 @@ def _bound_row(engine, t, mu):
     return _cell(values, t, mu)
 
 
-#: Engine class and route of each reporting kind.  The exact routes make
-#: one ExactEngine.grid call per scenario; the Monte-Carlo and bound routes
-#: call their row function per mu by its module name, so a wrapper bound to
-#: that name (perfbench's cli.cell span) sees those rows.
-_ROUTES = {
-    "gaussian_exact": (qem.ExactEngine, _exact_rows),
-    "randomized_mc": (qem.ExactEngine, _mc_rows),
-    "upper_bound": (qem.ScalarBoundEngine, _bound_rows),
-    "tail": (qem.ExactEngine, _tail_rows),
-    "oqho_sweep": (qem.ScalarBoundEngine, _bound_rows),
+#: Engine class, route and required keys beyond _STATE_KEYS of each kind,
+#: in the order KINDS (and the parse message naming them) lists the kinds.
+#: Every ExactEngine route reads its rows' feasibility from one
+#: ExactEngine.grid call per scenario (see _verdict); the Monte-Carlo and
+#: bound routes then call their row function per mu by its module name, so
+#: a wrapper bound to that name (perfbench's cli.cell span) sees those rows.
+_KINDS = {
+    "gaussian_exact": (qem.ExactEngine, _exact_rows, ()),
+    "randomized_mc": (qem.ExactEngine, _mc_rows, ()),
+    "upper_bound": (qem.ScalarBoundEngine, _bound_rows, ()),
+    "tail": (qem.ExactEngine, _tail_rows, ()),
+    "oqho_sweep": (qem.ScalarBoundEngine, _bound_rows, ("model", "t_grid")),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ScenarioConfig):
@@ -385,7 +389,7 @@ def run(config: ScenarioConfig):
     ordered by (t, mu).
     """
     basis = symplectic_eigenbasis(config.ccr)
-    engine_class, route = _ROUTES[config.kind]
+    engine_class, route, _ = _KINDS[config.kind]
     rows = []
     # Overflow warnings are not printed: every non-finite value is flagged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

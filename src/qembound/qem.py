@@ -129,11 +129,6 @@ class ExactEngine:
         self.means = np.stack([c.mean @ q for c in mix.components])
         self.theta = np.repeat(basis.gamma, 2)
 
-    def radius(self, mu: float) -> float:
-        """max over components of mu * rho(C K(mu)); the moment is finite
-        below 1 and the Monte-Carlo estimator's variance below 1/2."""
-        return _radius(self.covs, self.theta, mu)
-
     @functools.cached_property
     def mu_star(self) -> float:
         """The critical mu* of the state (see critical_mu): the stacked
@@ -179,12 +174,14 @@ class ExactEngine:
         """(values, slopes, top) of Upsilon over the positive mus, in chunks
         of at most GRID_CHUNK mu per stacked eigh.
 
-        top is mu rho(C K(mu)), the largest over the components; values (and
-        slopes) are NaN where top >= 1, the moment being infinite there (or,
-        for an infinite mu*, its contraction gap below double precision).
-        slopes is None unless slope is true.  With c = 2 mu theta/sinh(2 mu
-        theta) in (0, 1] (-mu e^2 d(e^-2)/dmu for e^2 = tanh(mu theta)/theta)
-        and h = V (p/(1 - w)),
+        top is mu rho(C K(mu)), the largest over the components (the
+        Monte-Carlo variance is finite below 1/2), inf where mu theta
+        overflows: a finite mu* lies below about 18.4/theta_min, where tanh
+        saturates.  values (and slopes) are NaN where top >= 1, the moment
+        being infinite there (or, for an infinite mu*, its contraction gap
+        below double precision).  slopes is None unless slope is true.  With
+        c = 2 mu theta/sinh(2 mu theta) in (0, 1] (-mu e^2 d(e^-2)/dmu for
+        e^2 = tanh(mu theta)/theta) and h = V (p/(1 - w)),
 
             2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_unit_j/(1 - w_j))
                            - 2 sum_modes theta tanh(mu theta),
@@ -201,12 +198,15 @@ class ExactEngine:
                                     for i in range(0, max(mus.size, 1), GRID_CHUNK)])
         return np.concatenate(values), np.concatenate(slopes) if slope else None, np.concatenate(top)
 
+    # Past the limit mu theta (and the log cos term) may overflow to inf;
+    # those rows read top = inf and are masked below, so no warning is due.
+    @np.errstate(over="ignore")
     def _chunk(self, mus, slope):
         x = mus[:, None] * self.theta
         e = np.sqrt(_over_x(np.tanh, x))
         w_unit, v = np.linalg.eigh(e[:, None, :, None] * self.covs * e[:, None, None, :])
         w = mus[:, None, None] * w_unit
-        top = w.max(axis=(1, 2))
+        top = np.where(np.isinf(x).any(axis=1), np.inf, w.max(axis=(1, 2)))
         # NaN rows past the limit keep log1p and the divisions quiet.
         w[top >= 1.0] = np.nan
         gap = 1.0 - w
@@ -243,7 +243,7 @@ class ExactEngine:
 
 def _radius(covs, theta, mu):
     """Largest eigenvalue of the contraction over a stack of covariances, from
-    mu e^2 = tanh(mu theta)/theta, which reads its limit where mu theta overflows."""
+    mu e^2 = tanh(mu theta)/theta; only mu_star's Brent solve reads it."""
     d = np.sqrt(np.tanh(mu * theta) / theta)
     return float(np.linalg.eigvalsh(d[:, None] * covs * d).max())
 

@@ -93,8 +93,13 @@ def log_mean_exp_stats(log_values):
         log_mean = m + float(np.log(mean))
     if n < 2:
         return log_mean, 0.0
+    # Deviations near 1e-150 (at tiny mu) would square to below the normal
+    # range, so they are scaled by a power of two near the largest, which is
+    # exact, and the error scaled back.
     dev = np.expm1(a - log_mean)
-    return log_mean, float(np.sqrt(np.add.reduce(dev * dev) / (n * (n - 1))))
+    scale = math.frexp(float(np.abs(dev).max()))[1]
+    dev = np.ldexp(dev, -scale)
+    return log_mean, math.ldexp(float(np.sqrt(np.add.reduce(dev * dev) / (n * (n - 1)))), scale)
 
 
 def top_weight_fraction(log_values, top_frac=0.001):

@@ -443,28 +443,32 @@ class TestRun:
             assert row.upsilon_mc is None
             assert row.mc_se is None
 
-    @pytest.mark.parametrize("scale, statuses", [
-        (6.0, ["ok", "infeasible_mu"]),
-        (2.0, ["ok", "numerical_error"]),
-    ], ids=["finite-mu-star", "infinite-mu-star"])
-    def test_mc_rows_where_mu_theta_overflows(self, scale, statuses):
-        # At mu = 1e308, mu * theta = inf: tanh(x)/x reads 0, so K(mu) is
-        # the zero matrix, while the radius reads its limit.  Cov 6 I has
-        # mu* ~ 0.173, so that row is infeasible; cov 2 I has mu* = inf, so
-        # K(mu) reaches the Cholesky factorization and the row is a
-        # numerical fault.
+    @pytest.mark.parametrize("kind", ["gaussian_exact", "randomized_mc"])
+    @pytest.mark.parametrize("scale, mu, statuses", [
+        (6.0, 1e308, ["ok", "infeasible_mu"]),
+        (2.0, 1e308, ["ok", "numerical_error"]),
+        (2.0, 1e300, ["ok", "numerical_error"]),
+    ], ids=["finite-mu-star", "infinite-mu-star", "pure-state-saturated-gap"])
+    def test_mc_rows_where_mu_theta_overflows(self, kind, scale, mu, statuses):
+        # At mu = 1e308, mu * theta = inf, where tanh(x)/x reads 0; the
+        # grid's top reads inf there.  Cov 6 I has mu* ~ 0.173, so that row
+        # is infeasible; cov 2 I is pure, with mu* = inf, so a top of 1 or
+        # more means the contraction gap is lost to rounding while the
+        # moment (Upsilon = 2 mu) stays finite: a numerical fault, also at
+        # mu = 1e300, where mu * theta is finite and top rounds to 1.
         cfg = _vacuum_config(
-            kind="randomized_mc",
+            kind=kind,
             ccr=[2.0],
             state={"mean": [0.0, 0.0], "cov": [[scale, 0.0], [0.0, scale]]},
-            mu_grid=[0.01, 1e308],
+            mu_grid=[0.01, mu],
             samples=1000,
             seed=1,
         )
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
         assert [r.status for r in report.rows] == statuses
-        assert report.rows[1].upsilon_mc is None and report.rows[1].mc_se is None
+        row = report.rows[1]
+        assert row.upsilon_exact is None and row.upsilon_mc is None and row.mc_se is None
 
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top

@@ -38,6 +38,7 @@ from qembound import (
     tail_bound,
 )
 from qembound._search import SEARCH_RTOL
+from qembound.cli import ScenarioConfig, run
 from qembound.errors import EmptyFeasibleWindow, QemBoundError, RiskParameterTooLarge
 from qembound.qem import (
     GRID_CHUNK,
@@ -383,8 +384,8 @@ def test_feasibility_flips_at_critical_mu(case):
     assert math.isfinite(mu_star)
     engine = ExactEngine(state, basis)
     assert engine.mu_star == mu_star
-    assert engine.radius(mu_star * (1.0 - 1e-8)) < 1.0
-    assert engine.radius(mu_star * (1.0 + 1e-8)) >= 1.0
+    assert engine.grid([mu_star * (1.0 - 1e-8)])[2][0] < 1.0
+    assert engine.grid([mu_star * (1.0 + 1e-8)])[2][0] >= 1.0
 
 
 @PROPERTY_SETTINGS
@@ -413,6 +414,28 @@ def test_grid_matches_scalar_evaluations(case, chunk):
     for result, again in zip((values, slopes, top), rechunked):
         np.testing.assert_allclose(again, result, rtol=1e-12, atol=0.0)
     assert engine.grid(mus)[1] is None
+
+
+@PROPERTY_SETTINGS
+@given(mixtures())
+def test_exact_and_mc_rows_share_one_verdict(case):
+    # Both kinds read feasibility from one ExactEngine.grid call: the same
+    # rows are infeasible_mu or numerical_error, and the Monte-Carlo rows
+    # read infinite_variance exactly where 1/2 <= top < 1.
+    state, basis = case
+    mus = np.linspace(0.02, 1.5, 40) * critical_mu(state, basis)
+    top = ExactEngine(state, basis).grid(mus)[2]
+
+    def statuses(kind):
+        config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
+                                mu_grid=tuple(mus.tolist()), samples=2, seed=1)
+        return [row.status for row in run(config)[0].rows]
+
+    exact, mc = statuses("gaussian_exact"), statuses("randomized_mc")
+    flags = ("infeasible_mu", "numerical_error")
+    assert any(status in flags for status in exact)
+    assert [s if s in flags else None for s in mc] == [s if s in flags else None for s in exact]
+    assert [s == "infinite_variance" for s in mc] == ((top >= 0.5) & (top < 1.0)).tolist()
 
 
 @PROPERTY_SETTINGS
@@ -453,7 +476,7 @@ def test_randomized_mc_matches_per_sample_oracle(case, frac, samples, seed):
     # rel_std_error small and its relative rounding error large.)
     state, basis = case
     engine = ExactEngine(state, basis)
-    mu_var = bisect_nondecreasing(engine.radius, 0.5, 0.0, engine.mu_star)
+    mu_var = bisect_nondecreasing(lambda mu: engine.grid([mu])[2][0], 0.5, 0.0, engine.mu_star)
     mu = frac * mu_var
     value = qem_randomized_mc(state, basis, mu, samples, seed)
     log_qem, rel_se = per_sample_randomized_mc(state, basis, mu, samples, seed)

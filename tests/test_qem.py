@@ -65,6 +65,20 @@ class TestExactGaussian:
             qem_exact(THERMAL3, BASIS2, 0.4)
         assert "0.34657" in str(err.value)  # reports the critical mu
 
+    @pytest.mark.parametrize("scale, message", [
+        (6.0, "exceeds the critical value mu\\* = 0.1732"),
+        (2.0, "saturated double precision"),
+    ], ids=["finite-mu-star", "infinite-mu-star"])
+    def test_mu_theta_overflow_raises_quietly(self, scale, message):
+        # On ccr [2.0] at mu = 1e308, mu * theta = inf: the grid's top reads
+        # inf there, not the 0 of tanh(x)/x, so the call raises (with no
+        # overflow warning) instead of returning NaN.  Cov 6 I has
+        # mu* = artanh(1/3)/2; cov 2 I is pure, with mu* = inf.
+        basis = symplectic_eigenbasis(block_ccr([2.0]))
+        state = GaussianState(mean=[0.0, 0.0], cov=scale * np.eye(2), ccr=basis.ccr)
+        with pytest.raises(RiskParameterTooLarge, match=message):
+            qem_exact(state, basis, 1e308)
+
     def test_mean_contribution(self):
         # commuting case reduces per mode; checked against the scalar formula
         state = GaussianState(mean=[1.0, -0.5], cov=2.0 * np.eye(2), ccr=CCR2)
@@ -160,6 +174,16 @@ class TestRandomizedMc:
         a = qem_randomized_mc(VACUUM, BASIS2, 0.5, 100, seed=2**64 - 1)
         b = qem_randomized_mc(VACUUM, BASIS2, 0.5, np.int64(100), seed=np.uint64(2**64 - 1))
         assert a == b
+
+    def test_error_bar_scales_with_mu_down_to_subnormal_squares(self):
+        # On a centred state the log summands spread by about mu, so the
+        # error bar is linear in mu; at mu = 1e-160 and 1e-300 the squared
+        # deviations fall below the normal range unless they are rescaled.
+        state = GaussianState(mean=[0.0, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
+        ratios = [qem_randomized_mc(state, BASIS2, mu, 1000, seed=1).rel_std_error / mu
+                  for mu in (1e-20, 1e-160, 1e-300)]
+        assert ratios[0] > 0.0
+        assert ratios[1:] == pytest.approx([ratios[0]] * 2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("spread", [1e-10, 1e-4, 1.0])
     def test_error_bar_matches_two_pass_reference(self, spread):
