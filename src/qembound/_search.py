@@ -3,7 +3,7 @@ Brent's bracketed root-finder."""
 
 import math
 
-#: newton_minimize's logit bracket half-width (at |x| = 50 a point sits
+#: _newton_search's logit bracket half-width (at |x| = 50 a point sits
 #: within 2e-22 window widths of its edge), its Newton-decrement stop
 #: relative to max(1, |f|) (the round-off level of f), its step stop and its
 #: iteration cap.
@@ -19,21 +19,62 @@ SEARCH_MAX_ITER = 200
 
 
 def newton_minimize(fdf, lo, hi):
-    """Minimize a convex function on [lo, hi] by safeguarded Newton.
+    """Minimize a convex function on [lo, hi] by safeguarded Newton: the
+    one-window case of newton_minimize_grid, with fdf(lam) returning
+    (f, f', f'') at a float lam.  Returns (lam, f) (see _newton_search).
+    """
+    search = _newton_search(lo, hi)
+    lam = next(search)
+    while True:
+        try:
+            lam = search.send(fdf(lam))
+        except StopIteration as stop:
+            return stop.value
 
-    fdf(lam) returns (f, f', f'').  The iterate is the logit
-    x = ln((lam - lo)/(hi - lam)), started at x = 0 (the midpoint), so every
-    step stays inside the window and a minimum at an edge is approached
-    geometrically.  With phi(x) = f(lam(x)), each step is the Newton step
-    -phi'/phi'' inside a bracket kept by the sign of f' (initially
-    [-LOGIT_SPAN, LOGIT_SPAN]); a step that leaves the bracket, or a
-    nonpositive phi'', bisects it instead.  The search stops on the Newton
-    decrement phi'^2/phi'' <= DECREMENT_RTOL * max(1, |f|), on a step of at
-    most STEP_TOL, on a zero slope, or after NEWTON_MAX_ITER evaluations.
-    That stop can leave the best point sqrt(DECREMENT_RTOL) relative off the
+
+def newton_minimize_grid(fdf, lo, hi):
+    """Minimize convex functions on the windows [lo[i], hi[i]] in lockstep.
+
+    Each round makes one call fdf(lams, rows), with lams the current point
+    of every window still open (a list of floats) and rows their indices,
+    and it returns (f, f', f'') as three sequences in that order; so a grid
+    costs as many calls as its slowest window needs.  Each window runs
+    _newton_search on its own, in Python floats, so its points and result
+    do not depend on the other windows.  Returns a list of (lam, f), one
+    per window.
+    """
+    searches = [_newton_search(a, b) for a, b in zip(lo, hi)]
+    points = {i: next(search) for i, search in enumerate(searches)}
+    results = [None] * len(searches)
+    while points:
+        rows = list(points)
+        f, d1, d2 = fdf([points[i] for i in rows], rows)
+        points = {}
+        for k, i in enumerate(rows):
+            try:
+                points[i] = searches[i].send((f[k], d1[k], d2[k]))
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
+
+
+def _newton_search(lo, hi):
+    """One window's safeguarded Newton search, as a generator: it yields
+    each lam to evaluate, is sent (f, f', f'') there, and returns (lam, f).
+
+    The iterate is the logit x = ln((lam - lo)/(hi - lam)), started at
+    x = 0 (the midpoint), so every step stays inside the window and a
+    minimum at an edge is approached geometrically.  With
+    phi(x) = f(lam(x)), each step is the Newton step -phi'/phi'' inside a
+    bracket kept by the sign of f' (initially [-LOGIT_SPAN, LOGIT_SPAN]); a
+    step that leaves the bracket, or a nonpositive phi'', bisects it
+    instead.  The search stops on the Newton decrement
+    phi'^2/phi'' <= DECREMENT_RTOL * max(1, |f|), on a step of at most
+    STEP_TOL, on a zero slope, or after NEWTON_MAX_ITER evaluations.  That
+    stop can leave the best point sqrt(DECREMENT_RTOL) relative off the
     minimizer, so it returns (lam, f): that point moved by its own Newton
-    step -f'/f'' (clamped to [lo, hi], skipped where f'' <= 0), and the best
-    value.
+    step -f'/f'' (clamped to [lo, hi], skipped where f'' <= 0), and the
+    best value.
     """
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -48,7 +89,7 @@ def newton_minimize(fdf, lo, hi):
         big, small = 1.0 / (1.0 + e), e / (1.0 + e)
         up, down = (big, small) if x >= 0.0 else (small, big)
         lam = hi - width * down if x >= 0.0 else lo + width * up
-        f, d1, d2 = fdf(lam)
+        f, d1, d2 = map(float, (yield lam))
         if best_lam is None or f < best_f:
             best_lam, best_f, best_d1, best_d2 = lam, f, d1, d2
         jac = width * up * down

@@ -24,7 +24,6 @@ from . import classical, oqho, qem
 from .ccr import J2, CcrMatrix, symplectic_eigenbasis, validate_ccr
 from .errors import (
     ConfigParse,
-    EmptyFeasibleWindow,
     QemBoundError,
     RiskParameterTooLarge,
     SuspectedDivergence,
@@ -40,10 +39,10 @@ STATUS_INFINITE_VARIANCE = "infinite_variance"
 STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_EMPTY, STATUS_NUMERICAL, STATUS_INFINITE_VARIANCE)
 
 #: Status of a cell whose evaluation raised; the first matching class wins,
-#: so any other library error reads as a numerical fault.
+#: so any other library error reads as a numerical fault.  (An empty weight
+#: window is no error here: ScalarBoundEngine.grid reports it per row.)
 ERROR_STATUS = (
     (RiskParameterTooLarge, STATUS_INFEASIBLE),
-    (EmptyFeasibleWindow, STATUS_EMPTY),
     (QemBoundError, STATUS_NUMERICAL),
 )
 
@@ -286,24 +285,32 @@ def _cell(compute, t, mu, status=STATUS_OK):
     return ReportRow(t=t, mu=mu, status=status, **values)
 
 
-def _verdict(engine, top):
-    """Status of each row of one ExactEngine.grid call from its top: ok below
-    1; from 1, infeasible_mu if mu* is finite (an infinite moment), else
-    numerical_error (a finite moment whose contraction gap rounded away)."""
-    # mu_star is solved (once, cached) only if a row reaches 1.
-    return [STATUS_OK if x < 1.0 else STATUS_INFEASIBLE if math.isfinite(engine.mu_star)
-            else STATUS_NUMERICAL for x in top.tolist()]
+def _verdict(engine, grid, top):
+    """Status of each row of one ExactEngine.grid call over grid from its top:
+    ok below 1; from 1, infeasible_mu if mu* is finite (an infinite moment),
+    else numerical_error (a finite moment whose contraction gap rounded
+    away).  For an infinite mu*, rows from qem.saturation_mu on read
+    numerical_error too: the gap 1 - tanh(mu theta) nears double precision
+    there, and the closed form loses its digits first."""
+    span = qem.saturation_mu(engine.basis)
+    top = top.tolist()
+    # mu_star is solved (once, cached) only if a row reaches 1 or the span.
+    if all(x < 1.0 and mu < span for mu, x in zip(grid, top)):
+        return [STATUS_OK] * len(top)
+    if math.isfinite(engine.mu_star):
+        return [STATUS_OK if x < 1.0 else STATUS_INFEASIBLE for x in top]
+    return [STATUS_OK if x < 1.0 and mu < span else STATUS_NUMERICAL for mu, x in zip(grid, top)]
 
 
-def _grid_rows(engine, t, grid, top, **columns):
-    """Report rows of one ExactEngine.grid call, as _cell gives them: the
-    _verdict where not ok, else numerical_error where a column is not finite."""
+def _grid_rows(t, grid, statuses, **columns):
+    """Report rows of one engine grid call, as _cell gives them: each row's
+    status where not ok, else numerical_error where a column is not finite."""
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
     columns = {name: c.tolist() for name, c in columns.items()}
     return [ReportRow(t=t, mu=mu, status=status) if status != STATUS_OK
             else ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL) if not finite[i]
             else ReportRow(t=t, mu=mu, **{name: c[i] for name, c in columns.items()})
-            for i, (mu, status) in enumerate(zip(grid, _verdict(engine, top)))]
+            for i, (mu, status) in enumerate(zip(grid, statuses))]
 
 
 # Routes: (config, engine, t, grid) -> list of ReportRow, one per mu.
@@ -311,20 +318,23 @@ def _grid_rows(engine, t, grid, top, **columns):
 
 def _exact_rows(config, engine, t, grid):
     values, _, top = engine.grid(grid)
-    return _grid_rows(engine, t, grid, top, upsilon_exact=values)
+    return _grid_rows(t, grid, _verdict(engine, grid, top), upsilon_exact=values)
 
 
 def _tail_rows(config, engine, t, grid):
-    # Rows from mu_max on are infeasible; the grid is increasing.
+    # Rows from mu_max on are cut: their top is taken as inf, so _verdict
+    # flags them (infeasible_mu for a finite mu*, else numerical_error); the
+    # grid is increasing.
     cut = int(np.searchsorted(grid, engine.mu_max()))
     mus = np.asarray(grid[:cut])
     upsilon, slope, top = engine.grid(mus, slope=True)
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    rows = _grid_rows(engine, t, grid[:cut], top, upsilon_exact=upsilon, tail_eps=slope,
-                      tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
-    return rows + [ReportRow(t=t, mu=mu, status=STATUS_INFEASIBLE) for mu in grid[cut:]]
+    top = np.concatenate([top, np.full(len(grid) - cut, np.inf)])
+    # The cut rows are never ok, so their value columns are never read.
+    return _grid_rows(t, grid, _verdict(engine, grid, top), upsilon_exact=upsilon,
+                      tail_eps=slope, tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
 
 
 def _mc_rows(config, engine, t, grid):
@@ -333,7 +343,7 @@ def _mc_rows(config, engine, t, grid):
     # infinite, so no error bar is printed.
     top = engine.grid(grid)[2]
     statuses = [STATUS_INFINITE_VARIANCE if s == STATUS_OK and x >= 0.5 else s
-                for s, x in zip(_verdict(engine, top), top.tolist())]
+                for s, x in zip(_verdict(engine, grid, top), top.tolist())]
     return [_mc_row(config, engine, t, i, mu, s) for i, (mu, s) in enumerate(zip(grid, statuses))]
 
 
@@ -351,23 +361,22 @@ def _mc_row(config, engine, t, index, mu, status):
 
 
 def _bound_rows(config, engine, t, grid):
-    return [_bound_row(engine, t, mu) for mu in grid]
-
-
-def _bound_row(engine, t, mu):
-    def values():
-        value, lam = engine.bound(mu)
-        return {"upsilon_bound": value.log_qem, "lambda_opt": lam}
-
-    return _cell(values, t, mu)
+    # One ScalarBoundEngine.grid call: empty_interval where a window is
+    # empty; its NaN rows where the weight limit overflows, and any other
+    # non-finite value, read numerical_error.
+    values, lams, empty = engine.grid(grid)
+    statuses = [STATUS_EMPTY if e else STATUS_OK for e in empty.tolist()]
+    return _grid_rows(t, grid, statuses, upsilon_bound=values, lambda_opt=lams)
 
 
 #: Engine class, route and required keys beyond _STATE_KEYS of each kind,
 #: in the order KINDS (and the parse message naming them) lists the kinds.
-#: Every ExactEngine route reads its rows' feasibility from one
-#: ExactEngine.grid call per scenario (see _verdict); the Monte-Carlo and
-#: bound routes then call their row function per mu by its module name, so
-#: a wrapper bound to that name (perfbench's cli.cell span) sees those rows.
+#: Every route makes one grid call per scenario (or oqho_sweep horizon):
+#: the ExactEngine routes read their rows' feasibility from it (see
+#: _verdict), and the bound routes their values.  Only the Monte-Carlo
+#: route then calls a row function per mu, _mc_row, by its module name, so
+#: a wrapper bound to that name (perfbench's cli.cell span) sees those rows
+#: and no others.
 _KINDS = {
     "gaussian_exact": (qem.ExactEngine, _exact_rows, ()),
     "randomized_mc": (qem.ExactEngine, _mc_rows, ()),

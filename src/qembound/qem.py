@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import brent_root, newton_minimize
+from ._search import brent_root, newton_minimize, newton_minimize_grid
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lncosh, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
@@ -99,6 +99,12 @@ def _check_basis(state, basis: SymplecticBasis):
         raise DimensionMismatch("state and basis do not come from one CCR matrix")
 
 
+def saturation_mu(basis: SymplecticBasis) -> float:
+    """The mu = SATURATION_SPAN / theta_max at which the closed forms stop
+    resolving the contraction gap; every CGF span ends there at the latest."""
+    return SATURATION_SPAN / float(basis.gamma.max())
+
+
 class ExactEngine:
     """Exact closed form of a Gaussian or Gaussian-mixture state, reusable
     across mu.
@@ -155,7 +161,7 @@ class ExactEngine:
 
     def mu_max(self) -> float:
         """Truncated validity limit of the CGF (see exact_cgf)."""
-        return min(CGF_SAFETY * self.mu_star, SATURATION_SPAN / float(self.basis.gamma.max()))
+        return min(CGF_SAFETY * self.mu_star, saturation_mu(self.basis))
 
     def cgf(self, mu: float) -> float:
         """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
@@ -305,14 +311,15 @@ def qem_randomized_mc(
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_MC, rel_std_error=rel_se)
 
 
-def _log_bound_prefactor(basis: SymplecticBasis, mu: float) -> float:
-    """State-independent part -nu/2*ln(4 pi) - ln det(mu sinc(mu*Theta))/2.
+def _log_bound_prefactor(basis: SymplecticBasis, mu):
+    """State-independent part -nu/2*ln(4 pi) - ln det(mu sinc(mu*Theta))/2,
+    at a float mu or over a 1-D array of mu.
 
     The determinant has eigenvalues sinh(mu*theta_k)/theta_k of double
     multiplicity and is evaluated from the eigenfrequencies in log space.
     """
     gamma = basis.gamma
-    logdet = 2.0 * float(np.sum(lnsinh(mu * gamma) - np.log(gamma)))
+    logdet = 2.0 * (lnsinh(np.multiply.outer(mu, gamma)) - np.log(gamma)).sum(axis=-1)
     return -0.5 * basis.n_modes * math.log(4.0 * math.pi) - 0.5 * logdet
 
 
@@ -366,15 +373,16 @@ class ScalarBoundEngine:
     M_i + M_j in their eigenvectors.  Construction diagonalizes once per
     pair i <= j (rows of s; quad = q^2/4; log_base = ln(w_i w_j), plus ln 2
     off the diagonal, plus n/2 ln(pi)); the norm is finite iff lam exceeds
-    lam_lo = max_i lambda_max(C_i).  bound(mu) then minimizes over lam * I
-    with vector arithmetic only: det((1/mu) K(mu)^-1 - lam I) has
-    eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
+    lam_lo = max_i lambda_max(C_i).  grid(mus) then minimizes over lam * I
+    at every mu with vector arithmetic only: det((1/mu) K(mu)^-1 - lam I)
+    has eigenvalues theta_k/tanh(mu theta_k) - lam of double multiplicity.
 
     The objective is convex in lam: each pair term is a sum of q^2/(lam - s)
     and -ln(lam - s) terms, log-sum-exp of convex functions is convex, and
     so is the gap term -sum ln(theta_k/tanh(mu theta_k) - lam).  Its first
-    and second derivatives are closed-form (log_norm_derivatives), so
-    bound(mu) minimizes it by safeguarded Newton (_search.newton_minimize).
+    and second derivatives are closed-form (log_norm_derivatives), so grid
+    minimizes it by safeguarded Newton, every mu in lockstep
+    (_search.newton_minimize_grid); bound(mu) solves one mu the same way.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -398,36 +406,40 @@ class ScalarBoundEngine:
         self.quad = np.asarray(quad_rows)
         self.lam_lo = float(self.s.max())
 
-    def log_norm_derivatives(self, lam: float):
+    def log_norm_derivatives(self, lam):
         """(log_scalar_norm, its first and second lam-derivatives) at lam,
-        with no matrix factorization.
+        a float or a 1-D array (one entry per lam), with no matrix
+        factorization.
 
         Each pair term t = log_base + sum(quad/g - ln(g)/2) over g = lam - s
         has t' = -sum(quad/g^2 + 1/(2g)) and t'' = sum(2 quad/g^3 + 1/(2g^2));
         the log-norm is half the log-sum-exp of t, whose first and second
-        derivatives are the softmax-weighted E t' and E t'' + Var t'.
+        derivatives are the softmax-weighted E t' and E t'' + Var t'.  The
+        lam axis leads, and the pair and mode axes trail it.
         """
-        if not lam > self.lam_lo:
+        # A float is compared directly: a numpy reduction would add about a
+        # tenth to each of tail_bound's one-point evaluations.
+        if not (lam.min() if isinstance(lam, np.ndarray) else lam) > self.lam_lo:
             raise NormDivergent(
                 "weight does not dominate the covariances; norm integral diverges"
             )
-        gaps = lam - self.s
+        gaps = np.subtract.outer(lam, self.s)
         ratio = self.quad / gaps
-        terms = self.log_base + (ratio - 0.5 * np.log(gaps)).sum(axis=1)
-        top = float(terms.max())
-        weights = np.exp(terms - top)
-        total = float(weights.sum())
+        terms = self.log_base + (ratio - 0.5 * np.log(gaps)).sum(axis=-1)
+        top = terms.max(axis=-1)
+        weights = np.exp(terms - top[..., None])
+        total = weights.sum(axis=-1)
         inv = 1.0 / gaps
-        t1 = -((ratio + 0.5) * inv).sum(axis=1)
-        t2 = ((2.0 * ratio + 0.5) * inv * inv).sum(axis=1)
-        m1 = float(weights @ t1) / total
-        m2 = float(weights @ (t2 + t1 * t1)) / total
-        return 0.5 * (top + math.log(total)), 0.5 * m1, 0.5 * (m2 - m1 * m1)
+        t1 = -((ratio + 0.5) * inv).sum(axis=-1)
+        t2 = ((2.0 * ratio + 0.5) * inv * inv).sum(axis=-1)
+        m1 = np.vecdot(weights, t1) / total
+        m2 = np.vecdot(weights, t2 + t1 * t1) / total
+        return 0.5 * (top + np.log(total)), 0.5 * m1, 0.5 * (m2 - m1 * m1)
 
     def mu_max(self) -> float:
         """Truncated validity limit of the bound CGF (see scalar_bound_cgf)."""
         theta_min = float(self.basis.gamma.min())
-        span = SATURATION_SPAN / float(self.basis.gamma.max())
+        span = saturation_mu(self.basis)
         if scalar_weight_limit(self.basis, span) > self.lam_lo:
             return span
         # scalar_weight_limit(mu) = lam_lo, inverted in closed form;
@@ -449,39 +461,87 @@ class ScalarBoundEngine:
         terms = (gamma / np.sinh(mu * gamma)) ** 2 / (upper - lam_opt)
         return value.log_qem, 0.5 * float(terms.sum()) - float(upper.sum())
 
-    def bound(self, mu: float):
-        """Minimize the weighted-norm bound over lam in the feasible window
-        (lam_lo, theta_min/tanh(mu theta_min)), shrunk by WINDOW_MARGIN at
-        both ends but never onto them.
+    def _window(self, lam_hi, u_min):
+        """(lo, hi): the feasible window (lam_lo, lam_hi) shrunk by
+        WINDOW_MARGIN at both ends but never onto them, nor onto the
+        smallest u, min u = u_min (so no evaluation divides by a zero gap);
+        None when no double lies strictly inside."""
+        width = lam_hi - self.lam_lo
+        lo = max(self.lam_lo + WINDOW_MARGIN * width, math.nextafter(self.lam_lo, math.inf))
+        hi = min(lam_hi - WINDOW_MARGIN * width, math.nextafter(u_min, -math.inf))
+        return (lo, hi) if lo < hi else None
 
-        The convex objective f(lam) = N(lam) - sum_k ln(u_k - lam)/2, with
-        the log-norm N and u = theta/tanh(mu theta), goes to newton_minimize
-        with f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2.
-        Returns (QemValue, lam_opt), lam_opt Newton-refined (see
-        newton_minimize); raises EmptyFeasibleWindow when the window is empty.
-        """
+    def _objective(self, lam, upper):
+        """(f, f', f'') of the convex objective f(lam) = N(lam) - sum_k ln(u_k - lam)/2,
+        with the log-norm N and u = theta/tanh(mu theta): at a float lam with
+        upper the u of its mu, or over a 1-D array of lam with one column of
+        upper per entry.  f' = N' + sum 1/(u - lam)/2 and
+        f'' = N'' + sum 1/(u - lam)^2/2."""
+        value, slope, curvature = self.log_norm_derivatives(lam)
+        gap = upper - lam
+        inv = 1.0 / gap
+        return (value - 0.5 * np.log(gap).sum(axis=0), slope + 0.5 * inv.sum(axis=0),
+                curvature + 0.5 * (inv * inv).sum(axis=0))
+
+    def bound(self, mu: float):
+        """The grid's bound at one mu: returns (QemValue, lam_opt); raises
+        EmptyFeasibleWindow when the window is empty and
+        NumericalOverflowDespiteLogSpace where the weight limit overflows (see
+        scalar_weight_limit).  Its search evaluates the objective at a float
+        lam, which costs less than the grid's one-entry array would on
+        tail_bound's one-point calls."""
         lam_hi = scalar_weight_limit(self.basis, mu)
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
-        width = lam_hi - self.lam_lo
-        lo = max(self.lam_lo + WINDOW_MARGIN * width, math.nextafter(self.lam_lo, math.inf))
-        hi = min(lam_hi - WINDOW_MARGIN * width, math.nextafter(min(upper.tolist()), -math.inf))
-        if not lo < hi:
+        window = self._window(lam_hi, min(upper.tolist()))
+        if window is None:
             raise EmptyFeasibleWindow(
                 f"no scalar weight window: limit {lam_hi:.6g} is not above the largest "
                 f"covariance eigenvalue {self.lam_lo:.6g} by more than rounding"
             )
-
-        def objective(lam):
-            value, slope, curvature = self.log_norm_derivatives(lam)
-            gap = upper - lam
-            inv = 1.0 / gap
-            return (value - 0.5 * float(np.log(gap).sum()), slope + 0.5 * float(inv.sum()),
-                    curvature + 0.5 * float((inv * inv).sum()))
-
-        lam_opt, inner = newton_minimize(objective, lo, hi)
+        lam_opt, inner = newton_minimize(lambda lam: self._objective(lam, upper), *window)
         log_bound = _log_bound_prefactor(self.basis, mu) + inner
-        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
+        return QemValue(mu=mu, log_qem=float(log_bound), method=METHOD_BOUND), lam_opt
+
+    def grid(self, mus):
+        """(values, lam_opt, empty) of the weighted-norm bound over the
+        positive mus, each minimized over lam in its feasible window
+        (lam_lo, theta_min/tanh(mu theta_min)) (see _window and _objective).
+
+        Every window goes to newton_minimize_grid, so each round evaluates
+        the objective once, on the lam of every window still open; lam_opt
+        is Newton-refined (see _search._newton_search).  empty is true where
+        the window is empty; values and lam_opt are NaN there and where the
+        weight limit overflows (at a subnormal mu).
+        """
+        mus = np.asarray(mus, dtype=float)
+        if not np.all(mus > 0.0):
+            raise ValueError("mu must be positive")
+        gamma = self.basis.gamma
+        # u overflows to inf where the weight limit does; those rows are skipped.
+        with np.errstate(divide="ignore", over="ignore"):
+            upper = gamma / np.tanh(np.multiply.outer(mus, gamma))
+        values, lams = np.full(mus.shape, np.nan), np.full(mus.shape, np.nan)
+        empty = np.zeros(mus.shape, dtype=bool)
+        rows, windows = [], []
+        for i, (mu, u_min) in enumerate(zip(mus.tolist(), upper.min(axis=1).tolist())):
+            try:
+                window = self._window(scalar_weight_limit(self.basis, mu), u_min)
+            except NumericalOverflowDespiteLogSpace:
+                continue
+            if window is None:
+                empty[i] = True
+            else:
+                rows.append(i)
+                windows.append(window)
+        if rows:
+            columns = upper[rows].T
+            solved = newton_minimize_grid(lambda points, open_rows: self._objective(
+                np.array(points), columns[:, open_rows]), *zip(*windows))
+            lam_opt, inner = zip(*solved)
+            values[rows] = _log_bound_prefactor(self.basis, mus[rows]) + inner
+            lams[rows] = lam_opt
+        return values, lams, empty
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):

@@ -470,6 +470,35 @@ class TestRun:
         row = report.rows[1]
         assert row.upsilon_exact is None and row.upsilon_mc is None and row.mc_se is None
 
+    @pytest.mark.parametrize("kind, statuses", [
+        ("gaussian_exact", ["ok", "ok", "numerical_error", "numerical_error"]),
+        ("tail", ["ok", "ok", "numerical_error", "numerical_error"]),
+        ("randomized_mc", ["infinite_variance", "infinite_variance", "numerical_error",
+                           "numerical_error"]),
+    ])
+    def test_rows_past_the_saturation_span_of_a_pure_state(self, kind, statuses):
+        # Cov 2 I on ccr [2] is pure: mu* = inf and Upsilon = 2 mu.  Past
+        # mu_max = SATURATION_SPAN/theta_max = 7, 1 - tanh(mu theta) nears
+        # double precision and the closed form loses its digits (16.0006 at
+        # mu = 8) while top stays below 1: those rows are numerical faults
+        # in every exact-engine kind, not ok and not infeasible.
+        cfg = _vacuum_config(
+            kind=kind,
+            ccr=[2.0],
+            state={"mean": [0.0, 0.0], "cov": [[2.0, 0.0], [0.0, 2.0]]},
+            mu_grid=[1.0, 6.0, 8.0, 9.0],
+            samples=1000,
+            seed=1,
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == statuses
+        for row in report.rows[:2]:
+            if kind != "randomized_mc":
+                assert row.upsilon_exact == pytest.approx(2.0 * row.mu, abs=1e-5)
+        for row in report.rows[2:]:
+            assert row.upsilon_exact is None and row.upsilon_mc is None and row.tail_eps is None
+
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top
         # covariance eigenvalue at mu = 0.5, so that window is empty in both

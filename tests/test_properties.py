@@ -39,8 +39,10 @@ from qembound import (
 )
 from qembound._search import SEARCH_RTOL
 from qembound.cli import ScenarioConfig, run
-from qembound.errors import EmptyFeasibleWindow, QemBoundError, RiskParameterTooLarge
+from qembound.errors import (EmptyFeasibleWindow, NumericalOverflowDespiteLogSpace,
+                             QemBoundError, RiskParameterTooLarge)
 from qembound.qem import (
+    CGF_SAFETY,
     GRID_CHUNK,
     WINDOW_MARGIN,
     ExactEngine,
@@ -148,6 +150,49 @@ def _assert_lam_opt_converged(engine, mu):
     _, lam = engine.bound(mu)
     reference = _converged_minimizer(engine, mu, lam)
     assert abs(lam - reference) <= 1e-12 * abs(reference)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.integers(1, 24))
+def test_bound_grid_matches_one_window_solves(case, split):
+    # A grid from 1e-3 to 1.1 times the scalar window's edge, after a
+    # subnormal mu where the weight limit overflows.  Each row equals the
+    # one-point bound, or is NaN exactly where that raises (empty marks the
+    # empty windows); it lies between the exact value and the golden-section
+    # minimum of the objective; and it does not depend on the rest of the
+    # grid, so a reversed or split grid gives the same arrays.  The draws'
+    # covariances exceed ||Theta|| I, so the edge is finite and the last
+    # row's window is empty.
+    state, basis = case
+    engine = ScalarBoundEngine(state, basis)
+    mus = np.concatenate([[1e-310], np.linspace(1e-3, 1.1, 24) * engine.mu_max() / CGF_SAFETY])
+    values, lams, empty = engine.grid(mus)
+    assert values.shape == lams.shape == empty.shape == mus.shape
+    exact = ExactEngine(state, basis).grid(mus)[0]
+    with pytest.raises(NumericalOverflowDespiteLogSpace):
+        engine.bound(mus[0])
+    assert math.isnan(values[0]) and math.isnan(lams[0]) and not empty[0]
+    for mu, value, lam, is_empty, floor in zip(mus[1:], values[1:], lams[1:], empty[1:], exact[1:]):
+        try:
+            reference, reference_lam = engine.bound(mu)
+        except EmptyFeasibleWindow:
+            assert is_empty and math.isnan(value) and math.isnan(lam)
+            continue
+        assert not is_empty
+        assert value == pytest.approx(reference.log_qem, rel=1e-12, abs=0.0)
+        assert lam == pytest.approx(reference_lam, rel=1e-12, abs=0.0)
+        if math.isfinite(floor):
+            assert value >= floor - 1e-12 * max(1.0, abs(floor))
+        objective, lo, hi = _scalar_objective(engine, mu)
+        _, golden = golden_section_minimize(lambda x: objective(x)[0], lo, hi)
+        assert value <= _log_bound_prefactor(basis, mu) + golden + 1e-12
+    assert empty[-1]
+    reversed_grid = [a[::-1] for a in engine.grid(mus[::-1])]
+    halves = zip(engine.grid(mus[:split]), engine.grid(mus[split:]))
+    for again in (reversed_grid, [np.concatenate(pair) for pair in halves]):
+        for result, other in zip((values, lams), again):
+            np.testing.assert_allclose(other, result, rtol=1e-12, atol=0.0)
+        assert np.array_equal(again[2], empty)
 
 
 @PROPERTY_SETTINGS

@@ -1,13 +1,13 @@
 """Tests for the scalar search utilities: the safeguarded Newton
-minimizer behind the scalar-weight bound and Brent's root-finder behind the
-tail bound."""
+minimizer behind the scalar-weight bound (one window, or many in lockstep)
+and Brent's root-finder behind the tail bound."""
 
 import math
 
 import pytest
 
 from conftest import golden_section_minimize
-from qembound._search import SEARCH_RTOL, brent_root, newton_minimize
+from qembound._search import SEARCH_RTOL, brent_root, newton_minimize, newton_minimize_grid
 
 
 def _counting(fdf):
@@ -92,6 +92,35 @@ def test_returns_the_best_point_moved_by_its_newton_step():
     assert value == f(best)[0]
     assert lam == best - f(best)[1] / f(best)[2]
     assert lam == pytest.approx(math.log(3.0), rel=1e-15)
+
+
+def test_windows_solved_together_return_what_they_return_alone():
+    # A minimum at the lower edge of [1, 100] (f' > 0 throughout, about 40
+    # steps) and an interior one (about 4): in lockstep, each window sees
+    # the points it sees alone and returns the same (lam, f), and each
+    # round evaluates every open window in one call, so the calls number
+    # as many as the slower window needs.
+    cases = [
+        (lambda lam: (lam + 0.1 * lam * lam, 1.0 + 0.2 * lam, 0.2), 1.0, 100.0),
+        (lambda lam: (math.exp(lam) - 3.0 * lam, math.exp(lam) - 3.0, math.exp(lam)), -2.0, 4.0),
+    ]
+    alone = []
+    for f, lo, hi in cases:
+        fdf, calls = _counting(f)
+        alone.append((newton_minimize(fdf, lo, hi), calls))
+    assert len(alone[0][1]) >= 30 and len(alone[1][1]) <= 5
+    rounds = []
+
+    def fdf(lams, rows):
+        rounds.append(dict(zip(rows, lams)))
+        return tuple(zip(*[cases[i][0](lam) for i, lam in zip(rows, lams)]))
+
+    together = newton_minimize_grid(fdf, [lo for _, lo, _ in cases], [hi for _, _, hi in cases])
+    assert together == [result for result, _ in alone]
+    assert len(rounds) == max(len(calls) for _, calls in alone)
+    for i, (_, calls) in enumerate(alone):
+        assert [points[i] for points in rounds if i in points] == calls
+    assert newton_minimize_grid(fdf, [], []) == []
 
 
 def test_empty_window_is_rejected():
