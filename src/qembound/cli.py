@@ -287,19 +287,19 @@ def _cell(compute, t, mu, status=STATUS_OK):
 
 def _verdict(engine, grid, top):
     """Status of each row of one ExactEngine.grid call over grid from its top:
-    ok below 1; from 1, infeasible_mu if mu* is finite (an infinite moment),
-    else numerical_error (a finite moment whose contraction gap rounded
-    away).  For an infinite mu*, rows from qem.saturation_mu on read
-    numerical_error too: the gap 1 - tanh(mu theta) nears double precision
-    there, and the closed form loses its digits first."""
+    ok below 1 and below qem.saturation_mu, where the gap
+    1 - tanh(mu theta_max) nears double precision and the closed form (and
+    the radius) lose their digits.  Every other row reads infeasible_mu if
+    mu* is resolved below the span (an infinite moment), else
+    numerical_error (a moment the closed form cannot resolve: finite for an
+    infinite mu*, or a mu* past the span)."""
     span = qem.saturation_mu(engine.basis)
-    top = top.tolist()
-    # mu_star is solved (once, cached) only if a row reaches 1 or the span.
-    if all(x < 1.0 and mu < span for mu, x in zip(grid, top)):
-        return [STATUS_OK] * len(top)
-    if math.isfinite(engine.mu_star):
-        return [STATUS_OK if x < 1.0 else STATUS_INFEASIBLE for x in top]
-    return [STATUS_OK if x < 1.0 and mu < span else STATUS_NUMERICAL for mu, x in zip(grid, top)]
+    ok = [x < 1.0 and mu < span for mu, x in zip(grid, top.tolist())]
+    # mu_star is solved (once, cached) only if a row is not ok.
+    if all(ok):
+        return [STATUS_OK] * len(ok)
+    flag = STATUS_INFEASIBLE if engine.mu_star < span else STATUS_NUMERICAL
+    return [STATUS_OK if row_ok else flag for row_ok in ok]
 
 
 def _grid_rows(t, grid, statuses, **columns):
@@ -323,8 +323,8 @@ def _exact_rows(config, engine, t, grid):
 
 def _tail_rows(config, engine, t, grid):
     # Rows from mu_max on are cut: their top is taken as inf, so _verdict
-    # flags them (infeasible_mu for a finite mu*, else numerical_error); the
-    # grid is increasing.
+    # flags them (infeasible_mu for a mu* below the span, else
+    # numerical_error); the grid is increasing.
     cut = int(np.searchsorted(grid, engine.mu_max()))
     mus = np.asarray(grid[:cut])
     upsilon, slope, top = engine.grid(mus, slope=True)

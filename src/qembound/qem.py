@@ -142,7 +142,11 @@ class ExactEngine:
         from 1/theta_max until it reaches 1, then brent_root solves
         radius = 1 on [0, hi] (radius(0) = 0).  The other components never
         cross, and are left out so a saturated radius cannot read 1 first.
-        If the doubling never reaches 1, its last hi is returned."""
+        A radius read past saturation_mu is not trusted: a mode whose limit
+        radius is 1 reads 1 there once tanh(mu theta) rounds to 1.  So a hi
+        past the span falls back to the span, and if the radius is below 1
+        there mu* is not resolved and inf is returned.  If the doubling
+        never reaches 1, its last hi is returned."""
         e_limit = 1.0 / np.sqrt(self.theta)
         limits = np.linalg.eigvalsh(e_limit[:, None] * self.covs * e_limit)[:, -1]
         covs = self.covs[limits > 1.0]
@@ -157,6 +161,11 @@ class ExactEngine:
             hi *= 2.0
         if not top >= 1.0:
             return hi
+        span = saturation_mu(self.basis)
+        if hi > span:
+            hi, top = span, radius(span)
+            if not top >= 1.0:
+                return math.inf
         return brent_root(lambda mu: radius(mu) - 1.0, 0.0, hi, -1.0, top - 1.0)
 
     def mu_max(self) -> float:
@@ -167,14 +176,20 @@ class ExactEngine:
         """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
         return self.cgf_and_slope(mu, slope=False)[0]
 
-    def cgf_and_slope(self, mu: float, slope=True):
-        """(Upsilon(mu), Upsilon'(mu)), the one-point grid (the slope None
-        when slope is false); raises RiskParameterTooLarge past the
-        contraction limit (see grid)."""
-        values, slopes, top = self.grid([mu], slope)
-        if top[0] >= 1.0:
-            self._raise_too_large(mu, float(top[0]))
-        return float(values[0]), None if slopes is None else float(slopes[0])
+    def cgf_and_slope(self, mu, slope=True):
+        """(Upsilon(mu), Upsilon'(mu)) at a float mu, the one-point grid, or
+        the arrays (values, slopes) of one grid call over a 1-D array of mu
+        (the slope None when slope is false); raises RiskParameterTooLarge
+        past the contraction limit, at the first such mu of an array (see
+        grid).  tail_bound makes its coarse grid one array call."""
+        mus = np.atleast_1d(np.asarray(mu, dtype=float))
+        values, slopes, top = self.grid(mus, slope)
+        past = np.flatnonzero(top >= 1.0)
+        if past.size:
+            self._raise_too_large(mus[past[0]].item(), top[past[0]].item())
+        if np.ndim(mu):
+            return values, slopes
+        return values.item(), None if slopes is None else slopes.item()
 
     def grid(self, mus, slope=False):
         """(values, slopes, top) of Upsilon over the positive mus, in chunks
@@ -235,15 +250,17 @@ class ExactEngine:
         return values, (mix * slopes).sum(axis=1) / total, top
 
     def _raise_too_large(self, mu, top):
-        if math.isfinite(self.mu_star):
+        span = saturation_mu(self.basis)
+        if self.mu_star < span:
             raise RiskParameterTooLarge(
                 f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g} "
                 f"(mu * rho(C K(mu)) = {top:.6g})"
             )
         raise RiskParameterTooLarge(
             f"contraction gap at mu = {mu} saturated double precision "
-            "(the moment is finite for all mu, but 1 - mu*rho(C K(mu)) is "
-            "below machine resolution here)"
+            f"(mu * rho(C K(mu)) reads {top:.6g}; mu* is not resolved below "
+            f"saturation_mu = {span:.6g}, past which 1 - mu*rho(C K(mu)) is "
+            "below machine resolution)"
         )
 
 
@@ -265,13 +282,17 @@ def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
 
 
 def critical_mu(state, basis: SymplecticBasis) -> float:
-    """The unique mu* with mu * rho(C K(mu)) = 1, or infinity if unreachable.
+    """The unique mu* with mu * rho(C K(mu)) = 1, or infinity if it is not
+    reached below saturation_mu.
 
     mu * K(mu) has nondecreasing eigenvalues tanh(mu*theta_k)/theta_k with
     supremum 1/theta_k, so the map is nondecreasing in mu and bounded by
     the spectral radius at the limit matrix; Brent's root-finder on a
     doubling bracket solves it to relative 1e-10 (ExactEngine.mu_star).
-    For a mixture the smallest component root is returned.
+    For a mixture the smallest component root is returned.  Past
+    saturation_mu a mode whose limit radius is 1 reads radius 1 once
+    tanh(mu theta) rounds to 1, so no root there is trusted: infinity
+    then means that mu* is infinite or lies at or past saturation_mu.
     """
     return ExactEngine(state, basis).mu_star
 
@@ -450,16 +471,36 @@ class ScalarBoundEngine:
         """The optimized bound on Upsilon(mu) (see bound)."""
         return self.bound(mu)[0].log_qem
 
-    def cgf_and_slope(self, mu: float):
-        """(B(mu), B'(mu)) for the optimized bound B, at no cost beyond bound:
-        by the envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
-        B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at
+    def cgf_and_slope(self, mu):
+        """(B(mu), B'(mu)) for the optimized bound B at a float mu, from
+        bound, or the arrays (values, slopes) over a 1-D array of mu, from
+        one grid call; raises, at the first mu of an array where bound
+        raises, bound's error there (EmptyFeasibleWindow or
+        NumericalOverflowDespiteLogSpace).  tail_bound makes its coarse grid
+        one array call.  The slope costs nothing beyond the bound: by the
+        envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
+        B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at the
         bound's lam_opt, with u = theta/tanh(mu theta)."""
-        value, lam_opt = self.bound(mu)
+        if not np.ndim(mu):
+            value, lam_opt = self.bound(mu)
+            return value.log_qem, float(self._envelope_slope(mu, lam_opt))
+        mus = np.asarray(mu, dtype=float)
+        values, lams, _ = self.grid(mus)
+        # lam_opt is NaN exactly at the empty windows and the overflowing
+        # weight limits, where bound raises.
+        failed = np.flatnonzero(np.isnan(lams))
+        if failed.size:
+            self.bound(mus[failed[0]].item())
+        return values, self._envelope_slope(mus, lams)
+
+    def _envelope_slope(self, mu, lam_opt):
+        """B'(mu) of cgf_and_slope at a float mu and its lam_opt, or over 1-D
+        arrays of both."""
         gamma = self.basis.gamma
-        upper = gamma / np.tanh(mu * gamma)
-        terms = (gamma / np.sinh(mu * gamma)) ** 2 / (upper - lam_opt)
-        return value.log_qem, 0.5 * float(terms.sum()) - float(upper.sum())
+        x = np.multiply.outer(mu, gamma)
+        upper = gamma / np.tanh(x)
+        terms = (gamma / np.sinh(x)) ** 2 / (upper - np.expand_dims(lam_opt, -1))
+        return 0.5 * terms.sum(axis=-1) - upper.sum(axis=-1)
 
     def _window(self, lam_hi, u_min):
         """(lo, hi): the feasible window (lam_lo, lam_hi) shrunk by
@@ -544,6 +585,10 @@ class ScalarBoundEngine:
         return values, lams, empty
 
 
+#: The cgf callables whose array form tail_bound uses for its coarse grid.
+_GRID_CGFS = (ExactEngine.cgf_and_slope, ScalarBoundEngine.cgf_and_slope)
+
+
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
     """Minimize the weighted-norm bound over scalar weights lam * I by
     ScalarBoundEngine.bound, whose objective equals qem_upper_bound at
@@ -556,7 +601,9 @@ def exact_cgf(state, basis: SymplecticBasis):
 
     Returns (ExactEngine.cgf_and_slope, mu_max), the pair tail_bound takes;
     mu_max = min(CGF_SAFETY * mu_star, SATURATION_SPAN / theta_max), the
-    saturation limit alone when mu* is infinite.
+    saturation limit alone when mu* is infinite (or not resolved below it).
+    The callable also takes a 1-D array of mu, so tail_bound evaluates its
+    coarse grid in one call.
     """
     engine = ExactEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -569,7 +616,9 @@ def scalar_bound_cgf(state, basis: SymplecticBasis):
     The bound is finite while scalar_weight_limit(mu) stays above the
     largest component covariance eigenvalue; mu_max is CGF_SAFETY times that
     window edge, or the saturation limit SATURATION_SPAN / theta_max when
-    the window stays open that far.
+    the window stays open that far.  The callable also takes a 1-D array of
+    mu, so tail_bound solves its coarse grid in one ScalarBoundEngine.grid
+    call.
     """
     engine = ScalarBoundEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -586,6 +635,14 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
     brent_root solves slope = eps.  The best gain evaluated is reported,
     clamped at 0; if it still climbs at the upper end, mu_max itself is
     probed and flagged as argmax_mu.
+
+    When cgf is an engine's cgf_and_slope (what exact_cgf and
+    scalar_bound_cgf return), the grid points are independent and take one
+    array call; its first failing point raises the error the one-point
+    call raises there.  Brent's steps and the edge probe stay one-point
+    calls, as every call of any other callable does.  With grid_points=8
+    on the benchmark's bound states this takes 35/29/28 objective
+    evaluations, against 64/56/55 one point at a time.
     """
     if not (eps >= 0.0 and math.isfinite(eps)):
         raise InvalidRange(f"eps must be finite and nonnegative, got {eps!r}")
@@ -595,13 +652,21 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         raise InvalidRange(f"grid_points must be at least 1, got {grid_points!r}")
     evaluated = []
 
-    def gain_slope(mu):
-        value, slope = cgf(mu)
+    def record(mu, value, slope):
         evaluated.append((eps * mu - value, mu))
         return eps - slope
 
-    grid = (mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)).tolist()
-    slopes = {mu: gain_slope(mu) for mu in grid}
+    def gain_slope(mu):
+        return record(mu, *cgf(mu))
+
+    mus = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
+    grid = mus.tolist()
+    if getattr(cgf, "__func__", None) in _GRID_CGFS:
+        values, grid_slopes = cgf(mus)
+        coarse = map(record, grid, values.tolist(), grid_slopes.tolist())
+    else:
+        coarse = map(gain_slope, grid)
+    slopes = dict(zip(grid, coarse))
     j = int(np.argmax([gain for gain, _ in evaluated]))
     ends = [grid[0] * 1e-6] + grid + [mu_max * (1.0 - 1e-9)]
     k = j + 1 if slopes[grid[j]] < 0.0 else j + 2

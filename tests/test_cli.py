@@ -499,6 +499,26 @@ class TestRun:
         for row in report.rows[2:]:
             assert row.upsilon_exact is None and row.upsilon_mc is None and row.tail_eps is None
 
+    @pytest.mark.parametrize("kind", ["gaussian_exact", "tail"])
+    def test_rows_past_the_saturation_span_with_a_finite_mu_star(self, kind):
+        # On ccr [0.1, 10] the theta = 0.1 mode (cov 0.2) crosses at
+        # mu* = atanh(0.5)/0.1 ~ 5.49, and the theta = 10 mode (cov 10) has
+        # limit radius 1, which it reads once tanh(10 mu) rounds to 1.  The
+        # span is 14/10 = 1.4: past it neither the closed form nor the mu*
+        # solve is trusted, so those rows are numerical faults, not ok with
+        # wrong values and not infeasible for a finite moment.
+        cfg = _vacuum_config(
+            kind=kind,
+            ccr=[0.1, 10.0],
+            state={"mean": [0.0] * 4, "cov": np.diag([0.2, 0.2, 10.0, 10.0]).tolist()},
+            mu_grid=[0.5, 1.0, 1.3, 1.5, 2.0, 3.0],
+        )
+        report, code = run(parse_config(json.dumps(cfg)))
+        assert code == 2
+        assert [r.status for r in report.rows] == ["ok"] * 3 + ["numerical_error"] * 3
+        for row in report.rows[3:]:
+            assert row.upsilon_exact is None and row.tail_eps is None
+
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top
         # covariance eigenvalue at mu = 0.5, so that window is empty in both

@@ -364,6 +364,21 @@ def test_tail_bound_matches_golden_oracle(case, factory, eps_scale):
     assert abs(result.log_prob_bound - reference) <= 1e-9 * abs(reference) + 1e-15
 
 
+@PROPERTY_SETTINGS
+@given(mixtures(), st.sampled_from([exact_cgf, scalar_bound_cgf]), st.floats(0.0, 4.0),
+       st.sampled_from([1, 8, 64]))
+def test_tail_bound_one_grid_call_matches_point_by_point(case, factory, eps_scale, grid_points):
+    # An engine's cgf_and_slope gets the one-call coarse grid; a lambda
+    # around it takes the point-by-point path.
+    state, basis = case
+    cgf, mu_max = factory(state, basis)
+    eps = eps_scale * _mean_half_quadratic(state)
+    grid_call = tail_bound(cgf, eps, mu_max, grid_points)
+    by_point = tail_bound(lambda mu: cgf(mu), eps, mu_max, grid_points)
+    assert grid_call.log_prob_bound == pytest.approx(by_point.log_prob_bound, rel=1e-12, abs=0.0)
+    assert grid_call.argmax_mu == by_point.argmax_mu
+
+
 def _dense_exact(state, basis, mu):
     """Closed form from dense matrix functions, independent of ExactEngine:
     ln sum_k w_k exp((mu M^T K (I - mu C K)^-1 M

@@ -3,6 +3,7 @@ the tail-probability machinery."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qembound import (
     tail_bound,
     validate_ccr,
 )
-from qembound.qem import ExactEngine, ScalarBoundEngine
+from qembound.qem import ExactEngine, ScalarBoundEngine, saturation_mu
 from qembound.sampling import log_mean_exp_stats
 from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
@@ -35,6 +36,7 @@ from qembound.errors import (
     EmptyFeasibleWindow,
     InvalidRange,
     NormDivergent,
+    NumericalOverflowDespiteLogSpace,
     RiskParameterTooLarge,
     WeightOutOfInterval,
 )
@@ -119,6 +121,27 @@ class TestCriticalMu:
         state = thermal_state(basis, ccr, occupancies=[1.0, 0.0])
         expected = 0.5 * math.atanh(1.0 / 3.0)
         assert critical_mu(state, basis) == pytest.approx(expected, rel=1e-9)
+
+    def test_radius_past_the_span_is_not_trusted(self):
+        # The theta = 10 mode (cov 10) has limit radius 1 and reads 1 once
+        # tanh(10 mu) rounds to 1; the doubling meets that at mu = 3.2, past
+        # the span 14/10.  The radius at the span is below 1, so mu* (in
+        # truth atanh(0.5)/0.1 ~ 5.49, past the span) is not resolved.
+        ccr = block_ccr([0.1, 10.0])
+        basis = symplectic_eigenbasis(ccr)
+        state = GaussianState(mean=np.zeros(4), cov=np.diag([0.2, 0.2, 10.0, 10.0]), ccr=ccr)
+        assert critical_mu(state, basis) == math.inf
+        assert ExactEngine(state, basis).mu_max() == saturation_mu(basis) == 1.4
+
+    def test_root_between_the_last_doubling_and_the_span(self):
+        # cov c I on ccr [1] with c = 1 + 4e-9 crosses at atanh(1/c) ~ 10.0;
+        # the doubling reads 1 first at 16, past the span 14, and the root
+        # is solved on [0, 14].
+        c = 1.0 + 4e-9
+        state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=CCR2)
+        mu_star = critical_mu(state, BASIS2)
+        assert mu_star < saturation_mu(BASIS2)
+        assert mu_star == pytest.approx(math.atanh(1.0 / c), rel=1e-8)
 
     @pytest.mark.parametrize("radius", [0.5, math.nan])
     def test_unreached_bracket_returns_its_end(self, monkeypatch, radius):
@@ -367,6 +390,56 @@ class TestTailBound:
             t_bound = tail_bound(cgf_b, eps, mu_max)
             # a larger CGF can only weaken the tail bound
             assert t_bound.log_prob_bound >= t_exact.log_prob_bound - 1e-10
+
+    @pytest.mark.parametrize("engine_class", [ExactEngine, ScalarBoundEngine])
+    def test_engine_cgf_solves_the_coarse_grid_in_one_grid_call(self, engine_class):
+        # The coarse grid is one grid call holding all its mu; Brent's steps
+        # and any edge probe stay one-point calls (bound, or a 1-mu grid).
+        state = GaussianState(mean=[0.2, 0.0], cov=1.4 * np.eye(2), ccr=CCR2)
+        engine = engine_class(state, BASIS2)
+        mu_max = engine.mu_max()
+        with mock.patch.object(engine, "grid", wraps=engine.grid) as grid:
+            if engine_class is ScalarBoundEngine:
+                with mock.patch.object(engine, "bound", wraps=engine.bound) as bound:
+                    result = tail_bound(engine.cgf_and_slope, 3.0, mu_max, grid_points=12)
+                assert 2 <= bound.call_count <= 16
+            else:
+                result = tail_bound(engine.cgf_and_slope, 3.0, mu_max, grid_points=12)
+        sizes = [len(call.args[0]) for call in grid.call_args_list]
+        coarse = mu_max * np.arange(1, 13) / 13
+        assert sizes.count(12) == 1 and set(sizes) <= {1, 12}
+        np.testing.assert_array_equal(grid.call_args_list[sizes.index(12)].args[0], coarse)
+        assert result.log_prob_bound < 0.0
+
+    def test_array_cgf_raises_the_one_point_error_past_mu_star(self):
+        # THERMAL3 has mu* = atanh(1/3) ~ 0.347; the first mu past it names
+        # the error, as the one-point call does there.
+        engine = ExactEngine(THERMAL3, BASIS2)
+        with pytest.raises(RiskParameterTooLarge) as one_point:
+            engine.cgf_and_slope(0.5)
+        with pytest.raises(RiskParameterTooLarge) as array:
+            engine.cgf_and_slope(np.array([0.1, 0.2, 0.5, 1.0]))
+        assert str(array.value) == str(one_point.value)
+
+    @pytest.mark.parametrize("mus, first, error", [
+        ([0.1, 0.2, 0.5, 1.0], 0.5, EmptyFeasibleWindow),
+        ([1e-310, 0.1, 0.5], 1e-310, NumericalOverflowDespiteLogSpace),
+    ], ids=["past-the-window-edge", "overflowing-weight-limit"])
+    def test_array_bound_cgf_raises_the_one_point_error(self, mus, first, error):
+        # THERMAL3's weight window 1/tanh(mu) > 3 closes at atanh(1/3) ~ 0.347.
+        engine = ScalarBoundEngine(THERMAL3, BASIS2)
+        with pytest.raises(error) as one_point:
+            engine.cgf_and_slope(first)
+        with pytest.raises(error) as array:
+            engine.cgf_and_slope(np.array(mus))
+        assert str(array.value) == str(one_point.value)
+
+    def test_array_cgf_matches_one_point_calls(self):
+        mus = np.array([0.05, 0.1, 0.2, 0.3])
+        for engine in (ExactEngine(THERMAL3, BASIS2), ScalarBoundEngine(VACUUM, BASIS2)):
+            values, slopes = engine.cgf_and_slope(mus)
+            assert [engine.cgf_and_slope(mu) for mu in mus.tolist()] == list(
+                zip(values.tolist(), slopes.tolist()))
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
