@@ -18,43 +18,30 @@ SEARCH_RTOL = 1e-10
 SEARCH_MAX_ITER = 200
 
 
-def newton_minimize(fdf, lo, hi):
-    """Minimize a convex function on [lo, hi] by safeguarded Newton: the
-    one-window case of newton_minimize_grid, with fdf(lam) returning
-    (f, f', f'') at a float lam.  Returns (lam, f) (see _newton_search).
-    """
-    search = _newton_search(lo, hi)
-    lam = next(search)
-    while True:
-        try:
-            lam = search.send(fdf(lam))
-        except StopIteration as stop:
-            return stop.value
-
-
 def newton_minimize_grid(fdf, lo, hi):
     """Minimize convex functions on the windows [lo[i], hi[i]] in lockstep.
 
     Each round makes one call fdf(lams, rows), with lams the current point
     of every window still open (a list of floats) and rows their indices,
-    and it returns (f, f', f'') as three sequences in that order; so a grid
-    costs as many calls as its slowest window needs.  Each window runs
-    _newton_search on its own, in Python floats, so its points and result
-    do not depend on the other windows.  Returns a list of (lam, f), one
-    per window.
+    and it returns one (f, f', f'') per open window, in that order; so a
+    grid costs as many calls as its slowest window needs, and one window is
+    the one-point case.  Each window runs _newton_search on its own, in
+    Python floats, so its points and result do not depend on the other
+    windows.  Returns a list of (lam, f), one per window.
     """
     searches = [_newton_search(a, b) for a, b in zip(lo, hi)]
-    points = {i: next(search) for i, search in enumerate(searches)}
+    rows = list(range(len(searches)))
+    lams = [next(search) for search in searches]
     results = [None] * len(searches)
-    while points:
-        rows = list(points)
-        f, d1, d2 = fdf([points[i] for i in rows], rows)
-        points = {}
-        for k, i in enumerate(rows):
+    while rows:
+        open_rows, open_lams = [], []
+        for i, derivatives in zip(rows, fdf(lams, rows)):
             try:
-                points[i] = searches[i].send((f[k], d1[k], d2[k]))
+                open_lams.append(searches[i].send(derivatives))
+                open_rows.append(i)
             except StopIteration as stop:
                 results[i] = stop.value
+        rows, lams = open_rows, open_lams
     return results
 
 

@@ -83,10 +83,15 @@ def classical_gaussian_qem(g: ClassicalGaussian, mu: float) -> float:
     return 0.5 * (quad - logdet)
 
 
-def classical_gaussian_cgf_and_slope(g: ClassicalGaussian, mu: float):
-    """(classical_gaussian_qem(g, mu), its slope), the pair tail_bound takes;
-    over C = V diag(c) V^T the slope (|(I - mu C)^-1 M|^2 + sum c/(1 - mu c))/2
-    reads (tr C + |M|^2)/2 at mu = 0."""
+def classical_gaussian_cgf_and_slope(g: ClassicalGaussian, mu):
+    """(classical_gaussian_qem(g, mu), its slope), the pair tail_bound takes:
+    floats at a float mu, or arrays over a 1-D array of mu, one float call
+    per entry.  Over C = V diag(c) V^T the slope
+    (|(I - mu C)^-1 M|^2 + sum c/(1 - mu c))/2 reads (tr C + |M|^2)/2 at
+    mu = 0."""
+    if np.ndim(mu):
+        pairs = [classical_gaussian_cgf_and_slope(g, m) for m in np.asarray(mu, float).tolist()]
+        return np.array([value for value, _ in pairs]), np.array([slope for _, slope in pairs])
     value = classical_gaussian_qem(g, mu)
     c, v = np.linalg.eigh(g.cov)
     gap = 1.0 - mu * c

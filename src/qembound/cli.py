@@ -22,12 +22,7 @@ import numpy as np
 
 from . import classical, oqho, qem
 from .ccr import J2, CcrMatrix, symplectic_eigenbasis, validate_ccr
-from .errors import (
-    ConfigParse,
-    QemBoundError,
-    RiskParameterTooLarge,
-    SuspectedDivergence,
-)
+from .errors import ConfigParse, QemBoundError, SuspectedDivergence
 from .sampling import check_samples, check_seed
 from .states import GaussianState, MixtureMgf
 
@@ -37,14 +32,6 @@ STATUS_EMPTY = "empty_interval"
 STATUS_NUMERICAL = "numerical_error"
 STATUS_INFINITE_VARIANCE = "infinite_variance"
 STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_EMPTY, STATUS_NUMERICAL, STATUS_INFINITE_VARIANCE)
-
-#: Status of a cell whose evaluation raised; the first matching class wins,
-#: so any other library error reads as a numerical fault.  (An empty weight
-#: window is no error here: ScalarBoundEngine.grid reports it per row.)
-ERROR_STATUS = (
-    (RiskParameterTooLarge, STATUS_INFEASIBLE),
-    (QemBoundError, STATUS_NUMERICAL),
-)
 
 #: Config keys every kind requires, and those every kind takes ("kind" is
 #: checked first, the others are optional); _KINDS adds a kind's own keys.
@@ -267,22 +254,13 @@ def _row_seed(seed, index):
 
 
 def _attempt(compute):
-    """(compute(), "ok"), or (None, ERROR_STATUS's status for the error it raised)."""
+    """(compute(), "ok"), or (None, "numerical_error") if it raised a
+    library error.  Rows past mu* never get here: _verdict flags them
+    first, and an empty weight window is a grid row, not an error."""
     try:
         return compute(), STATUS_OK
-    except QemBoundError as exc:
-        return None, next(s for cls, s in ERROR_STATUS if isinstance(exc, cls))
-
-
-def _cell(compute, t, mu, status=STATUS_OK):
-    """Report row from compute(), a dict of value columns (None for blank).
-    An error, or any non-finite value, flags the row and blanks its values."""
-    values, error = _attempt(compute)
-    if values is None:
-        return ReportRow(t=t, mu=mu, status=error)
-    if not all(math.isfinite(v) for v in values.values() if v is not None):
-        return ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL)
-    return ReportRow(t=t, mu=mu, status=status, **values)
+    except QemBoundError:
+        return None, STATUS_NUMERICAL
 
 
 def _verdict(engine, grid, top):
@@ -303,8 +281,8 @@ def _verdict(engine, grid, top):
 
 
 def _grid_rows(t, grid, statuses, **columns):
-    """Report rows of one engine grid call, as _cell gives them: each row's
-    status where not ok, else numerical_error where a column is not finite."""
+    """Report rows of one engine grid call: each row's status where not ok,
+    else numerical_error where a column is not finite."""
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
     columns = {name: c.tolist() for name, c in columns.items()}
     return [ReportRow(t=t, mu=mu, status=status) if status != STATUS_OK
@@ -351,13 +329,16 @@ def _mc_row(config, engine, t, index, mu, status):
     if status not in (STATUS_OK, STATUS_INFINITE_VARIANCE):
         return ReportRow(t=t, mu=mu, status=status)
 
-    def values():
-        # Only Monte-Carlo rows draw samples, so only they get a row seed.
-        seed = _row_seed(config.seed, index)
-        value = qem.qem_randomized_mc(config.state, engine.basis, mu, config.samples, seed)
-        return {"upsilon_mc": value.log_qem, "mc_se": value.rel_std_error if status == STATUS_OK else None}
-
-    return _cell(values, t, mu, status)
+    # Only Monte-Carlo rows draw samples, so only they get a row seed.
+    value, error = _attempt(lambda: qem.qem_randomized_mc(
+        config.state, engine.basis, mu, config.samples, _row_seed(config.seed, index)))
+    if value is None:
+        return ReportRow(t=t, mu=mu, status=error)
+    mc_se = value.rel_std_error if status == STATUS_OK else None
+    # An error bar is printed only where it is finite, as is the estimate.
+    if not all(math.isfinite(v) for v in (value.log_qem, mc_se) if v is not None):
+        return ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL)
+    return ReportRow(t=t, mu=mu, status=status, upsilon_mc=value.log_qem, mc_se=mc_se)
 
 
 def _bound_rows(config, engine, t, grid):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import brent_root, newton_minimize, newton_minimize_grid
+from ._search import brent_root, newton_minimize_grid
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lncosh, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
@@ -121,8 +121,8 @@ class ExactEngine:
     p = V^T (e * M~), all finite down to subnormal mu.  Construction
     rotates the covariances and means once; grid evaluates a whole grid of
     mu by one stacked eigh over every (mu, component) pair of each chunk of
-    GRID_CHUNK mu, and cgf and cgf_and_slope are its one-point case.  mu*
-    is computed on first use and cached.
+    GRID_CHUNK mu, and cgf_and_slope reads it.  mu* is computed on first
+    use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -172,16 +172,11 @@ class ExactEngine:
         """Truncated validity limit of the CGF (see exact_cgf)."""
         return min(CGF_SAFETY * self.mu_star, saturation_mu(self.basis))
 
-    def cgf(self, mu: float) -> float:
-        """Upsilon(mu); raises RiskParameterTooLarge past the contraction limit."""
-        return self.cgf_and_slope(mu, slope=False)[0]
-
     def cgf_and_slope(self, mu, slope=True):
-        """(Upsilon(mu), Upsilon'(mu)) at a float mu, the one-point grid, or
-        the arrays (values, slopes) of one grid call over a 1-D array of mu
-        (the slope None when slope is false); raises RiskParameterTooLarge
-        past the contraction limit, at the first such mu of an array (see
-        grid).  tail_bound makes its coarse grid one array call."""
+        """(Upsilon(mu), Upsilon'(mu)) as floats at a float mu, or as arrays
+        over a 1-D array of mu, from one grid call (the slope None when slope
+        is false); raises RiskParameterTooLarge at the first mu past the
+        contraction limit."""
         mus = np.atleast_1d(np.asarray(mu, dtype=float))
         values, slopes, top = self.grid(mus, slope)
         past = np.flatnonzero(top >= 1.0)
@@ -277,7 +272,7 @@ def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
     The moment is linear in the density operator, so a mixture's moment is
     the weighted sum of its components' Gaussian closed forms.
     """
-    log_qem = ExactEngine(state, basis).cgf(mu)
+    log_qem = ExactEngine(state, basis).cgf_and_slope(mu, slope=False)[0]
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
 
 
@@ -403,7 +398,7 @@ class ScalarBoundEngine:
     so is the gap term -sum ln(theta_k/tanh(mu theta_k) - lam).  Its first
     and second derivatives are closed-form (log_norm_derivatives), so grid
     minimizes it by safeguarded Newton, every mu in lockstep
-    (_search.newton_minimize_grid); bound(mu) solves one mu the same way.
+    (_search.newton_minimize_grid); bound(mu) is its one-window case.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -467,18 +462,13 @@ class ScalarBoundEngine:
         # here lam_lo > theta_min, so the atanh argument is below 1.
         return CGF_SAFETY * math.atanh(theta_min / self.lam_lo) / theta_min
 
-    def cgf(self, mu: float) -> float:
-        """The optimized bound on Upsilon(mu) (see bound)."""
-        return self.bound(mu)[0].log_qem
-
     def cgf_and_slope(self, mu):
-        """(B(mu), B'(mu)) for the optimized bound B at a float mu, from
-        bound, or the arrays (values, slopes) over a 1-D array of mu, from
-        one grid call; raises, at the first mu of an array where bound
-        raises, bound's error there (EmptyFeasibleWindow or
-        NumericalOverflowDespiteLogSpace).  tail_bound makes its coarse grid
-        one array call.  The slope costs nothing beyond the bound: by the
-        envelope theorem (Milgrom & Segal, Econometrica 70(2), 2002),
+        """(B(mu), B'(mu)) for the optimized bound B as floats at a float mu,
+        from bound, or as arrays over a 1-D array of mu, from one grid call;
+        raises bound's error (EmptyFeasibleWindow or
+        NumericalOverflowDespiteLogSpace) at the first mu where bound raises.
+        The slope costs nothing beyond the bound: by the envelope theorem
+        (Milgrom & Segal, Econometrica 70(2), 2002),
         B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at the
         bound's lam_opt, with u = theta/tanh(mu theta)."""
         if not np.ndim(mu):
@@ -528,9 +518,9 @@ class ScalarBoundEngine:
         """The grid's bound at one mu: returns (QemValue, lam_opt); raises
         EmptyFeasibleWindow when the window is empty and
         NumericalOverflowDespiteLogSpace where the weight limit overflows (see
-        scalar_weight_limit).  Its search evaluates the objective at a float
-        lam, which costs less than the grid's one-entry array would on
-        tail_bound's one-point calls."""
+        scalar_weight_limit).  It is the grid's one-window case, with the
+        objective evaluated at a float lam, which costs less than a one-entry
+        grid on tail_bound's one-point calls."""
         lam_hi = scalar_weight_limit(self.basis, mu)
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
@@ -540,7 +530,8 @@ class ScalarBoundEngine:
                 f"no scalar weight window: limit {lam_hi:.6g} is not above the largest "
                 f"covariance eigenvalue {self.lam_lo:.6g} by more than rounding"
             )
-        lam_opt, inner = newton_minimize(lambda lam: self._objective(lam, upper), *window)
+        [(lam_opt, inner)] = newton_minimize_grid(
+            lambda lams, _: [self._objective(lams[0], upper)], *zip(window))
         log_bound = _log_bound_prefactor(self.basis, mu) + inner
         return QemValue(mu=mu, log_qem=float(log_bound), method=METHOD_BOUND), lam_opt
 
@@ -577,16 +568,12 @@ class ScalarBoundEngine:
                 windows.append(window)
         if rows:
             columns = upper[rows].T
-            solved = newton_minimize_grid(lambda points, open_rows: self._objective(
-                np.array(points), columns[:, open_rows]), *zip(*windows))
+            solved = newton_minimize_grid(lambda lams, open_rows: zip(*self._objective(
+                np.array(lams), columns[:, open_rows])), *zip(*windows))
             lam_opt, inner = zip(*solved)
             values[rows] = _log_bound_prefactor(self.basis, mus[rows]) + inner
             lams[rows] = lam_opt
         return values, lams, empty
-
-
-#: The cgf callables whose array form tail_bound uses for its coarse grid.
-_GRID_CGFS = (ExactEngine.cgf_and_slope, ScalarBoundEngine.cgf_and_slope)
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
@@ -602,8 +589,6 @@ def exact_cgf(state, basis: SymplecticBasis):
     Returns (ExactEngine.cgf_and_slope, mu_max), the pair tail_bound takes;
     mu_max = min(CGF_SAFETY * mu_star, SATURATION_SPAN / theta_max), the
     saturation limit alone when mu* is infinite (or not resolved below it).
-    The callable also takes a 1-D array of mu, so tail_bound evaluates its
-    coarse grid in one call.
     """
     engine = ExactEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -616,9 +601,7 @@ def scalar_bound_cgf(state, basis: SymplecticBasis):
     The bound is finite while scalar_weight_limit(mu) stays above the
     largest component covariance eigenvalue; mu_max is CGF_SAFETY times that
     window edge, or the saturation limit SATURATION_SPAN / theta_max when
-    the window stays open that far.  The callable also takes a 1-D array of
-    mu, so tail_bound solves its coarse grid in one ScalarBoundEngine.grid
-    call.
+    the window stays open that far.
     """
     engine = ScalarBoundEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()
@@ -627,22 +610,18 @@ def scalar_bound_cgf(state, basis: SymplecticBasis):
 def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBound:
     """Chernoff tail bound ln P(Q >= 2*eps) <= -(sup eps*mu - Upsilon(mu)).
 
-    cgf(mu) returns (value, slope) of the exact CGF or any upper bound of
-    it, as exact_cgf and scalar_bound_cgf give them, so every evaluated
-    point yields a valid bound.  The sign of the gain's slope eps - slope at
-    the best of grid_points grid points picks the neighbouring half-bracket
-    (the outer ones end at grid[0] * 1e-6 and mu_max * (1 - 1e-9)), where
-    brent_root solves slope = eps.  The best gain evaluated is reported,
-    clamped at 0; if it still climbs at the upper end, mu_max itself is
-    probed and flagged as argmax_mu.
-
-    When cgf is an engine's cgf_and_slope (what exact_cgf and
-    scalar_bound_cgf return), the grid points are independent and take one
-    array call; its first failing point raises the error the one-point
-    call raises there.  Brent's steps and the edge probe stay one-point
-    calls, as every call of any other callable does.  With grid_points=8
-    on the benchmark's bound states this takes 35/29/28 objective
-    evaluations, against 64/56/55 one point at a time.
+    cgf is the exact CGF or any upper bound of it, so every evaluated point
+    yields a valid bound: at a float mu it returns (value, slope) floats,
+    and at a 1-D array of mu two arrays of that shape, as the callables of
+    exact_cgf, scalar_bound_cgf and classical_gaussian_cgf_and_slope do.
+    The grid_points coarse points take one array call (a ValueError names
+    the expected shape if the answer does not have it); the sign of the
+    gain's slope eps - slope at the best of them picks the neighbouring
+    half-bracket (the outer ones end at grid[0] * 1e-6 and
+    mu_max * (1 - 1e-9)), where brent_root solves slope = eps by float
+    calls.  The best gain evaluated is reported, clamped at 0; if it still
+    climbs at the upper end, mu_max itself is probed and flagged as
+    argmax_mu.
     """
     if not (eps >= 0.0 and math.isfinite(eps)):
         raise InvalidRange(f"eps must be finite and nonnegative, got {eps!r}")
@@ -660,13 +639,12 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         return record(mu, *cgf(mu))
 
     mus = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
+    values, grid_slopes = (np.asarray(x, dtype=float) for x in cgf(mus))
+    if values.shape != mus.shape or grid_slopes.shape != mus.shape:
+        raise ValueError(f"cgf of a mu array of shape {mus.shape} must return (values, slopes) "
+                         f"of that shape, got {values.shape} and {grid_slopes.shape}")
     grid = mus.tolist()
-    if getattr(cgf, "__func__", None) in _GRID_CGFS:
-        values, grid_slopes = cgf(mus)
-        coarse = map(record, grid, values.tolist(), grid_slopes.tolist())
-    else:
-        coarse = map(gain_slope, grid)
-    slopes = dict(zip(grid, coarse))
+    slopes = dict(zip(grid, map(record, grid, values.tolist(), grid_slopes.tolist())))
     j = int(np.argmax([gain for gain, _ in evaluated]))
     ends = [grid[0] * 1e-6] + grid + [mu_max * (1.0 - 1e-9)]
     k = j + 1 if slopes[grid[j]] < 0.0 else j + 2

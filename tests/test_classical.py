@@ -83,6 +83,20 @@ class TestSlope:
             value, slope = classical_gaussian_cgf_and_slope(STANDARD_1D, mu)
             assert value - mu * slope <= 1e-12
 
+    @pytest.mark.parametrize("g", [STANDARD_1D, SHIFTED_2D], ids=["standard-1d", "shifted-2d"])
+    def test_array_form_equals_float_calls_bit_for_bit(self, g):
+        # tail_bound's coarse grid is one array call; it must read exactly
+        # what the float calls read, so the bound does not move with it.
+        mus = np.array([0.0, 0.05, 0.2, 0.35, 0.6])
+        values, slopes = classical_gaussian_cgf_and_slope(g, mus)
+        assert values.shape == slopes.shape == mus.shape
+        pairs = [classical_gaussian_cgf_and_slope(g, mu) for mu in mus.tolist()]
+        assert list(zip(values.tolist(), slopes.tolist())) == pairs
+
+    def test_array_form_raises_past_the_threshold(self):
+        with pytest.raises(RiskParameterTooLarge):
+            classical_gaussian_cgf_and_slope(STANDARD_1D, np.array([0.5, 1.0]))
+
 
 class TestMonteCarlo:
     def test_matches_closed_form(self):

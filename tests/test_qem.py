@@ -356,12 +356,12 @@ def classical_pair(mu):
 class TestTailBound:
     def test_vacuum_large_eps_boundary(self):
         # symbolic vacuum CGF: Upsilon(mu) = mu, truncated at 50
-        result = tail_bound(lambda mu: (mu, 1.0), eps=2.0, mu_max=50.0)
+        result = tail_bound(lambda mu: (mu, np.ones_like(mu)), eps=2.0, mu_max=50.0)
         assert result.log_prob_bound <= -(2.0 - 1.0) * 50.0
         assert result.argmax_mu == 50.0
 
     def test_vacuum_small_eps_vacuous(self):
-        result = tail_bound(lambda mu: (mu, 1.0), eps=0.5, mu_max=50.0)
+        result = tail_bound(lambda mu: (mu, np.ones_like(mu)), eps=0.5, mu_max=50.0)
         assert result.log_prob_bound == 0.0
         assert result.argmax_mu is None
 
@@ -441,6 +441,30 @@ class TestTailBound:
             assert [engine.cgf_and_slope(mu) for mu in mus.tolist()] == list(
                 zip(values.tolist(), slopes.tolist()))
 
+    @pytest.mark.parametrize("cgf, shapes", [
+        (lambda mu: (mu, 1.0), r"\(64,\) and \(\)"),
+        (lambda mu: (mu[:1], mu[:1]), r"\(1,\) and \(1,\)"),
+    ], ids=["float-slope", "short-arrays"])
+    def test_array_answer_of_the_wrong_shape_is_rejected(self, cgf, shapes):
+        # Every cgf answers the coarse grid's array call; one that answers
+        # it with the wrong shape is told the shape it owes.
+        with pytest.raises(ValueError, match=r"shape \(64,\).*got " + shapes):
+            tail_bound(cgf, eps=2.0, mu_max=50.0)
+
+    def test_classical_pair_solves_the_coarse_grid_in_one_array_call(self):
+        # Every callable gets the one array call, so a wrapper around one,
+        # such as a call counter, takes the path and gives the bound of the
+        # callable it wraps.
+        calls = []
+
+        def counted(mu):
+            calls.append(np.shape(mu))
+            return classical_pair(mu)
+
+        result = tail_bound(counted, eps=2.0, mu_max=0.999, grid_points=12)
+        assert calls[0] == (12,) and set(calls[1:]) == {()}
+        assert result == tail_bound(classical_pair, eps=2.0, mu_max=0.999, grid_points=12)
+
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
             tail_bound(classical_pair, eps=-1.0, mu_max=0.9)
@@ -461,18 +485,18 @@ class TestTailBound:
         # The gain still climbs at mu_max, so the limit value is probed
         # there; only a library error may fall back to the interior best.
         def broken(mu):
-            if mu == 1.0:
+            if np.any(mu == 1.0):
                 raise ZeroDivisionError("bug at the edge")
-            return 0.0, 0.0
+            return 0.0 * mu, 0.0 * mu
 
         with pytest.raises(ZeroDivisionError):
             tail_bound(broken, eps=2.0, mu_max=1.0)
 
     def test_edge_probe_keeps_interior_best_past_the_limit(self):
         def too_large_at_edge(mu):
-            if mu == 1.0:
+            if np.any(mu == 1.0):
                 raise RiskParameterTooLarge("edge")
-            return 0.0, 0.0
+            return 0.0 * mu, 0.0 * mu
 
         result = tail_bound(too_large_at_edge, eps=2.0, mu_max=1.0)
         assert result.argmax_mu == 1.0

@@ -7,7 +7,14 @@ import math
 import pytest
 
 from conftest import golden_section_minimize
-from qembound._search import SEARCH_RTOL, brent_root, newton_minimize, newton_minimize_grid
+from qembound._search import SEARCH_RTOL, brent_root, newton_minimize_grid
+
+
+def _one_window(fdf, lo, hi):
+    """The one-window case: newton_minimize_grid on [lo, hi], with
+    fdf(lam) giving (f, f', f'') at a float lam."""
+    [result] = newton_minimize_grid(lambda lams, _: [fdf(lams[0])], [lo], [hi])
+    return result
 
 
 def _counting(fdf):
@@ -29,7 +36,7 @@ def test_interior_minimizer_of_a_convex_function():
                 1.0 / lam ** 2 + 2.0)
 
     fdf, calls = _counting(f)
-    lam, value = newton_minimize(fdf, 0.1, 10.0)
+    lam, value = _one_window(fdf, 0.1, 10.0)
     expected = (3.0 + math.sqrt(17.0)) / 4.0
     assert lam == pytest.approx(expected, rel=1e-12)
     assert len(calls) <= 10
@@ -46,7 +53,7 @@ def test_minimum_at_a_window_edge(sign):
         return sign * lam + 0.1 * lam * lam, sign + 0.2 * lam, 0.2
 
     fdf, calls = _counting(f)
-    lam, value = newton_minimize(fdf, 1.0, 3.0)
+    lam, value = _one_window(fdf, 1.0, 3.0)
     edge = 1.0 if sign > 0 else 3.0
     assert lam == edge
     assert value <= f(edge)[0] + 1e-12
@@ -57,7 +64,7 @@ def test_minimum_at_a_window_edge(sign):
 @pytest.mark.parametrize("value", [0.0, 7.5])
 def test_flat_objective_terminates(value):
     fdf, calls = _counting(lambda lam: (value, 0.0, 0.0))
-    lam, best = newton_minimize(fdf, -1.0, 2.0)
+    lam, best = _one_window(fdf, -1.0, 2.0)
     assert best == value
     assert -1.0 <= lam <= 2.0
     assert len(calls) == 1
@@ -65,7 +72,7 @@ def test_flat_objective_terminates(value):
 
 def test_nearly_flat_linear_objective_terminates():
     fdf, calls = _counting(lambda lam: (1e-20 * lam, 1e-20, 0.0))
-    lam, best = newton_minimize(fdf, 0.0, 1.0)
+    lam, best = _one_window(fdf, 0.0, 1.0)
     assert 0.0 <= lam <= 1e-6
     assert len(calls) <= 40
 
@@ -74,7 +81,7 @@ def test_returns_the_best_evaluated_point():
     # Derivatives that point the wrong way lead every step uphill; the
     # reported point is still the lowest one evaluated, the first.
     fdf, calls = _counting(lambda lam: (lam, -1.0, 0.0))
-    lam, value = newton_minimize(fdf, 0.0, 1.0)
+    lam, value = _one_window(fdf, 0.0, 1.0)
     assert len(calls) > 1
     assert lam == value == calls[0] == min(calls)
 
@@ -87,7 +94,7 @@ def test_returns_the_best_point_moved_by_its_newton_step():
         return (math.exp(lam) - 3.0 * lam, math.exp(lam) - 3.0, math.exp(lam))
 
     fdf, calls = _counting(f)
-    lam, value = newton_minimize(fdf, -2.0, 4.0)
+    lam, value = _one_window(fdf, -2.0, 4.0)
     best = min(calls, key=lambda x: f(x)[0])
     assert value == f(best)[0]
     assert lam == best - f(best)[1] / f(best)[2]
@@ -107,13 +114,13 @@ def test_windows_solved_together_return_what_they_return_alone():
     alone = []
     for f, lo, hi in cases:
         fdf, calls = _counting(f)
-        alone.append((newton_minimize(fdf, lo, hi), calls))
+        alone.append((_one_window(fdf, lo, hi), calls))
     assert len(alone[0][1]) >= 30 and len(alone[1][1]) <= 5
     rounds = []
 
     def fdf(lams, rows):
         rounds.append(dict(zip(rows, lams)))
-        return tuple(zip(*[cases[i][0](lam) for i, lam in zip(rows, lams)]))
+        return [cases[i][0](lam) for i, lam in zip(rows, lams)]
 
     together = newton_minimize_grid(fdf, [lo for _, lo, _ in cases], [hi for _, _, hi in cases])
     assert together == [result for result, _ in alone]
@@ -125,7 +132,7 @@ def test_windows_solved_together_return_what_they_return_alone():
 
 def test_empty_window_is_rejected():
     with pytest.raises(ValueError, match="empty interval"):
-        newton_minimize(lambda lam: (0.0, 0.0, 0.0), 1.0, 1.0)
+        _one_window(lambda lam: (0.0, 0.0, 0.0), 1.0, 1.0)
 
 
 def _root_case(f, a, b):
