@@ -28,7 +28,7 @@ from qembound import (
     tail_bound,
     validate_ccr,
 )
-from qembound.qem import ExactEngine, ScalarBoundEngine, saturation_mu
+from qembound.qem import ExactEngine, ScalarBoundEngine, _radius, saturation_mu
 from qembound.sampling import log_mean_exp_stats
 from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
@@ -75,11 +75,17 @@ class TestExactGaussian:
         # On ccr [2.0] at mu = 1e308, mu * theta = inf: the grid's top reads
         # inf there, not the 0 of tanh(x)/x, so the call raises (with no
         # overflow warning) instead of returning NaN.  Cov 6 I has
-        # mu* = artanh(1/3)/2; cov 2 I is pure, with mu* = inf.
+        # mu* = artanh(1/3)/2; cov 2 I is pure, with mu* = inf.  The slope's
+        # sinh(2x)/(2x) reads inf/inf on that row, and stays quiet too.
         basis = symplectic_eigenbasis(block_ccr([2.0]))
         state = GaussianState(mean=[0.0, 0.0], cov=scale * np.eye(2), ccr=basis.ccr)
         with pytest.raises(RiskParameterTooLarge, match=message):
             qem_exact(state, basis, 1e308)
+        with pytest.raises(RiskParameterTooLarge, match=message):
+            exact_cgf(state, basis)[0](1e308)
+        values, slopes, top = ExactEngine(state, basis).grid([0.01, 1e308], slope=True)
+        assert np.isfinite([values[0], slopes[0], top[0]]).all() and top[0] < 1.0
+        assert np.isnan([values[1], slopes[1]]).all() and top[1] == math.inf
 
     def test_mean_contribution(self):
         # commuting case reduces per mode; checked against the scalar formula
@@ -122,33 +128,51 @@ class TestCriticalMu:
         expected = 0.5 * math.atanh(1.0 / 3.0)
         assert critical_mu(state, basis) == pytest.approx(expected, rel=1e-9)
 
-    def test_radius_past_the_span_is_not_trusted(self):
+    @pytest.fixture
+    def radius_reads(self, monkeypatch):
+        """The mu of every radius that mu_star reads."""
+        reads = []
+
+        def spy(covs, theta, mu):
+            reads.append(mu)
+            return _radius(covs, theta, mu)
+
+        monkeypatch.setattr("qembound.qem._radius", spy)
+        return reads
+
+    def test_radius_past_the_span_is_not_trusted(self, radius_reads):
         # The theta = 10 mode (cov 10) has limit radius 1 and reads 1 once
-        # tanh(10 mu) rounds to 1; the doubling meets that at mu = 3.2, past
-        # the span 14/10.  The radius at the span is below 1, so mu* (in
-        # truth atanh(0.5)/0.1 ~ 5.49, past the span) is not resolved.
+        # tanh(10 mu) rounds to 1, as at mu = 3.2, past the span 14/10.  The
+        # radius at the span is below 1, so mu* (in truth atanh(0.5)/0.1 ~
+        # 5.49, past the span) is not resolved.
         ccr = block_ccr([0.1, 10.0])
         basis = symplectic_eigenbasis(ccr)
         state = GaussianState(mean=np.zeros(4), cov=np.diag([0.2, 0.2, 10.0, 10.0]), ccr=ccr)
         assert critical_mu(state, basis) == math.inf
         assert ExactEngine(state, basis).mu_max() == saturation_mu(basis) == 1.4
+        assert radius_reads and max(radius_reads) <= saturation_mu(basis)
 
-    def test_root_between_the_last_doubling_and_the_span(self):
+    def test_root_between_the_last_doubling_and_the_span(self, radius_reads):
         # cov c I on ccr [1] with c = 1 + 4e-9 crosses at atanh(1/c) ~ 10.0;
-        # the doubling reads 1 first at 16, past the span 14, and the root
-        # is solved on [0, 14].
+        # the doubling reads below 1 at 8 and stops at the span 14, where it
+        # reads 1, and the root is solved on [0, 14].
         c = 1.0 + 4e-9
         state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=CCR2)
         mu_star = critical_mu(state, BASIS2)
         assert mu_star < saturation_mu(BASIS2)
         assert mu_star == pytest.approx(math.atanh(1.0 / c), rel=1e-8)
+        assert radius_reads and max(radius_reads) <= saturation_mu(BASIS2)
 
     @pytest.mark.parametrize("radius", [0.5, math.nan])
-    def test_unreached_bracket_returns_its_end(self, monkeypatch, radius):
-        # If the doubling never reads radius 1, mu_star returns its last hi,
-        # as bisection did, and never hands brent_root an unbracketed root.
+    def test_unreached_bracket_is_not_resolved(self, monkeypatch, radius):
+        # If the doubling never reads radius 1, it stops at the span and
+        # mu* is not resolved below it (inf, as _verdict, mu_max and
+        # _raise_too_large read it); brent_root never gets an unbracketed
+        # root.
         monkeypatch.setattr("qembound.qem._radius", lambda covs, theta, mu: radius)
-        assert ExactEngine(THERMAL3, BASIS2).mu_star == 2.0 ** 200
+        with mock.patch("qembound.qem.brent_root") as brent:
+            assert ExactEngine(THERMAL3, BASIS2).mu_star == math.inf
+        brent.assert_not_called()
 
 
 class TestRandomizedMc:
