@@ -263,21 +263,23 @@ def _attempt(compute):
         return None, STATUS_NUMERICAL
 
 
-def _verdict(engine, grid, top):
+def _verdict(engine, grid, top, cut=math.inf):
     """Status of each row of one ExactEngine.grid call over grid from its top:
-    ok below 1 and below qem.saturation_mu, where the gap
+    ok below 1 and below qem.saturation_mu (and below cut), where the gap
     1 - tanh(mu theta_max) nears double precision and the closed form (and
     the radius) lose their digits.  Every other row reads infeasible_mu if
     mu* is resolved below the span (an infinite moment), else
     numerical_error (a moment the closed form cannot resolve: finite for an
     infinite mu*, or a mu* past the span)."""
     span = qem.saturation_mu(engine.basis)
-    ok = [x < 1.0 and mu < span for mu, x in zip(grid, top.tolist())]
-    # mu_star is solved (once, cached) only if a row is not ok.
-    if all(ok):
-        return [STATUS_OK] * len(ok)
-    flag = STATUS_INFEASIBLE if engine.mu_star < span else STATUS_NUMERICAL
-    return [STATUS_OK if row_ok else flag for row_ok in ok]
+    mus = np.asarray(grid)
+    ok = (top < 1.0) & (mus < min(cut, span))
+    # A row with top >= 1 below the span shows mu* < span (the radius reaches
+    # 1 there): mu_star is solved (once, cached) only if a row is not ok and
+    # no row shows it.
+    decided = ok.all() or ((top >= 1.0) & (mus < span)).any()
+    flag = STATUS_INFEASIBLE if decided or engine.mu_star < span else STATUS_NUMERICAL
+    return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
 
 
 def _grid_rows(t, grid, statuses, **columns):
@@ -300,18 +302,19 @@ def _exact_rows(config, engine, t, grid):
 
 
 def _tail_rows(config, engine, t, grid):
-    # Rows from mu_max on are cut: their top is taken as inf, so _verdict
-    # flags them (infeasible_mu for a mu* below the span, else
-    # numerical_error); the grid is increasing.
-    cut = int(np.searchsorted(grid, engine.mu_max()))
-    mus = np.asarray(grid[:cut])
-    upsilon, slope, top = engine.grid(mus, slope=True)
+    upsilon, slope, top = engine.grid(grid, slope=True)
+    mus = np.asarray(grid)
+    # Rows from mu_max = min(CGF_SAFETY mu*, span) on are cut, and _verdict
+    # flags them.  top(mu)/mu does not increase, so mu* >= mu/top(mu): a row
+    # with top < CGF_SAFETY lies below CGF_SAFETY mu* and is never cut, and
+    # one with top >= 1 is flagged anyway.  mu_max is read only where a row
+    # below the span has CGF_SAFETY <= top < 1.
+    near = (top >= qem.CGF_SAFETY) & (top < 1.0) & (mus < qem.saturation_mu(engine.basis))
+    cut = engine.mu_max() if near.any() else math.inf
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    top = np.concatenate([top, np.full(len(grid) - cut, np.inf)])
-    # The cut rows are never ok, so their value columns are never read.
-    return _grid_rows(t, grid, _verdict(engine, grid, top), upsilon_exact=upsilon,
+    return _grid_rows(t, grid, _verdict(engine, grid, top, cut), upsilon_exact=upsilon,
                       tail_eps=slope, tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
 
 

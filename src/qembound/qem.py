@@ -7,8 +7,8 @@ are provided:
 
 * exact Gaussian closed form, valid while mu * rho(C K(mu)) < 1 with
   K(mu) = tanc(mu*Theta), evaluated for a whole mixture over a grid of mu
-  by ExactEngine from one stacked eigh per grid chunk, which also yields
-  the analytic slope Upsilon'(mu);
+  by ExactEngine from one stacked eigvalsh and one stacked solve per grid
+  chunk, which also yield the analytic slope Upsilon'(mu);
 * a randomized Monte-Carlo estimator that averages the state's MGF over an
   auxiliary Gaussian vector with covariance K(mu) and divides by
   sqrt(det cos(mu*Theta));
@@ -59,8 +59,9 @@ CGF_SAFETY = 0.999
 #: CGF spans are capped at mu * theta_max = 14, a margin before that point.
 SATURATION_SPAN = 14.0
 
-#: Most mu values that ExactEngine.grid puts into one stacked eigh, so a
-#: long grid never holds more than GRID_CHUNK * K n x n matrices at once.
+#: Most mu values that ExactEngine.grid puts into one stacked eigvalsh and
+#: solve, so a long grid never holds more than GRID_CHUNK * K n x n
+#: matrices at once.
 GRID_CHUNK = 64
 
 
@@ -115,14 +116,14 @@ class ExactEngine:
     contraction mu K^(1/2) C K^(1/2) is therefore similar to mu B with the
     unit-scale B = diag(e) C~ diag(e), C~ = Q^T C Q.  With M~ = Q^T M,
 
-        Upsilon = (mu sum p^2/(1 - w) - sum ln(1 - w) - ln det cos(mu Theta)) / 2
+        Upsilon = (mu m^T S^-1 m - sum ln(1 - w) - ln det cos(mu Theta)) / 2
 
-    over the spectrum B = V diag(w_unit) V^T, w = mu w_unit and
-    p = V^T (e * M~), all finite down to subnormal mu.  Construction
-    rotates the covariances and means once; grid evaluates a whole grid of
-    mu by one stacked eigh over every (mu, component) pair of each chunk of
-    GRID_CHUNK mu, and cgf_and_slope reads it.  mu* is computed on first
-    use and cached.
+    with S = I - mu B, m = e * M~ and w = mu w_unit over the eigenvalues
+    w_unit of B, all finite down to subnormal mu.  Construction rotates the
+    covariances and means once; grid evaluates each chunk of GRID_CHUNK mu
+    by one stacked eigvalsh (w) and one stacked solve of S (the mean term
+    and the slope) over its (mu, component) pairs, and cgf_and_slope reads
+    it.  mu* is computed on first use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -179,24 +180,24 @@ class ExactEngine:
 
     def grid(self, mus, slope=False):
         """(values, slopes, top) of Upsilon over the positive mus, in chunks
-        of at most GRID_CHUNK mu per stacked eigh.
+        of at most GRID_CHUNK mu per stacked eigvalsh and solve.
 
         top is mu rho(C K(mu)), the largest over the components (the
         Monte-Carlo variance is finite below 1/2), inf where mu theta
         overflows: a finite mu* lies below about 18.4/theta_min, where tanh
         saturates.  values (and slopes) are NaN where top >= 1, the moment
         being infinite there (or, for an infinite mu*, its contraction gap
-        below double precision).  slopes is None unless slope is true.  With
-        c = 2 mu theta/sinh(2 mu theta) in (0, 1] (-mu e^2 d(e^-2)/dmu for
-        e^2 = tanh(mu theta)/theta) and h = V (p/(1 - w)),
+        below double precision), and where a mu within rounding of mu*
+        leaves S singular.  slopes is None unless slope is true.  With
+        x = mu theta, c = 2x/sinh(2x) in (0, 1] (-mu e^2 d(e^-2)/dmu for
+        e^2 = tanh(x)/theta) and h = S^-1 m,
 
-            2 Upsilon_k' = sum c (h^2 + sum_j V_ij^2 w_unit_j/(1 - w_j))
-                           - 2 sum_modes theta tanh(mu theta),
+            2 Upsilon_k' = sum c (h^2 + diag(S^-1 B)) - 2 sum_modes theta tanh(x),
 
         where the 1/mu terms of the direct derivative have cancelled
-        analytically (sum_j V_ij^2 = 1); the mixture slope is the
-        softmax-weighted sum of the component slopes.  At mu -> 0 it tends
-        to (tr C + |M|^2)/2.
+        analytically; S and B commute, so h and S^-1 B come from one solve
+        against [m | B].  The mixture slope is the softmax-weighted sum of
+        the component slopes.  At mu -> 0 it tends to (tr C + |M|^2)/2.
         """
         mus = np.asarray(mus, dtype=float)
         if not np.all(mus > 0.0):
@@ -212,15 +213,28 @@ class ExactEngine:
     def _chunk(self, mus, slope):
         x = mus[:, None] * self.theta
         e = np.sqrt(_over_x(np.tanh, x))
-        w_unit, v = np.linalg.eigh(e[:, None, :, None] * self.covs * e[:, None, None, :])
-        w = mus[:, None, None] * w_unit
+        b = e[:, None, :, None] * self.covs * e[:, None, None, :]
+        w = mus[:, None, None] * np.linalg.eigvalsh(b)
         top = np.where(np.isinf(x).any(axis=1), np.inf, w.max(axis=(1, 2)))
-        # NaN rows past the limit keep log1p and the divisions quiet.
-        w[top >= 1.0] = np.nan
-        gap = 1.0 - w
-        p = np.matmul((e[:, None, :] * self.means)[:, :, None, :], v)[:, :, 0, :]
+        past = top >= 1.0
+        # NaN rows past the limit keep log1p quiet and carry NaN into every
+        # column; their S is I, so the stacked solve stays regular.
+        w[past] = np.nan
+        s = np.eye(self.theta.size) - mus[:, None, None, None] * b
+        s[past] = np.eye(self.theta.size)
+        m = (e[:, None, :] * self.means)[..., None]
+        rhs = np.concatenate([m, b], axis=3) if slope else m
+        try:
+            solved = np.linalg.solve(s, rhs)
+        except np.linalg.LinAlgError:
+            # A mu within rounding of mu* can leave S exactly singular while
+            # top still reads below 1; those rows are masked in the same way.
+            lost = np.linalg.det(s) == 0.0
+            w[lost], s[lost] = np.nan, np.eye(self.theta.size)
+            solved = np.linalg.solve(s, rhs)
+        h = solved[..., 0]
         log_cos = 2.0 * lncosh(mus[:, None] * self.basis.gamma).sum(axis=1)
-        parts = 0.5 * (mus[:, None] * (p * p / gap).sum(axis=2) - np.log1p(-w).sum(axis=2)
+        parts = 0.5 * (mus[:, None] * (m[..., 0] * h).sum(axis=2) - np.log1p(-w).sum(axis=2)
                        - log_cos[:, None])
         x_mix = parts + self.log_weights
         shift = x_mix.max(axis=1)
@@ -230,8 +244,7 @@ class ExactEngine:
         if not slope:
             return values, None, top
         c = 1.0 / _over_x(np.sinh, 2.0 * x)
-        h = np.matmul(v, (p / gap)[..., None])[..., 0]
-        spread = (v * v * (w_unit / gap)[:, :, None, :]).sum(axis=3)
+        spread = np.diagonal(solved[..., 1:], axis1=2, axis2=3)
         slopes = 0.5 * ((c[:, None, :] * (h * h + spread)).sum(axis=2)
                         - (self.theta * np.tanh(x)).sum(axis=1)[:, None])
         return values, (mix * slopes).sum(axis=1) / total, top

@@ -19,6 +19,7 @@ from qembound import (
     validate_ccr,
 )
 from qembound._search import SEARCH_MAX_ITER, SEARCH_RTOL
+from qembound.ccr import _over_x, lncosh
 from qembound.sampling import log_mean_exp_stats, standard_normal_blocks
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -161,3 +162,37 @@ def log_propagated_norm(initial, model, t, lam):
     e_neg = scipy.linalg.expm(-t * a)
     weight = e_neg @ (lam * np.eye(a.shape[0]) - gramian_finite(a, b, t).sigma) @ e_neg.T
     return -0.5 * t * float(np.trace(a)) + log_weighted_norm(initial, 0.5 * (weight + weight.T))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def eigh_exact_chunk(engine, mus, slope):
+    """(values, slopes, top) of ExactEngine.grid over one chunk of mus from
+    one stacked eigh of the unit-scale B = V diag(w_unit) V^T: the mean term
+    mu sum p^2/(1 - w) with p = V^T (e * M~), and the slope's
+    h = V (p/(1 - w)) and spread sum_j V_ij^2 w_unit_j/(1 - w_j); the
+    oracle for ExactEngine's stacked solve."""
+    mus = np.asarray(mus, dtype=float)
+    x = mus[:, None] * engine.theta
+    e = np.sqrt(_over_x(np.tanh, x))
+    w_unit, v = np.linalg.eigh(e[:, None, :, None] * engine.covs * e[:, None, None, :])
+    w = mus[:, None, None] * w_unit
+    top = np.where(np.isinf(x).any(axis=1), np.inf, w.max(axis=(1, 2)))
+    w[top >= 1.0] = np.nan
+    gap = 1.0 - w
+    p = np.matmul((e[:, None, :] * engine.means)[:, :, None, :], v)[:, :, 0, :]
+    log_cos = 2.0 * lncosh(mus[:, None] * engine.basis.gamma).sum(axis=1)
+    parts = 0.5 * (mus[:, None] * (p * p / gap).sum(axis=2) - np.log1p(-w).sum(axis=2)
+                   - log_cos[:, None])
+    x_mix = parts + engine.log_weights
+    shift = x_mix.max(axis=1)
+    mix = np.exp(x_mix - shift[:, None])
+    total = mix.sum(axis=1)
+    values = shift + np.log(total)
+    if not slope:
+        return values, None, top
+    c = 1.0 / _over_x(np.sinh, 2.0 * x)
+    h = np.matmul(v, (p / gap)[..., None])[..., 0]
+    spread = (v * v * (w_unit / gap)[:, :, None, :]).sum(axis=3)
+    slopes = 0.5 * ((c[:, None, :] * (h * h + spread)).sum(axis=2)
+                    - (engine.theta * np.tanh(x)).sum(axis=1)[:, None])
+    return values, (mix * slopes).sum(axis=1) / total, top

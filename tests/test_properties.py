@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bisect_nondecreasing, block_ccr, golden_section_minimize,
-                      per_sample_randomized_mc, random_admissible_state)
+from conftest import (bisect_nondecreasing, block_ccr, eigh_exact_chunk,
+                      golden_section_minimize, per_sample_randomized_mc,
+                      random_admissible_state)
 from qembound import (
+    GaussianState,
     MixtureMgf,
     matrix_function,
     OqhoModel,
@@ -49,6 +51,7 @@ from qembound.qem import (
     ScalarBoundEngine,
     _log_bound_prefactor,
     _radius,
+    saturation_mu,
     scalar_weight_limit,
 )
 from qembound.sampling import BLOCK_SIZE
@@ -62,14 +65,26 @@ pytestmark = pytest.mark.filterwarnings(
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
 
+def _squeezed_state(rng, ccr, freqs):
+    """Admissible state on block_ccr(freqs) whose mode k has the pure
+    squeezed covariance freq_k diag(r_k, 1/r_k), r_k up to e^3, plus W W^T."""
+    r = np.exp(rng.uniform(0.0, 3.0, size=len(freqs)))
+    w = rng.normal(scale=0.3, size=(ccr.n, ccr.n))
+    cov = np.diag(np.ravel([[f * q, f / q] for f, q in zip(freqs, r)])) + w @ w.T
+    return GaussianState(mean=rng.normal(scale=0.5, size=ccr.n), cov=cov, ccr=ccr)
+
+
 @st.composite
-def mixtures(draw, max_components=3):
-    """(mixture, basis) with 1-3 modes and 1 to max_components admissible components."""
+def mixtures(draw, max_components=3, squeezed=False):
+    """(mixture, basis) with 1-3 modes and 1 to max_components admissible
+    components; with squeezed, each may be a squeezed state instead."""
     freqs = draw(st.lists(st.floats(0.5, 2.5), min_size=1, max_size=3))
     k = draw(st.integers(1, max_components))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ccr = block_ccr(freqs)
-    comps = tuple(random_admissible_state(rng, ccr) for _ in range(k))
+    kinds = draw(st.lists(st.booleans(), min_size=k, max_size=k)) if squeezed else [False] * k
+    comps = tuple(_squeezed_state(rng, ccr, freqs) if is_squeezed
+                  else random_admissible_state(rng, ccr) for is_squeezed in kinds)
     weights = rng.uniform(0.5, 1.5, size=k)
     weights /= weights.sum()
     return MixtureMgf(weights=tuple(weights), components=comps), symplectic_eigenbasis(ccr)
@@ -503,6 +518,59 @@ def test_exact_and_mc_rows_share_one_verdict(case):
     assert any(status in flags for status in exact)
     assert [s if s in flags else None for s in mc] == [s if s in flags else None for s in exact]
     assert [s == "infinite_variance" for s in mc] == ((top >= 0.5) & (top < 1.0)).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(squeezed=True),
+       st.lists(st.one_of(st.floats(0.01, 0.98), st.floats(1.02, 1.5)), max_size=8))
+def test_grid_matches_eigh_oracle(case, fractions):
+    # The stacked solve against the eigh route it replaced (conftest), at
+    # subnormal and tiny mu and on a grid across mu* (or the span, where
+    # mu* is not resolved below it), squeezed components included.
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    scale = engine.mu_star if math.isfinite(engine.mu_star) else saturation_mu(basis)
+    mus = np.concatenate([[5e-324, 1e-300], np.array(fractions + [0.5, 1.25]) * scale])
+    values, slopes, top = engine.grid(mus, slope=True)
+    ref_values, ref_slopes, ref_top = eigh_exact_chunk(engine, mus, True)
+    assert np.all(np.abs(top - ref_top) <= 16 * np.spacing(ref_top))
+    past = ref_top >= 1.0
+    assert np.array_equal(np.isnan(values), past) and np.array_equal(np.isnan(slopes), past)
+    np.testing.assert_allclose(values[~past], ref_values[~past], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(slopes[~past], ref_slopes[~past], rtol=1e-12, atol=0.0)
+
+
+def _statuses_reading_mu_star_first(kind, state, basis, mus):
+    """Statuses of an exact-engine kind from the rule with mu* read first:
+    ok below top 1, the span and (for tail) mu_max, else infeasible_mu for a
+    mu* below the span and numerical_error otherwise; Monte-Carlo rows read
+    infinite_variance where an ok row has top >= 1/2."""
+    engine = ExactEngine(state, basis)
+    span = saturation_mu(basis)
+    flag = "infeasible_mu" if engine.mu_star < span else "numerical_error"
+    limit = min(engine.mu_max(), span) if kind == "tail" else span
+    top = engine.grid(mus)[2]
+    statuses = ["ok" if x < 1.0 and mu < limit else flag for mu, x in zip(mus, top)]
+    if kind == "randomized_mc":
+        statuses = ["infinite_variance" if s == "ok" and x >= 0.5 else s
+                    for s, x in zip(statuses, top)]
+    return statuses
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.lists(st.floats(0.01, 1.5), min_size=1, max_size=12),
+       st.sampled_from([[], [0.9995]]))
+def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
+    # cli reads mu* only where a row's own top cannot decide its status;
+    # every kind still gives the statuses of the rule that reads mu* first,
+    # also with a row between the tail's cut CGF_SAFETY mu* and mu*.
+    state, basis = case
+    mus = np.unique(np.array(fractions + between) * critical_mu(state, basis))
+    for kind in ("gaussian_exact", "tail", "randomized_mc"):
+        config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
+                                mu_grid=tuple(mus.tolist()), samples=16, seed=1)
+        statuses = [row.status for row in run(config)[0].rows]
+        assert statuses == _statuses_reading_mu_star_first(kind, state, basis, mus)
 
 
 @PROPERTY_SETTINGS

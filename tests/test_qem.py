@@ -1,15 +1,17 @@
 """Tests for exact, Monte-Carlo, and upper-bound moment computations and
 the tail-probability machinery."""
 
+import functools
 import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import (block_ccr, random_admissible_state, random_ccr, simple_mixture,
-                      thermal_state)
+from conftest import (block_ccr, eigh_exact_chunk, random_admissible_state, random_ccr,
+                      simple_mixture, thermal_state)
 from qembound import (
     GaussianState,
     J2,
@@ -106,6 +108,77 @@ class TestExactGaussian:
         parts = [qem_exact(c, BASIS2, mu).log_qem for c in mix.components]
         expected = math.log(0.5 * math.exp(parts[0]) + 0.5 * math.exp(parts[1]))
         assert qem_exact(mix, BASIS2, mu).log_qem == pytest.approx(expected, rel=1e-12)
+
+    def test_grid_within_rounding_of_mu_star_does_not_raise(self):
+        # At the float mu* of this state top reads 1 - 2^-53, and on some
+        # BLAS builds the LU of S = I - mu B meets an exact zero pivot there.
+        # No mu within 40 ulps of mu* raises: each row is finite, or NaN in
+        # both columns (always so where top >= 1).
+        state = GaussianState(mean=[0.3, 0.0], cov=[[1.7, -0.5], [-0.5, 1.7]], ccr=CCR2)
+        engine = ExactEngine(state, BASIS2)
+        mus = engine.mu_star + np.arange(-40, 41) * np.spacing(engine.mu_star)
+        values, slopes, top = engine.grid(mus, slope=True)
+        assert np.array_equal(np.isnan(values), np.isnan(slopes))
+        assert np.isnan(values[top >= 1.0]).all() and np.isfinite(values[0])
+
+
+def _exact_grid_mixture(seed):
+    """The mixture of perfbench's exact_grid workload at seed, rebuilt as in
+    perfbench/workloads.py: components c_k |Theta| + W_k W_k^T, c_k in
+    [1.1, 1.4], on ccr [1, 1.5, 2, 2.5]."""
+    rng = np.random.default_rng([seed, 3])
+    freqs = [1.0, 1.5, 2.0, 2.5]
+    ccr = block_ccr(freqs)
+    comps = []
+    for c in rng.uniform(1.1, 1.4, size=4):
+        w = rng.normal(scale=0.5 / math.sqrt(8.0), size=(8, 8))
+        cov = c * np.diag(np.repeat(freqs, 2)) + w @ w.T
+        comps.append(GaussianState(mean=rng.normal(scale=0.3, size=8),
+                                   cov=0.5 * (cov + cov.T), ccr=ccr))
+    weights = rng.uniform(0.5, 1.5, size=4)
+    return simple_mixture(ccr, [c.mean for c in comps], [c.cov for c in comps],
+                          weights / weights.sum()), symplectic_eigenbasis(ccr)
+
+
+def _mp_upsilon(engine, mu):
+    """The closed form of ExactEngine's docstring at mu (an mpf) in the
+    working precision of mpmath, from the engine's rotated inputs."""
+    n = engine.theta.size
+    e = [mpmath.sqrt(mpmath.tanh(mu * t) / (mu * t)) for t in engine.theta.tolist()]
+    log_cos = 2 * mpmath.fsum(mpmath.log(mpmath.cosh(mu * g)) for g in engine.basis.gamma.tolist())
+    terms = []
+    for log_w, cov, mean in zip(engine.log_weights.tolist(), engine.covs, engine.means):
+        s = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                s[i, j] = (i == j) - mu * e[i] * mpmath.mpf(cov[i, j]) * e[j]
+        m = mpmath.matrix([e[i] * mpmath.mpf(mean[i]) for i in range(n)])
+        quad = (m.T * mpmath.lu_solve(s, m))[0]
+        terms.append(log_w + (mu * quad - mpmath.log(mpmath.det(s)) - log_cos) / 2)
+    return mpmath.log(mpmath.fsum(mpmath.exp(t) for t in terms))
+
+
+def test_grid_near_mu_star_against_50_digits():
+    # The seed-1 exact_grid chunk that holds mu* (its last 25 of 100 rows
+    # to 1.25 mu*), whose rows below mu* are the worst conditioned of the
+    # workload: the stacked solve's values and slopes are no further from a
+    # 50-digit evaluation of the closed form than the eigh route's.
+    state, basis = _exact_grid_mixture(1)
+    engine = ExactEngine(state, basis)
+    chunk = (1.25 * engine.mu_star * (np.arange(100) + 0.5) / 100)[75:]
+    upsilon = functools.partial(_mp_upsilon, engine)
+    below = chunk < engine.mu_star
+    assert below.sum() >= 3
+    errors = {}
+    with mpmath.workdps(50):
+        mus = [mpmath.mpf(mu) for mu in chunk[below].tolist()]
+        exact = [(upsilon(mu), mpmath.diff(upsilon, mu)) for mu in mus]
+        for name, (values, slopes, _) in (("solve", engine.grid(chunk, slope=True)),
+                                          ("eigh", eigh_exact_chunk(engine, chunk, True))):
+            errors[name] = max(max(float(abs(value / v - 1)), float(abs(slope / s - 1)))
+                               for value, slope, (v, s) in zip(values[below].tolist(),
+                                                               slopes[below].tolist(), exact))
+    assert errors["solve"] <= errors["eigh"] < 1e-11
 
 
 class TestCriticalMu:
