@@ -35,6 +35,16 @@ ADMISSIBILITY_RTOL = 1e-14
 WEIGHT_SUM_TOL = 1e-12
 
 
+def _least_eigenvalue_and_floor(covs, theta):
+    """(least eigenvalue of C + i*Theta, the least one admissible) for each
+    symmetric covariance C of covs, one matrix or a stack (..., n, n), from one
+    stacked eigvalsh: the floor is ADMISSIBILITY_FLOOR less ADMISSIBILITY_RTOL
+    * max(1, max|C|)."""
+    least = np.linalg.eigvalsh(covs + 1j * theta)[..., 0]
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+    return least, ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * scale
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state given by mean, real covariance and its CCR matrix."""
@@ -54,10 +64,10 @@ class GaussianState:
         _require_finite(mean, "mean")
         _require_finite(cov, "covariance")
         cov = _symmetric(cov, NotAdmissible, "covariance is not symmetric within tolerance")
-        w = np.linalg.eigvalsh(cov + 1j * self.ccr.theta)
-        if w[0] < ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * max(1.0, float(np.abs(cov).max())):
+        least, floor = _least_eigenvalue_and_floor(cov, self.ccr.theta)
+        if least < floor:
             raise NotAdmissible(
-                f"min eigenvalue of C + i*Theta is {w[0]:.3e}; state is not quantum-admissible"
+                f"min eigenvalue of C + i*Theta is {least:.3e}; state is not quantum-admissible"
             )
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
@@ -105,6 +115,33 @@ def as_mixture(state) -> MixtureMgf:
     if isinstance(state, MixtureMgf):
         return state
     return MixtureMgf(weights=(1.0,), components=(state,))
+
+
+@dataclass(frozen=True)
+class MixtureStack:
+    """Gaussian mixtures with one weight vector and one CCR matrix, stacked:
+    means (..., K, n) and covs (..., K, n, n) over the leading axes `shape`,
+    which are () for one mixture (as_stack) and (T,) for the T horizons of
+    oqho.propagate_horizons.  Its arrays are trusted as given: as_stack takes
+    them from validated states, and propagate_horizons checks its own."""
+
+    weights: tuple
+    means: np.ndarray
+    covs: np.ndarray
+    ccr: CcrMatrix
+
+    @property
+    def shape(self):
+        return self.means.shape[:-2]
+
+
+def as_stack(state) -> MixtureStack:
+    """View a Gaussian or a mixture as a stack of shape (); pass stacks through."""
+    if isinstance(state, MixtureStack):
+        return state
+    mix = as_mixture(state)
+    return MixtureStack(weights=mix.weights, means=np.array([c.mean for c in mix.components]),
+                        covs=np.array([c.cov for c in mix.components]), ccr=mix.ccr)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from qembound import (
     symplectic_eigenbasis,
     validate_ccr,
 )
-from qembound.ccr import lnsinh
+from qembound.ccr import _diag_kron_j2, lnsinh
 from qembound.errors import (
     DimensionMismatch,
     NotAntisymmetric,
@@ -23,6 +23,14 @@ from qembound.errors import (
     SingularCcr,
     UnsupportedFunction,
 )
+
+
+@pytest.mark.parametrize("values", [[1.0], [0.5, 2.0, 3.0], np.ones(4), [-1.5, 0.0, 2.0]],
+                         ids=["one", "frequencies", "identity", "signed-and-zero"])
+def test_diag_kron_j2_is_np_kron_bit_for_bit(values):
+    # Bytes, not values: np.kron writes 0 * J2 off the diagonal blocks,
+    # with a -0.0 that an equality test would not see.
+    assert _diag_kron_j2(values).tobytes() == np.kron(np.diag(values), J2).tobytes()
 
 
 class TestValidateCcr:

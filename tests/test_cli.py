@@ -1,6 +1,8 @@
 """Tests for config parsing, scenario execution, CSV reports, and the
 command-line entry point."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qembound
 from qembound.cli import (
@@ -657,6 +661,23 @@ class TestReportSerialization:
         report = BoundReport(rows=rows)
         again = BoundReport.from_csv_text(report.to_csv_text())
         assert again == report
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=len(CSV_COLUMNS) - 1, max_size=len(CSV_COLUMNS) - 1),
+        st.sampled_from(STATUSES)), max_size=6))
+    def test_csv_text_is_what_csv_writer_writes(self, rows):
+        # Every None pattern and every status: the one-join text equals
+        # csv.writer's, so no field ever needed quoting.
+        report = BoundReport(rows=tuple(ReportRow(*values, status=status)
+                                        for values, status in rows))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(["" if v is None else format(v, ".17g") for v in values] + [status]
+                         for values, status in rows)
+        assert report.to_csv_text() == buffer.getvalue()
 
     def test_round_trip_of_every_status(self):
         rows = tuple(ReportRow(mu=0.5, status=status) for status in STATUSES)

@@ -9,6 +9,7 @@ position of mu inside the bound's validity range.
 
 import functools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,40 @@ def test_propagated_window_lies_above_the_gramian(case, t, seed):
     sigma = gramian_finite(*dynamics_matrices(model), t).sigma
     engine = ScalarBoundEngine(propagate_mgf(state, model, t), basis)
     assert engine.lam_lo >= float(np.linalg.eigvalsh(sigma)[-1])
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4, unique=True),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_sweep_is_its_horizons(case, ts, at_zero, seed):
+    # A sweep through cli.run prints, byte for byte, its horizons run one at
+    # a time; each ok row is qem_bound_time at its (t, mu) within 1e-12, and
+    # the t = 0 rows are the upper_bound rows of the initial state.  The mu
+    # grid reaches past the initial state's scalar window, so rows past a
+    # horizon's own window read empty_interval.
+    state, basis = case
+    model = _random_model(np.random.default_rng(seed), state.ccr)
+    ts = tuple(sorted(set(ts) | ({0.0} if at_zero else set())))
+    edge = ScalarBoundEngine(state, basis).mu_max() / CGF_SAFETY
+    config = ScenarioConfig(kind="oqho_sweep", ccr=state.ccr, state=state, model=model,
+                            mu_grid=tuple(f * edge for f in (0.05, 0.3, 0.7, 0.95, 1.2)),
+                            t_grid=ts)
+    sweep, _ = run(config)
+    texts = [run(replace(config, t_grid=(t,)))[0].to_csv_text() for t in ts]
+    assert sweep.to_csv_text() == texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:])
+    assert [(r.t, r.mu) for r in sweep.rows] == [(t, mu) for t in ts for mu in config.mu_grid]
+    for row in sweep.rows:
+        try:
+            value, lam = qem_bound_time(state, model, row.mu, row.t, basis=basis)
+        except EmptyFeasibleWindow:
+            assert row.status == "empty_interval"
+            continue
+        assert row.status == "ok"
+        assert abs(row.upsilon_bound - value.log_qem) <= 1e-12 * max(1.0, abs(value.log_qem))
+        assert abs(row.lambda_opt - lam) <= 1e-12 * lam
+    if at_zero:
+        static, _ = run(replace(config, kind="upper_bound", model=None, t_grid=None))
+        assert [replace(r, t=0.0) for r in static.rows] == list(sweep.rows[:len(static.rows)])
 
 
 def _mean_half_quadratic(state):
