@@ -282,31 +282,26 @@ def _verdict(engine, grid, top, cut=math.inf):
     return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
 
 
-def _grid_rows(ts, grid, statuses, **columns):
-    """Report rows of one engine grid call over the horizons ts (one per
-    state of the engine) and the mu grid, in (t, mu) order, the order in
-    which statuses and the flattened columns run: each row's status where not
-    ok, else numerical_error where a column is not finite."""
-    columns = {name: c.ravel() for name, c in columns.items()}
+def _grid_rows(t, grid, statuses, **columns):
+    """Report rows of one engine grid call: each row's status where not ok,
+    else numerical_error where a column is not finite."""
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
     columns = {name: c.tolist() for name, c in columns.items()}
-    cells = [(t, mu) for t in ts for mu in grid]
     return [ReportRow(t=t, mu=mu, status=status) if status != STATUS_OK
             else ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL) if not finite[i]
             else ReportRow(t=t, mu=mu, **{name: c[i] for name, c in columns.items()})
-            for i, ((t, mu), status) in enumerate(zip(cells, statuses))]
+            for i, (mu, status) in enumerate(zip(grid, statuses))]
 
 
-# Routes: (config, engine, ts, grid) -> list of ReportRow in (t, mu) order,
-# for the horizons ts of the engine's states ((None,) for one state).
+# Routes: (config, engine, t, grid) -> list of ReportRow, one per mu.
 
 
-def _exact_rows(config, engine, ts, grid):
+def _exact_rows(config, engine, t, grid):
     values, _, top = engine.grid(grid)
-    return _grid_rows(ts, grid, _verdict(engine, grid, top), upsilon_exact=values)
+    return _grid_rows(t, grid, _verdict(engine, grid, top), upsilon_exact=values)
 
 
-def _tail_rows(config, engine, ts, grid):
+def _tail_rows(config, engine, t, grid):
     upsilon, slope, top = engine.grid(grid, slope=True)
     mus = np.asarray(grid)
     # Rows from mu_max = min(CGF_SAFETY mu*, span) on are cut, and _verdict
@@ -319,15 +314,14 @@ def _tail_rows(config, engine, ts, grid):
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    return _grid_rows(ts, grid, _verdict(engine, grid, top, cut), upsilon_exact=upsilon,
+    return _grid_rows(t, grid, _verdict(engine, grid, top, cut), upsilon_exact=upsilon,
                       tail_eps=slope, tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
 
 
-def _mc_rows(config, engine, ts, grid):
+def _mc_rows(config, engine, t, grid):
     # One grid call gives every row's top = mu rho(C K(mu)): past the
     # _verdict no sample is drawn; from 1/2 the estimator's variance is
     # infinite, so no error bar is printed.
-    [t] = ts
     top = engine.grid(grid)[2]
     statuses = [STATUS_INFINITE_VARIANCE if s == STATUS_OK and x >= 0.5 else s
                 for s, x in zip(_verdict(engine, grid, top), top.tolist())]
@@ -350,23 +344,23 @@ def _mc_row(config, engine, t, index, mu, status):
     return ReportRow(t=t, mu=mu, status=status, upsilon_mc=value.log_qem, mc_se=mc_se)
 
 
-def _bound_rows(config, engine, ts, grid):
-    # One ScalarBoundEngine.grid call over every (t, mu): empty_interval
-    # where a window is empty; its NaN rows where the weight limit
-    # overflows, and any other non-finite value, read numerical_error.
+def _bound_rows(config, engine, t, grid):
+    # One ScalarBoundEngine.grid call: empty_interval where a window is
+    # empty; its NaN rows where the weight limit overflows, and any other
+    # non-finite value, read numerical_error.
     values, lams, empty = engine.grid(grid)
-    statuses = [STATUS_EMPTY if e else STATUS_OK for e in empty.ravel().tolist()]
-    return _grid_rows(ts, grid, statuses, upsilon_bound=values, lambda_opt=lams)
+    statuses = [STATUS_EMPTY if e else STATUS_OK for e in empty.tolist()]
+    return _grid_rows(t, grid, statuses, upsilon_bound=values, lambda_opt=lams)
 
 
 #: Engine class, route and required keys beyond _STATE_KEYS of each kind,
 #: in the order KINDS (and the parse message naming them) lists the kinds.
-#: Every route makes one grid call per scenario, an oqho_sweep's over all
-#: of its horizons: the ExactEngine routes read their rows' feasibility
-#: from it (see _verdict), and the bound routes their values.  Only the
-#: Monte-Carlo route then calls a row function per mu, _mc_row, by its
-#: module name, so a wrapper bound to that name (perfbench's cli.cell span)
-#: sees those rows and no others.
+#: Every route makes one grid call per scenario (or oqho_sweep horizon):
+#: the ExactEngine routes read their rows' feasibility from it (see
+#: _verdict), and the bound routes their values.  Only the Monte-Carlo
+#: route then calls a row function per mu, _mc_row, by its module name, so
+#: a wrapper bound to that name (perfbench's cli.cell span) sees those rows
+#: and no others.
 _KINDS = {
     "gaussian_exact": (qem.ExactEngine, _exact_rows, ()),
     "randomized_mc": (qem.ExactEngine, _mc_rows, ()),
@@ -380,30 +374,25 @@ KINDS = tuple(_KINDS)
 def run(config: ScenarioConfig):
     """Execute a scenario; returns (BoundReport, exit_code).
 
-    A scenario builds its kind's engine once and hands it the whole mu_grid
-    through the kind's route.  An oqho_sweep first propagates the state to
-    every horizon of t_grid in one call (oqho.propagate_horizons); its
-    engine holds every horizon that propagates, so one grid call serves all
-    of its (t, mu) rows.  A horizon whose propagation faults flags only its
-    own rows, and a fault while building the engine flags all of them.
+    Each scenario, or each horizon of an oqho_sweep (on the state
+    propagated to that horizon), builds its kind's engine once and hands
+    it the whole mu_grid through the kind's route; a fault while
+    propagating the state or building the engine flags that engine's rows.
     Exit code 0 when every row is ok, 2 when any row is not.  Rows are
     ordered by (t, mu).
     """
     basis = symplectic_eigenbasis(config.ccr)
     engine_class, route, _ = _KINDS[config.kind]
+    rows = []
     # Overflow warnings are not printed: every non-finite value is flagged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if config.t_grid is None:
-            ts, state, faults = (None,), config.state, (None,)
-        else:
-            ts = config.t_grid
-            state, faults = oqho.propagate_horizons(config.state, config.model, ts)
-        engine, _ = _attempt(lambda: engine_class(state, basis))
-        live = [t for t, fault in zip(ts, faults) if fault is None]
-        computed = iter(route(config, engine, live, config.mu_grid) if engine is not None else ())
-        rows = [next(computed) if engine is not None and fault is None
-                else ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL)
-                for t, fault in zip(ts, faults) for mu in config.mu_grid]
+        for t in config.t_grid or (None,):
+            # An oqho_sweep horizon's engine runs on the state propagated to t.
+            engine, status = _attempt(lambda: engine_class(
+                config.state if t is None else oqho.propagate_mgf(config.state, config.model, t),
+                basis))
+            rows += ([ReportRow(t=t, mu=mu, status=status) for mu in config.mu_grid]
+                     if engine is None else route(config, engine, t, config.mu_grid))
 
     return BoundReport(rows=tuple(rows)), 0 if all(r.status == STATUS_OK for r in rows) else 2
 

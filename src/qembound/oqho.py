@@ -13,13 +13,10 @@ The time-t moment bound is the static scalar-weight bound on the
 propagated mixture: Pi(t, lam) - (C_i + C_j)/2 is congruent under e^{-tA}
 to lam I - (C_i(t) + C_j(t))/2, so the initial-state norm at Pi(t, lam)
 carries a -2t tr A log-det shift that cancels the -(t/2) tr A prefactor.
-It is therefore computed by qem.ScalarBoundEngine on the propagated state,
-and the static bound is its t = 0 case.  A sweep's horizons propagate
-together (propagate_horizons), and one engine holds all of them.
+It is therefore computed by qem.ScalarBoundEngine on propagate_mgf's
+state, and the static bound is its t = 0 case.
 """
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +28,11 @@ from .errors import (
     DimensionMismatch,
     ExpmFailure,
     InternalAdmissibilityViolation,
+    NotAdmissible,
     NotHurwitz,
 )
 from .qem import ScalarBoundEngine
-from .states import (GaussianState, MixtureMgf, MixtureStack, _least_eigenvalue_and_floor,
-                     as_mixture, as_stack)
+from .states import MixtureMgf, _gaussian_states, as_mixture
 
 HURWITZ_MARGIN = -1e-10
 PSD_FLOOR = -1e-10
@@ -93,9 +90,8 @@ def dynamics_matrices(model: OqhoModel):
     return a, b
 
 
-def _expm_and_gramian_stack(a, b, ts):
-    """e^{tA} and Sigma_t at every horizon of the 1-D ts, stacked (T, n, n),
-    from one block matrix exponential each, all in one batched Taylor block.
+def _expm_and_gramian(a, b, t):
+    """e^{tA} and Sigma_t from one block matrix exponential.
 
     exp(s * [[-A, BB^T], [0, A^T]]) has upper-left block e^{-sA},
     upper-right block e^{-sA} * Sigma_s and lower-right block e^{sA^T}.
@@ -105,61 +101,34 @@ def _expm_and_gramian_stack(a, b, ts):
     Sigma_2s = Sigma_s + e^{sA} Sigma_s e^{sA^T}, with e^{2sA} squared.
     The block is block-triangular, so its diagonal blocks keep a remainder
     below e/19! ~ 2e-17 and the off-diagonal one, relative to Sigma_s, one
-    set by ||sA|| alone; BB^T needs no scaling.  Each horizon keeps its own
-    k where ts is nondecreasing, as a sweep's t_grid is, so each horizon's
-    result is bit for bit its one-horizon call (elsewhere a k may be raised
-    to one before it, which only scales further).  Returns (e_ta, sigma,
-    faults): faults[i] is None, or the ExpmFailure of horizon i where
-    t ||A||_1 is not finite (its slices then hold no result).  A result may
-    overflow; the callers check that.
+    set by ||sA|| alone; BB^T needs no scaling.  Raises ExpmFailure when
+    t ||A||_1 or the result is not finite.
     """
-    norm = float(np.abs(a).sum(axis=0).max())
+    t_norm = t * float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(t_norm):
+        raise ExpmFailure(f"t * ||A||_1 = {t_norm} is not finite at t = {t}")
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = b @ b.T
     block[n:, n:] = a.T
-    # Each k is raised to the largest before it, so the horizons still
-    # doubling at any step are a suffix.  That leaves every k of a
-    # nondecreasing ts as it is, but that of a horizon whose t ||A||_1 is not
-    # finite: it is scaled to 0, doubling leaves its I and 0 exactly, and it
-    # is flagged below.
-    ks = list(itertools.accumulate(
-        (math.ceil(math.log2(max(1.0, t * norm))) if math.isfinite(t * norm) else 0 for t in ts),
-        max))
-    scales = [math.ldexp(t, -k) if math.isfinite(t * norm) else 0.0 for t, k in zip(ts, ks)]
-    scaled = block * np.array(scales)[:, None, None]
-    # One identity per horizon: a broadcast one makes each addition slower.
+    k = math.ceil(math.log2(max(1.0, t_norm)))
+    scaled = block * math.ldexp(t, -k)
     # The first Horner step, eye + (scaled @ eye)/18, is eye + scaled/18 bit
     # for bit: the product with eye adds only zeros to each entry.
-    eye = np.eye(2 * n)[None].repeat(len(ts), axis=0)
+    eye = np.eye(2 * n)
     big = eye + scaled / 18
     for j in range(17, 0, -1):
         big = eye + (scaled @ big) / j
-    # Row-major, as a doubled e^{tA} is: a matrix-vector product's bits
-    # depend on the layout of its matrix (see propagate_horizons).
-    e_ta = np.ascontiguousarray(big[:, n:, n:].swapaxes(1, 2))
-    sigma = e_ta @ big[:, :n, n:]
+    e_ta = big[n:, n:].T
+    sigma = e_ta @ big[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max(ks, default=0)):
-            live = slice(bisect.bisect_right(ks, step), None)
-            e, s = e_ta[live], sigma[live]
-            s += e @ s @ e.swapaxes(1, 2)
-            e_ta[live] = e @ e
-    faults = [None if math.isfinite(t * norm) else
-              ExpmFailure(f"t * ||A||_1 = {t * norm} is not finite at t = {t}") for t in ts]
-    return e_ta, 0.5 * (sigma + sigma.swapaxes(1, 2)), faults
-
-
-def _expm_and_gramian(a, b, t):
-    """(e^{tA}, Sigma_t) at one horizon of _expm_and_gramian_stack; raises
-    ExpmFailure where t ||A||_1 or the result is not finite."""
-    e_ta, sigma, [fault] = _expm_and_gramian_stack(a, b, [t])
-    if fault is not None:
-        raise fault
+        for _ in range(k):
+            sigma = sigma + e_ta @ sigma @ e_ta.T
+            e_ta = e_ta @ e_ta
     if not (np.all(np.isfinite(e_ta)) and np.all(np.isfinite(sigma))):
         raise ExpmFailure("matrix exponential produced non-finite entries")
-    return e_ta[0], sigma[0]
+    return e_ta, 0.5 * (sigma + sigma.T)
 
 
 def gramian_finite(a, b, t: float) -> GramianResult:
@@ -204,69 +173,33 @@ def gramian_infinite(a, b) -> GramianResult:
     return GramianResult(sigma=_readonly(sigma), horizon=math.inf, hurwitz=True)
 
 
-def propagate_horizons(initial, model: OqhoModel, ts):
-    """The state at every horizon of the 1-D ts at once: each component
-    (M, C) maps to (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t), weights
-    unchanged, and t = 0 keeps the initial state as it is.
-
-    One batched propagation (_expm_and_gramian_stack) and one stacked check
-    serve every horizon t > 0.  The check runs what can fail on a
-    propagated state: finiteness and GaussianState's admissibility floor
-    (states._least_eigenvalue_and_floor); the covariances are symmetrized
-    exactly, so its symmetry test cannot fail on them.  A failure there is
-    a numerical fault, not a user error.  Returns (stack, faults): faults
-    holds, per horizon of ts, None or its error (ExpmFailure or
-    InternalAdmissibilityViolation), and stack is the MixtureStack of shape
-    (T,) over the horizons without one, in order.
-    """
-    start = as_stack(initial)
-    if not _same_ccr(start.ccr, model.ccr):
-        raise DimensionMismatch("state and model do not come from one CCR matrix")
-    ts = [float(t) for t in ts]
-    if any(t < 0.0 for t in ts):
-        raise ValueError("time must be nonnegative")
-    faults = [None] * len(ts)
-    # Row 0 of means and covs is the initial state, row 1 + j the j-th moving horizon.
-    means, covs, source = start.means[None], start.covs[None], [0] * len(ts)
-    moving = [i for i, t in enumerate(ts) if t != 0.0]
-    if moving:
-        e_ta, sigma, faults_t = _expm_and_gramian_stack(*dynamics_matrices(model),
-                                                        [ts[i] for i in moving])
-        # Overflow in e^{tA}, Sigma_t or these products shows as a state
-        # that is not finite, flagged below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            means_t = (e_ta[:, None] @ start.means[..., None])[..., 0]
-            covs_t = e_ta[:, None] @ start.covs @ e_ta.swapaxes(1, 2)[:, None] + sigma[:, None]
-            covs_t = 0.5 * (covs_t + covs_t.swapaxes(2, 3))
-        finite = np.isfinite(means_t).all(axis=(1, 2)) & np.isfinite(covs_t).all(axis=(1, 2, 3))
-        least, floor = _least_eigenvalue_and_floor(np.where(finite[:, None, None, None], covs_t, 0.0),
-                                                   model.ccr.theta)
-        below = (least < floor).any(axis=1).tolist()
-        for j, (i, fault, ok) in enumerate(zip(moving, faults_t, finite.tolist())):
-            if fault is None and not ok:
-                fault = InternalAdmissibilityViolation(f"propagated state is not finite at t = {ts[i]}")
-            elif fault is None and below[j]:
-                fault = InternalAdmissibilityViolation(
-                    f"propagated covariance violates admissibility at t = {ts[i]}: min eigenvalue "
-                    f"of C + i*Theta is {least[j].min():.3e}; state is not quantum-admissible")
-            faults[i], source[i] = fault, 1 + j
-        means, covs = np.concatenate([means, means_t]), np.concatenate([covs, covs_t])
-    live = [source[i] for i, fault in enumerate(faults) if fault is None]
-    stack = MixtureStack(weights=start.weights, means=means[live], covs=covs[live], ccr=model.ccr)
-    return stack, faults
-
-
 def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
-    """State at time t: the one-horizon case of propagate_horizons, whose
-    fault it raises; at t = 0 the initial state itself, as a mixture."""
-    stack, [fault] = propagate_horizons(initial, model, [t])
-    if fault is not None:
-        raise fault
+    """State at time t: each component (M, C) maps to
+    (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t); weights are unchanged.
+
+    Output components are re-validated against the commutation matrix,
+    all at once (states._gaussian_states; their covariances are symmetrized
+    exactly, so GaussianState's symmetry test cannot fail on them); failure
+    there signals a numerical fault, not a user error.
+    """
+    mix = as_mixture(initial)
+    if not _same_ccr(mix.ccr, model.ccr):
+        raise DimensionMismatch("state and model do not come from one CCR matrix")
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
     if t == 0.0:
-        return as_mixture(initial)
-    return MixtureMgf(weights=stack.weights, components=tuple(
-        GaussianState(mean=mean, cov=cov, ccr=model.ccr)
-        for mean, cov in zip(stack.means[0], stack.covs[0])))
+        return mix
+    a, b = dynamics_matrices(model)
+    e_ta, sigma = _expm_and_gramian(a, b, t)
+    means = np.array([e_ta @ comp.mean for comp in mix.components])
+    covs = e_ta @ np.array([comp.cov for comp in mix.components]) @ e_ta.T + sigma
+    try:
+        comps = _gaussian_states(means, 0.5 * (covs + covs.swapaxes(1, 2)), model.ccr)
+    except NotAdmissible as exc:
+        raise InternalAdmissibilityViolation(
+            f"propagated covariance violates admissibility at t = {t}: {exc}"
+        ) from exc
+    return MixtureMgf(weights=mix.weights, components=comps)
 
 
 def qem_bound_time(

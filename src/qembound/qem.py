@@ -40,7 +40,7 @@ from .errors import (
     WeightOutOfInterval,
 )
 from .sampling import check_samples, log_mean_exp_stats, standard_normal_blocks
-from .states import WeightMatrix, as_mixture, as_stack, log_mixture_mgf, log_weighted_norm
+from .states import WeightMatrix, as_mixture, log_mixture_mgf, log_weighted_norm
 
 METHOD_EXACT = "exact_gaussian"
 METHOD_MC = "monte_carlo"
@@ -386,8 +386,7 @@ def scalar_weight_limit(basis: SymplecticBasis, mu: float) -> float:
 
 
 class ScalarBoundEngine:
-    """Scalar-weight bound optimizer for one state, or for a stack of states
-    (the horizons of an OQHO sweep), reusable across mu.
+    """Scalar-weight bound optimizer for one state, reusable across mu.
 
     With P = lam * I the (i, j) pair integral of log_weighted_norm reads
 
@@ -395,12 +394,10 @@ class ScalarBoundEngine:
 
     over the eigenvalues s of (C_i + C_j)/2 and the coordinates q of
     M_i + M_j in their eigenvectors.  Construction diagonalizes every pair
-    i <= j of every state in one stacked eigh: s and quad = q^2/4 have a
-    leading horizon axis (of length 1 for one state), and log_base = ln(w_i
-    w_j), plus ln 2 off the diagonal, plus n/2 ln(pi), is shared, the
-    weights being the same on every horizon.  The norm is finite iff lam
-    exceeds lam_lo = max_i lambda_max(C_i), per state.  grid(mus) then
-    minimizes over lam * I at every (state, mu) with vector arithmetic only:
+    i <= j in one stacked eigh (rows of s; quad = q^2/4; log_base =
+    ln(w_i w_j), plus ln 2 off the diagonal, plus n/2 ln(pi)); the norm is
+    finite iff lam exceeds lam_lo = max_i lambda_max(C_i).  grid(mus) then
+    minimizes over lam * I at every mu with vector arithmetic only:
     det((1/mu) K(mu)^-1 - lam I) has eigenvalues theta_k/tanh(mu theta_k) -
     lam of double multiplicity.
 
@@ -408,55 +405,48 @@ class ScalarBoundEngine:
     and -ln(lam - s) terms, log-sum-exp of convex functions is convex, and
     so is the gap term -sum ln(theta_k/tanh(mu theta_k) - lam).  Its first
     and second derivatives are closed-form (log_norm_derivatives), so grid
-    minimizes it by safeguarded Newton, every (state, mu) in lockstep
-    (_search.newton_minimize_grid).  bound(mu) is its one-window case;
-    bound, cgf_and_slope, mu_max and log_norm_derivatives serve an engine of
-    one state, whose lam_lo is a float.
+    minimizes it by safeguarded Newton, every mu in lockstep
+    (_search.newton_minimize_grid); bound(mu) is its one-window case.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
         _check_basis(state, basis)
         self.basis = basis
-        stack = as_stack(state)
-        #: The stack's leading axes: () for one state, (T,) for T horizons.
-        self.shape = stack.shape
-        log_w = np.log(stack.weights).tolist()
-        k, n = len(log_w), basis.n
+        mix = as_mixture(state)
+        log_w = np.log(mix.weights).tolist()
+        k = len(log_w)
         # The pairs i <= j, in the order of the loop over i, then j.
         i, j = zip(*[(a, b) for a in range(k) for b in range(a, k)])
-        means = stack.means.reshape((-1, k, n))
-        covs = stack.covs.reshape((-1, k, n, n))
-        s, v = np.linalg.eigh(0.5 * (covs[:, i] + covs[:, j]))
-        q = ((means[:, i] + means[:, j])[..., None, :] @ v)[..., 0, :]
-        constant = 0.5 * n * math.log(math.pi)
+        means = np.array([c.mean for c in mix.components])
+        covs = np.array([c.cov for c in mix.components])
+        s, v = np.linalg.eigh(0.5 * (covs[i, :] + covs[j, :]))
+        q = ((means[i, :] + means[j, :])[:, None, :] @ v)[:, 0]
+        constant = 0.5 * mix.n * math.log(math.pi)
         self.log_base = np.array([log_w[a] + log_w[b] + constant + (math.log(2.0) if b > a else 0.0)
                                   for a, b in zip(i, j)])
         self.s = s
         self.quad = 0.25 * q * q
-        self._lam_lo = s.max(axis=(1, 2))
-        self.lam_lo = self._lam_lo if self.shape else float(self._lam_lo[0])
+        self.lam_lo = float(s.max())
 
     def log_norm_derivatives(self, lam):
         """(log_scalar_norm, its first and second lam-derivatives) at lam,
         a float or a 1-D array (one entry per lam), with no matrix
-        factorization; see _twice_log_norm."""
+        factorization.
+
+        Each pair term t = log_base + sum(quad/g - ln(g)/2) over g = lam - s
+        has t' = -sum(quad/g^2 + 1/(2g)) and t'' = sum(2 quad/g^3 + 1/(2g^2));
+        the log-norm is half the log-sum-exp of t, whose first and second
+        derivatives are the softmax-weighted E t' and E t'' + Var t'.  The
+        lam axis leads, and the pair and mode axes trail it.
+        """
         # A float is compared directly: a numpy reduction would add about a
         # tenth to each of tail_bound's one-point evaluations.
         if not (lam.min() if isinstance(lam, np.ndarray) else lam) > self.lam_lo:
             raise NormDivergent(
                 "weight does not dominate the covariances; norm integral diverges"
             )
-        twice = self._twice_log_norm(np.subtract.outer(lam, self.s[0]), self.quad[0])
-        return tuple(0.5 * x for x in twice)
-
-    def _twice_log_norm(self, gaps, quad):
-        """Twice the log-norm and its first and second lam-derivatives from the
-        gaps g = lam - s of every pair and mode (the lam axis leads) and the
-        matching quad.  Each pair term t = log_base + sum(quad/g - ln(g)/2)
-        has t' = -sum(quad/g^2 + 1/(2g)) and t'' = sum(2 quad/g^3 + 1/(2g^2));
-        the log-norm is half the log-sum-exp of t, whose first and second
-        derivatives are the softmax-weighted E t' and E t'' + Var t'."""
-        ratio = quad / gaps
+        gaps = np.subtract.outer(lam, self.s)
+        ratio = self.quad / gaps
         terms = self.log_base + (ratio - 0.5 * np.log(gaps)).sum(axis=-1)
         top = terms.max(axis=-1)
         weights = np.exp(terms - top[..., None])
@@ -466,7 +456,7 @@ class ScalarBoundEngine:
         t2 = ((2.0 * ratio + 0.5) * inv * inv).sum(axis=-1)
         m1 = np.vecdot(weights, t1) / total
         m2 = np.vecdot(weights, t2 + t1 * t1) / total
-        return top + np.log(total), m1, m2 - m1 * m1
+        return 0.5 * (top + np.log(total)), 0.5 * m1, 0.5 * (m2 - m1 * m1)
 
     def mu_max(self) -> float:
         """Truncated validity limit of the bound CGF (see scalar_bound_cgf)."""
@@ -508,29 +498,27 @@ class ScalarBoundEngine:
         terms = (gamma / np.sinh(x)) ** 2 / (upper - np.expand_dims(lam_opt, -1))
         return 0.5 * terms.sum(axis=-1) - upper.sum(axis=-1)
 
-    @staticmethod
-    def _window(lam_lo, u_min):
+    def _window(self, u_min):
         """(lo, hi): the feasible window (lam_lo, u_min), for the smallest u =
         theta/tanh(mu theta), which is the weight limit, shrunk by
         WINDOW_MARGIN at both ends but never onto them (so no evaluation
         divides by a zero gap); None when no double lies strictly inside."""
-        width = u_min - lam_lo
-        lo = max(lam_lo + WINDOW_MARGIN * width, math.nextafter(lam_lo, math.inf))
+        width = u_min - self.lam_lo
+        lo = max(self.lam_lo + WINDOW_MARGIN * width, math.nextafter(self.lam_lo, math.inf))
         hi = min(u_min - WINDOW_MARGIN * width, math.nextafter(u_min, -math.inf))
         return (lo, hi) if lo < hi else None
 
-    def _objective(self, lam, gaps, quad, upper):
+    def _objective(self, lam, upper):
         """(f, f', f'') of the convex objective f(lam) = N(lam) - sum_k ln(u_k - lam)/2,
-        with the log-norm N (from the pair gaps lam - s and quad, see _twice_log_norm)
-        and u = theta/tanh(mu theta): at a float lam with upper the u of its
-        mu, or over a 1-D array of lam with one column of upper per entry.
-        f' = N' + sum 1/(u - lam)/2 and f'' = N'' + sum 1/(u - lam)^2/2.  Each
-        is halved once, last: halving is exact, so 2f/2 has the bits of f."""
-        value, slope, curvature = self._twice_log_norm(gaps, quad)
+        with the log-norm N and u = theta/tanh(mu theta): at a float lam with
+        upper the u of its mu, or over a 1-D array of lam with one column of
+        upper per entry.  f' = N' + sum 1/(u - lam)/2 and
+        f'' = N'' + sum 1/(u - lam)^2/2."""
+        value, slope, curvature = self.log_norm_derivatives(lam)
         gap = upper - lam
         inv = 1.0 / gap
-        return (0.5 * (value - np.log(gap).sum(axis=0)), 0.5 * (slope + inv.sum(axis=0)),
-                0.5 * (curvature + (inv * inv).sum(axis=0)))
+        return (value - 0.5 * np.log(gap).sum(axis=0), slope + 0.5 * inv.sum(axis=0),
+                curvature + 0.5 * (inv * inv).sum(axis=0))
 
     def bound(self, mu: float):
         """The grid's bound at one mu: returns (QemValue, lam_opt); raises
@@ -544,30 +532,28 @@ class ScalarBoundEngine:
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
         u_min = min(upper.tolist())
-        window = self._window(self.lam_lo, u_min)
+        window = self._window(u_min)
         if window is None:
             raise EmptyFeasibleWindow(
                 f"no scalar weight window: limit {u_min:.6g} is not above the largest "
                 f"covariance eigenvalue {self.lam_lo:.6g} by more than rounding"
             )
-        s, quad = self.s[0], self.quad[0]
         [(lam_opt, inner)] = newton_minimize_grid(
-            lambda lams, _: [self._objective(lams[0], lams[0] - s, quad, upper)], *zip(window))
+            lambda lams, _: [self._objective(lams[0], upper)], *zip(window))
         log_bound = _log_bound_prefactor(self.basis, mu) + inner
         return QemValue(mu=mu, log_qem=float(log_bound), method=METHOD_BOUND), lam_opt
 
     def grid(self, mus):
         """(values, lam_opt, empty) of the weighted-norm bound over the
-        positive mus on every state, of shape self.shape + mus.shape (rows
-        by state, then mu), each minimized over lam in its feasible window:
-        (lam_lo, min u) with u = theta/tanh(mu theta), shrunk as in _window.
+        positive mus, each minimized over lam in its feasible window
+        (lam_lo, min u) with u = theta/tanh(mu theta) (see _window and
+        _objective).
 
-        Every window goes to one newton_minimize_grid, so each round
-        evaluates the objective once, on the lam of every window still open;
-        lam_opt is Newton-refined (see _search._newton_search).  empty is
-        true where the window is empty; values and lam_opt are NaN there and
-        where u overflows (at a subnormal mu, where scalar_weight_limit
-        raises).
+        Every window goes to newton_minimize_grid, so each round evaluates
+        the objective once, on the lam of every window still open; lam_opt
+        is Newton-refined (see _search._newton_search).  empty is true where
+        the window is empty; values and lam_opt are NaN there and where u
+        overflows (at a subnormal mu, where scalar_weight_limit raises).
         """
         mus = np.asarray(mus, dtype=float)
         if not (mus > 0.0).all():
@@ -576,31 +562,28 @@ class ScalarBoundEngine:
         # u overflows to inf where the weight limit does; those rows are skipped.
         with np.errstate(divide="ignore", over="ignore"):
             upper = gamma / np.tanh(np.multiply.outer(mus, gamma))
-        limits = [u if ok else None
-                  for u, ok in zip(upper.min(axis=1).tolist(), np.isfinite(upper).all(axis=1).tolist())]
-        windows = [self._window(lam_lo, u) if u is not None else None
-                   for lam_lo in self._lam_lo.tolist() for u in limits]
-        rows = [i for i, window in enumerate(windows) if window is not None]
-        values, lams = np.full((2, len(windows)), np.nan)
+        values, lams = np.full(mus.shape, np.nan), np.full(mus.shape, np.nan)
+        empty = np.zeros(mus.shape, dtype=bool)
+        rows, windows = [], []
+        for i, (u_min, finite) in enumerate(zip(upper.min(axis=1).tolist(),
+                                                np.isfinite(upper).all(axis=1).tolist())):
+            if not finite:
+                continue
+            window = self._window(u_min)
+            if window is None:
+                empty[i] = True
+            else:
+                rows.append(i)
+                windows.append(window)
         if rows:
-            horizon, column = np.divmod(rows, mus.size)
-            # A stack's pair rows are gathered per window; one state's broadcast.
-            stacked = len(self.s) > 1
-            s, quad = (self.s[horizon], self.quad[horizon]) if stacked else (self.s, self.quad)
-            columns = upper[column].T
-
-            def fdf(lam, open_rows):
-                lam, pick = np.array(lam), open_rows if stacked else slice(None)
-                return zip(*(x.tolist() for x in self._objective(
-                    lam, lam[:, None, None] - s[pick], quad[pick], columns[:, open_rows])))
-
-            lam_opt, inner = zip(*newton_minimize_grid(fdf, *zip(*[windows[i] for i in rows])))
-            values.put(rows, _log_bound_prefactor(self.basis, mus[column]) + inner)
-            lams.put(rows, lam_opt)
-        empty = np.array([window is None and u is not None
-                          for window, u in zip(windows, limits * len(self.s))], dtype=bool)
-        shape = self.shape + mus.shape
-        return values.reshape(shape), lams.reshape(shape), empty.reshape(shape)
+            columns = upper[rows].T
+            # Python floats: the driver's per-window steps run faster on them.
+            solved = newton_minimize_grid(lambda lams, open_rows: zip(*(x.tolist() for x in
+                self._objective(np.array(lams), columns[:, open_rows]))), *zip(*windows))
+            lam_opt, inner = zip(*solved)
+            values[rows] = _log_bound_prefactor(self.basis, mus[rows]) + inner
+            lams[rows] = lam_opt
+        return values, lams, empty
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):

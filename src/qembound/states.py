@@ -37,9 +37,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 def _least_eigenvalue_and_floor(covs, theta):
     """(least eigenvalue of C + i*Theta, the least one admissible) for each
-    symmetric covariance C of covs, one matrix or a stack (..., n, n), from one
-    stacked eigvalsh: the floor is ADMISSIBILITY_FLOOR less ADMISSIBILITY_RTOL
-    * max(1, max|C|)."""
+    symmetric covariance C of covs, one matrix or a stack (K, n, n), from one
+    eigvalsh: the floor is ADMISSIBILITY_FLOOR less ADMISSIBILITY_RTOL *
+    max(1, max|C|)."""
     least = np.linalg.eigvalsh(covs + 1j * theta)[..., 0]
     scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
     return least, ADMISSIBILITY_FLOOR - ADMISSIBILITY_RTOL * scale
@@ -110,38 +110,32 @@ class MixtureMgf:
         return self.components[0].n
 
 
+def _gaussian_states(means, covs, ccr):
+    """The GaussianStates of the rows of means (K, n) and of the exactly
+    symmetric covs (K, n, n), with GaussianState's checks that can fail on
+    them (finiteness, then the admissibility floor for all K in one stacked
+    eigvalsh) and no others; raises as GaussianState does."""
+    _require_finite(means, "mean")
+    _require_finite(covs, "covariance")
+    least, floor = _least_eigenvalue_and_floor(covs, ccr.theta)
+    below = np.flatnonzero(least < floor)
+    if below.size:
+        raise NotAdmissible(f"min eigenvalue of C + i*Theta is {least[below[0]]:.3e}; "
+                            "state is not quantum-admissible")
+    states = []
+    for mean, cov in zip(means, covs):
+        state = object.__new__(GaussianState)
+        for name, value in (("mean", _readonly(mean)), ("cov", _readonly(cov)), ("ccr", ccr)):
+            object.__setattr__(state, name, value)
+        states.append(state)
+    return tuple(states)
+
+
 def as_mixture(state) -> MixtureMgf:
     """View a single Gaussian as a one-component mixture; pass mixtures through."""
     if isinstance(state, MixtureMgf):
         return state
     return MixtureMgf(weights=(1.0,), components=(state,))
-
-
-@dataclass(frozen=True)
-class MixtureStack:
-    """Gaussian mixtures with one weight vector and one CCR matrix, stacked:
-    means (..., K, n) and covs (..., K, n, n) over the leading axes `shape`,
-    which are () for one mixture (as_stack) and (T,) for the T horizons of
-    oqho.propagate_horizons.  Its arrays are trusted as given: as_stack takes
-    them from validated states, and propagate_horizons checks its own."""
-
-    weights: tuple
-    means: np.ndarray
-    covs: np.ndarray
-    ccr: CcrMatrix
-
-    @property
-    def shape(self):
-        return self.means.shape[:-2]
-
-
-def as_stack(state) -> MixtureStack:
-    """View a Gaussian or a mixture as a stack of shape (); pass stacks through."""
-    if isinstance(state, MixtureStack):
-        return state
-    mix = as_mixture(state)
-    return MixtureStack(weights=mix.weights, means=np.array([c.mean for c in mix.components]),
-                        covs=np.array([c.cov for c in mix.components]), ccr=mix.ccr)
 
 
 @dataclass(frozen=True)

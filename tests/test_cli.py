@@ -592,22 +592,26 @@ class TestRun:
 
     def test_oqho_sweep_flags_faulty_horizon(self):
         # A = +2 I is unstable: the block expm overflows at t = 400, which
-        # flags that horizon's rows without losing the earlier horizons.
+        # flags that horizon's rows without losing the earlier horizons; the
+        # sweep prints the bytes of its horizons run one at a time.
         cfg = {
             "kind": "oqho_sweep",
             "ccr": [1.0],
             "state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
             "model": {"R": [[0.0, 0.0], [0.0, 0.0]], "N": [[0.0, 1.0], [1.0, 0.0]]},
             "mu_grid": [0.1, 0.2],
-            "t_grid": [0.0, 1.0, 400.0],
+            "t_grid": [0.0, 1.0, 2.0, 400.0],
         }
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
-        assert len(report.rows) == 6
-        healthy, _ = run(parse_config(json.dumps(dict(cfg, t_grid=[0.0, 1.0]))))
-        assert report.rows[:4] == healthy.rows
-        assert [(r.t, r.status) for r in report.rows[4:]] == [(400.0, "numerical_error")] * 2
-        assert all(r.upsilon_bound is None for r in report.rows[4:])
+        assert len(report.rows) == 8
+        healthy, _ = run(parse_config(json.dumps(dict(cfg, t_grid=[0.0, 1.0, 2.0]))))
+        assert report.rows[:6] == healthy.rows
+        assert [(r.t, r.status) for r in report.rows[6:]] == [(400.0, "numerical_error")] * 2
+        assert all(r.upsilon_bound is None for r in report.rows[6:])
+        texts = [run(parse_config(json.dumps(dict(cfg, t_grid=[t]))))[0].to_csv_text()
+                 for t in cfg["t_grid"]]
+        assert report.to_csv_text() == texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:])
 
     def test_oqho_sweep_flags_overflowing_horizon(self):
         # t * ||A||_1 overflows at t = 1e308: the block exponential cannot

@@ -35,8 +35,7 @@ from qembound.errors import (
     InternalAdmissibilityViolation,
     NotHurwitz,
 )
-from qembound.oqho import _expm_and_gramian, _expm_and_gramian_stack, propagate_horizons
-from qembound.qem import ScalarBoundEngine
+from qembound.oqho import _expm_and_gramian
 
 CCR2 = validate_ccr(J2)
 BASIS2 = symplectic_eigenbasis(CCR2)
@@ -218,61 +217,38 @@ class TestPropagateMgf:
         assert np.abs(derivative - rhs).max() < 1e-3 * max(1.0, np.abs(rhs).max())
 
 
-class TestPropagateHorizons:
-    """One batched propagation over a sweep's horizons is, horizon by
-    horizon, the one-horizon propagation, bit for bit."""
+class TestPropagatedCheck:
+    """propagate_mgf checks its components in one stacked pass
+    (states._gaussian_states) and builds the states GaussianState would."""
 
     MIX = MixtureMgf(weights=(0.6, 0.4), components=(
         GaussianState(mean=[0.4, -0.1], cov=np.eye(2), ccr=CCR2),
         GaussianState(mean=[-0.2, 0.3], cov=np.array([[1.5, 0.2], [0.2, 1.1]]), ccr=CCR2)))
-    # ||A||_1 = 2 for DAMPED: 0.3 and 0.5 take no doubling, 0.9 one, 7.5 four.
-    TS = (0.0, 0.3, 0.5, 0.9, 7.5)
 
-    def test_each_horizon_is_its_one_horizon_call(self):
-        a, b = dynamics_matrices(DAMPED)
-        e_ta, sigma, faults = _expm_and_gramian_stack(a, b, list(self.TS))
-        assert faults == [None] * len(self.TS)
-        for t, e_t, s_t in zip(self.TS, e_ta, sigma):
-            e_one, s_one = _expm_and_gramian(a, b, t)
-            assert e_t.tobytes() == e_one.tobytes() and s_t.tobytes() == s_one.tobytes()
-        stack, faults = propagate_horizons(self.MIX, DAMPED, self.TS)
-        assert faults == [None] * len(self.TS) and stack.shape == (len(self.TS),)
-        assert stack.weights == self.MIX.weights
-        for t, means, covs in zip(self.TS, stack.means, stack.covs):
-            one = propagate_mgf(self.MIX, DAMPED, t)
-            assert means.tobytes() == np.array([c.mean for c in one.components]).tobytes()
-            assert covs.tobytes() == np.array([c.cov for c in one.components]).tobytes()
+    # ||A||_1 = 2 for DAMPED: 0.3 takes no doubling, 0.9 one, 7.5 four.
+    @pytest.mark.parametrize("t", [0.3, 0.9, 7.5])
+    def test_components_are_the_validated_states(self, t):
+        out = propagate_mgf(self.MIX, DAMPED, t)
+        e_ta, sigma = _expm_and_gramian(*dynamics_matrices(DAMPED), t)
+        for got, comp in zip(out.components, self.MIX.components):
+            cov_t = e_ta @ comp.cov @ e_ta.T + sigma
+            want = GaussianState(mean=e_ta @ comp.mean, cov=0.5 * (cov_t + cov_t.T), ccr=CCR2)
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+            assert got.ccr is CCR2 and not got.mean.flags.writeable and not got.cov.flags.writeable
 
-    def test_engine_over_the_stack_is_the_engine_of_each_horizon(self):
-        stack, _ = propagate_horizons(self.MIX, DAMPED, self.TS)
-        mus = np.array([0.1, 0.3, 0.6, 0.9])
-        stacked = ScalarBoundEngine(stack, BASIS2).grid(mus)
-        assert all(x.shape == (len(self.TS), mus.size) for x in stacked)
-        for i, t in enumerate(self.TS):
-            alone = ScalarBoundEngine(propagate_mgf(self.MIX, DAMPED, t), BASIS2).grid(mus)
-            for got, want in zip(stacked, alone):
-                assert got[i].tobytes() == want.tobytes()
-
-    def test_a_faulty_horizon_is_flagged_alone(self):
-        # A = +2 I overflows e^{tA} at t = 400; t ||A||_1 overflows at 1e308.
+    def test_an_overflowing_horizon_raises_expm_failure(self):
+        # A = +2 I overflows e^{tA} at t = 400.
         unstable = OqhoModel(R=np.zeros((2, 2)), N=np.array([[0.0, 1.0], [1.0, 0.0]]), ccr=CCR2)
-        stack, faults = propagate_horizons(self.MIX, unstable, (0.0, 1.0, 400.0, 1e308))
-        assert faults[:2] == [None, None]
-        assert isinstance(faults[2], InternalAdmissibilityViolation)
-        assert isinstance(faults[3], ExpmFailure)
-        assert stack.shape == (2,)
-        assert stack.means[1].tobytes() == np.array(
-            [c.mean for c in propagate_mgf(self.MIX, unstable, 1.0).components]).tobytes()
-        with pytest.raises(InternalAdmissibilityViolation, match="t = 400"):
+        propagate_mgf(self.MIX, unstable, 1.0)
+        with pytest.raises(ExpmFailure):
             propagate_mgf(self.MIX, unstable, 400.0)
 
-    def test_an_inadmissible_horizon_is_flagged_alone(self, monkeypatch):
-        # A floor no state reaches: every propagated horizon fails the one
-        # stacked check, and t = 0, the initial state itself, is not checked.
+    def test_an_inadmissible_component_is_a_numerical_fault(self, monkeypatch):
+        # A floor no state reaches: the stacked check fails, and t = 0, the
+        # initial state itself, is not checked again.
         monkeypatch.setattr(states, "ADMISSIBILITY_FLOOR", 1e3)
-        stack, faults = propagate_horizons(self.MIX, DAMPED, (0.0, 0.5))
-        assert faults[0] is None and isinstance(faults[1], InternalAdmissibilityViolation)
-        assert stack.shape == (1,)
+        assert propagate_mgf(self.MIX, DAMPED, 0.0) is self.MIX
         with pytest.raises(InternalAdmissibilityViolation, match="admissibility at t = 0.5"):
             propagate_mgf(self.MIX, DAMPED, 0.5)
 
