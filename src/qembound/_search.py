@@ -1,5 +1,6 @@
-"""Scalar search utilities: safeguarded Newton for convex objectives and
-Brent's bracketed root-finder."""
+"""Scalar search utilities: safeguarded Newton for convex objectives, a
+safeguarded cubic-interpolation minimizer for convex functions known by
+value and slope, and Brent's bracketed root-finder."""
 
 import math
 
@@ -12,8 +13,8 @@ DECREMENT_RTOL = 1e-15
 STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 
-#: Bracket width at which brent_root stops, relative to max(|a|, |b|) of
-#: the bracket [a, b], and its iteration cap.
+#: Bracket width at which cubic_minimize and brent_root stop, relative to
+#: max(|a|, |b|) of the bracket [a, b], and their iteration cap.
 SEARCH_RTOL = 1e-10
 SEARCH_MAX_ITER = 200
 
@@ -98,6 +99,66 @@ def _newton_search(lo, hi):
     if best_d2 > 0.0:
         best_lam = min(max(best_lam - best_d1 / best_d2, lo), hi)
     return best_lam, best_f
+
+
+def cubic_minimize(fdf, a, b, fa, da, fb, db):
+    """Minimize a convex f on [a, b], given fa = f(a), da = f'(a) < 0,
+    fb = f(b) and db = f'(b) > 0; fdf(x) returns (f(x), f'(x)) at a float x.
+
+    Each step evaluates the minimizer of the cubic that matches the values
+    and slopes at both ends of the bracket (see _cubic_step), and the sign
+    of f' there picks the end it replaces.  When the bracket has not halved
+    over the last two steps, the step bisects instead, which caps the worst
+    case.  The search stops on an exact zero slope, on the Newton decrement
+    f'(x)^2/c <= DECREMENT_RTOL * max(1, |f_best|), with c the secant
+    curvature (f'(b) - f'(a))/(b - a) of the bracket (the rule of
+    _newton_search), on a bracket narrower than SEARCH_RTOL * max(|a|, |b|),
+    or after SEARCH_MAX_ITER steps.  Returns (x, f) of the lowest point
+    evaluated, the ends included.
+    """
+    if not da < 0.0 < db:
+        raise ValueError(f"slopes {da} at {a} and {db} at {b} do not bracket a minimum")
+    a, b = float(a), float(b)
+    best_x, best_f = (a, fa) if fa <= fb else (b, fb)
+    # widths of the bracket before the last step and before the one ahead of it
+    width_1 = width_2 = math.inf
+    for _ in range(SEARCH_MAX_ITER):
+        width = b - a
+        if width <= SEARCH_RTOL * max(abs(a), abs(b)):
+            break
+        if width > 0.5 * width_2:
+            x = 0.5 * (a + b)
+        else:
+            x = _cubic_step(a, fa, da, b, fb, db)
+        width_2, width_1 = width_1, width
+        f, d = map(float, fdf(x))
+        if f < best_f:
+            best_x, best_f = x, f
+        if d < 0.0:
+            a, fa, da = x, f, d
+        elif d > 0.0:
+            b, fb, db = x, f, d
+        else:
+            break
+        if d * d * (b - a) <= DECREMENT_RTOL * max(1.0, abs(best_f)) * (db - da):
+            break
+    return best_x, best_f
+
+
+def _cubic_step(a, fa, da, b, fb, db):
+    """The minimizer of the cubic with values fa, fb and slopes da, db at
+    a < b (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 3.59), or
+    the midpoint of [a, b] where that point is NaN (the cubic has no local
+    minimum, a negative discriminant) or not strictly inside the bracket.
+    With da < 0 < db, as in cubic_minimize, the discriminant is positive
+    and so is the denominator."""
+    d1 = da + db - 3.0 * (fb - fa) / (b - a)
+    disc = d1 * d1 - da * db
+    x = math.nan
+    if disc >= 0.0:
+        d2 = math.sqrt(disc)
+        x = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+    return x if a < x < b else 0.5 * (a + b)
 
 
 def brent_root(f, a, b, fa, fb):

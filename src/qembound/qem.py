@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import brent_root, newton_minimize_grid
+from ._search import brent_root, cubic_minimize, newton_minimize_grid
 from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lncosh, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     RiskParameterTooLarge,
     WeightOutOfInterval,
 )
-from .sampling import check_samples, log_mean_exp_stats, standard_normal_blocks
+from .sampling import _integer_in, check_samples, log_mean_exp_stats, standard_normal_blocks
 from .states import WeightMatrix, as_mixture, log_mixture_mgf, log_weighted_norm
 
 METHOD_EXACT = "exact_gaussian"
@@ -624,28 +624,32 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
     yields a valid bound: at a float mu it returns (value, slope) floats,
     and at a 1-D array of mu two arrays of that shape, as the callables of
     exact_cgf, scalar_bound_cgf and classical_gaussian_cgf_and_slope do.
-    The grid_points coarse points take one array call (a ValueError names
-    the expected shape if the answer does not have it); the sign of the
-    gain's slope eps - slope at the best of them picks the neighbouring
-    half-bracket (the outer ones end at grid[0] * 1e-6 and
-    mu_max * (1 - 1e-9)), where brent_root solves slope = eps by float
-    calls.  The best gain evaluated is reported, clamped at 0; if it still
-    climbs at the upper end, mu_max itself is probed and flagged as
-    argmax_mu.
+    The grid_points coarse points (an integer of at least 1) take one array
+    call (a ValueError names the expected shape if the answer does not have
+    it); the sign of the gain's slope eps - slope at the best of them picks
+    the neighbouring half-bracket (the outer ones end at grid[0] * 1e-6 and
+    mu_max * (1 - 1e-9)), where cubic_minimize minimizes the convex
+    Upsilon(mu) - eps*mu from the values and slopes of float calls.  The
+    best gain evaluated is reported, clamped at 0; if it still climbs at the
+    upper end, mu_max itself is probed and flagged as argmax_mu.
     """
     if not (eps >= 0.0 and math.isfinite(eps)):
         raise InvalidRange(f"eps must be finite and nonnegative, got {eps!r}")
     if not (mu_max > 0.0 and math.isfinite(mu_max)):
         raise InvalidRange(f"mu_max must be finite and positive, got {mu_max!r}")
-    if grid_points < 1:
-        raise InvalidRange(f"grid_points must be at least 1, got {grid_points!r}")
+    try:
+        grid_points = _integer_in(grid_points, "grid_points", 1)
+    except ValueError as exc:
+        raise InvalidRange(str(exc)) from None
     evaluated = []
 
     def record(mu, value, slope):
-        evaluated.append((eps * mu - value, mu))
-        return eps - slope
+        """(phi, phi') of phi = Upsilon - eps*mu at mu, whose gain -phi is kept."""
+        phi = value - eps * mu
+        evaluated.append((-phi, mu))
+        return phi, slope - eps
 
-    def gain_slope(mu):
+    def loss(mu):
         return record(mu, *cgf(mu))
 
     mus = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
@@ -654,17 +658,17 @@ def tail_bound(cgf, eps: float, mu_max: float, grid_points: int = 64) -> TailBou
         raise ValueError(f"cgf of a mu array of shape {mus.shape} must return (values, slopes) "
                          f"of that shape, got {values.shape} and {grid_slopes.shape}")
     grid = mus.tolist()
-    slopes = dict(zip(grid, map(record, grid, values.tolist(), grid_slopes.tolist())))
+    known = dict(zip(grid, map(record, grid, values.tolist(), grid_slopes.tolist())))
     j = int(np.argmax([gain for gain, _ in evaluated]))
     ends = [grid[0] * 1e-6] + grid + [mu_max * (1.0 - 1e-9)]
-    k = j + 1 if slopes[grid[j]] < 0.0 else j + 2
+    k = j + 1 if known[grid[j]][1] > 0.0 else j + 2
     a, b = ends[k - 1], ends[k]
-    fa = slopes[a] if a in slopes else gain_slope(a)
-    fb = slopes[b] if b in slopes else gain_slope(b)
-    if fa >= 0.0 >= fb:
-        brent_root(gain_slope, a, b, fa, fb)
+    fa, da = known[a] if a in known else loss(a)
+    fb, db = known[b] if b in known else loss(b)
+    if da < 0.0 < db:
+        cubic_minimize(loss, a, b, fa, da, fb, db)
     best, argmax = max(evaluated, key=lambda point: point[0])
-    if k == grid_points + 1 and fb > 0.0:
+    if k == grid_points + 1 and db < 0.0:
         # still climbing at the truncation point: report the limit value
         try:
             edge = eps * mu_max - cgf(mu_max)[0]

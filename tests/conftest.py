@@ -18,8 +18,10 @@ from qembound import (
     mode_matrix,
     validate_ccr,
 )
-from qembound._search import SEARCH_MAX_ITER, SEARCH_RTOL
+from qembound._search import SEARCH_MAX_ITER, SEARCH_RTOL, brent_root
 from qembound.ccr import _over_x, lncosh
+from qembound.errors import QemBoundError
+from qembound.qem import TailBound
 from qembound.sampling import log_mean_exp_stats, standard_normal_blocks
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -107,6 +109,43 @@ def golden_section_minimize(f, lo, hi):
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
+
+
+def brent_tail(cgf, eps, mu_max, grid_points):
+    """(TailBound, (a, b)): tail_bound's coarse grid call, half-bracket
+    [a, b], edge probe and clamp, with the supremum inside [a, b] found by
+    brent_root on the gain's slope eps - slope alone instead of from values
+    and slopes; the oracle for tail_bound's cubic search."""
+
+    def gain_slope(mu):
+        value, slope = cgf(mu)
+        evaluated.append((eps * mu - value, mu))
+        return eps - slope
+
+    mus = mu_max * np.arange(1, grid_points + 1) / (grid_points + 1)
+    values, grid_slopes = (np.asarray(x, dtype=float).tolist() for x in cgf(mus))
+    grid = mus.tolist()
+    evaluated = [(eps * mu - value, mu) for mu, value in zip(grid, values)]
+    slopes = {mu: eps - slope for mu, slope in zip(grid, grid_slopes)}
+    j = int(np.argmax([gain for gain, _ in evaluated]))
+    ends = [grid[0] * 1e-6] + grid + [mu_max * (1.0 - 1e-9)]
+    k = j + 1 if slopes[grid[j]] < 0.0 else j + 2
+    a, b = ends[k - 1], ends[k]
+    fa = slopes[a] if a in slopes else gain_slope(a)
+    fb = slopes[b] if b in slopes else gain_slope(b)
+    if fa >= 0.0 >= fb:
+        brent_root(gain_slope, a, b, fa, fb)
+    best, argmax = max(evaluated, key=lambda point: point[0])
+    if k == grid_points + 1 and fb > 0.0:
+        try:
+            edge = eps * mu_max - cgf(mu_max)[0]
+        except QemBoundError:
+            edge = best
+        best = max(best, edge)
+        argmax = mu_max
+    if best <= 0.0:
+        return TailBound(eps=eps, log_prob_bound=0.0, argmax_mu=None), (a, b)
+    return TailBound(eps=eps, log_prob_bound=-best, argmax_mu=argmax), (a, b)
 
 
 def bisect_nondecreasing(g, target, lo, hi):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bisect_nondecreasing, block_ccr, eigh_exact_chunk,
+from conftest import (bisect_nondecreasing, block_ccr, brent_tail, eigh_exact_chunk,
                       golden_section_minimize, per_sample_randomized_mc,
                       random_admissible_state)
 from qembound import (
@@ -434,6 +434,32 @@ def test_tail_bound_one_grid_call_matches_point_by_point(case, factory, eps_scal
     by_point = tail_bound(point_by_point, eps, mu_max, grid_points)
     assert grid_call.log_prob_bound == pytest.approx(by_point.log_prob_bound, rel=1e-12, abs=0.0)
     assert grid_call.argmax_mu == by_point.argmax_mu
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(squeezed=True), st.sampled_from([exact_cgf, scalar_bound_cgf]),
+       st.floats(0.0, 4.0), st.sampled_from([1, 8, 64]))
+def test_tail_bound_matches_brent_oracle(case, factory, eps_scale, grid_points):
+    # The cubic search and Brent's root of the slope refine the same
+    # half-bracket [a, b], and every one-point call but the edge probe at
+    # mu_max lies in it.  The cubic search stops on a Newton decrement
+    # relative to max(1, |gain|), so the tolerance is relative to that.
+    state, basis = case
+    cgf, mu_max = factory(state, basis)
+    points = []
+
+    def counted(mu):
+        if not np.ndim(mu):
+            points.append(mu)
+        return cgf(mu)
+
+    eps = eps_scale * _mean_half_quadratic(state)
+    result = tail_bound(counted, eps, mu_max, grid_points)
+    reference, (a, b) = brent_tail(cgf, eps, mu_max, grid_points)
+    assert result.log_prob_bound <= 0.0
+    assert (abs(result.log_prob_bound - reference.log_prob_bound)
+            <= 1e-12 * max(1.0, abs(reference.log_prob_bound)))
+    assert all(a <= mu <= b for mu in points if mu != mu_max)
 
 
 def _dense_exact(state, basis, mu):

@@ -490,8 +490,9 @@ class TestTailBound:
 
     @pytest.mark.parametrize("engine_class", [ExactEngine, ScalarBoundEngine])
     def test_engine_cgf_solves_the_coarse_grid_in_one_grid_call(self, engine_class):
-        # The coarse grid is one grid call holding all its mu; Brent's steps
-        # and any edge probe stay one-point calls (bound, or a 1-mu grid).
+        # The coarse grid is one grid call holding all its mu; the cubic
+        # search's steps and any edge probe stay one-point calls (bound, or
+        # a 1-mu grid).
         state = GaussianState(mean=[0.2, 0.0], cov=1.4 * np.eye(2), ccr=CCR2)
         engine = engine_class(state, BASIS2)
         mu_max = engine.mu_max()
@@ -568,10 +569,17 @@ class TestTailBound:
         with pytest.raises(InvalidRange):
             tail_bound(classical_pair, eps=1.0, mu_max=0.0)
 
-    @pytest.mark.parametrize("grid_points", [0, -3])
+    @pytest.mark.parametrize("grid_points", [0, -3, 2.5, 3.0, True, "3", None])
     def test_grid_needs_a_point(self, grid_points):
+        # An integer count of at least 1: a float would space its points by
+        # mu_max/(grid_points + 1) without being their number, and a bool
+        # or a string is not a count.
         with pytest.raises(InvalidRange, match="grid_points"):
             tail_bound(classical_pair, eps=1.0, mu_max=0.9, grid_points=grid_points)
+
+    def test_grid_points_of_any_integer_type(self):
+        assert (tail_bound(classical_pair, eps=2.0, mu_max=0.999, grid_points=np.int64(8))
+                == tail_bound(classical_pair, eps=2.0, mu_max=0.999, grid_points=8))
 
     def test_single_point_grid(self):
         result = tail_bound(classical_pair, eps=2.0, mu_max=0.999, grid_points=1)

@@ -1,13 +1,18 @@
 """Tests for the scalar search utilities: the safeguarded Newton
-minimizer behind the scalar-weight bound (one window, or many in lockstep)
-and Brent's root-finder behind the tail bound."""
+minimizer behind the scalar-weight bound (one window, or many in lockstep),
+the cubic-interpolation minimizer behind the tail bound, and Brent's
+root-finder behind the exact engine's critical mu."""
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import golden_section_minimize
-from qembound._search import SEARCH_RTOL, brent_root, newton_minimize_grid
+from qembound import ClassicalGaussian, tail_bound
+from qembound._search import (SEARCH_RTOL, _cubic_step, brent_root, cubic_minimize,
+                              newton_minimize_grid)
+from qembound.classical import classical_gaussian_cgf_and_slope
 
 
 def _one_window(fdf, lo, hi):
@@ -173,3 +178,100 @@ def test_root_evaluations_stay_inside_the_bracket():
 def test_root_needs_a_sign_change():
     with pytest.raises(ValueError, match="bracket"):
         brent_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+
+
+def _cubic_case(f, a, b):
+    """cubic_minimize of f(x) -> (f, f') on [a, b] with the ends' values and
+    slopes given; returns its (x, f) and the points it evaluated."""
+    fdf, calls = _counting(f)
+    return cubic_minimize(fdf, a, b, *f(a), *f(b)), calls
+
+
+def test_first_cubic_step_lands_on_a_quadratics_minimizer():
+    # The cubic matching a quadratic's values and slopes at both ends is
+    # the quadratic itself.
+    (x, value), calls = _cubic_case(lambda x: (3.0 * (x - 0.7) ** 2 + 1.0, 6.0 * (x - 0.7)),
+                                    0.0, 2.0)
+    assert calls == [pytest.approx(0.7, rel=1e-15)]
+    assert (x, value) == (calls[0], pytest.approx(1.0, rel=1e-15))
+
+
+@pytest.mark.parametrize("ends", [
+    (0.0, 0.0, 1.0, 1.0, 1.5, 2.0),
+    (0.0, 0.0, 1.0, 1.0, 1.0, 3.0),
+], ids=["outside-the-bracket", "negative-discriminant"])
+def test_a_cubic_without_a_minimizer_inside_bisects(ends):
+    # x + x^2/2 on [0, 1]: the cubic is that quadratic, whose minimizer -1
+    # lies outside; slopes 1 and 3 with a secant slope of 1 leave the
+    # cubic's slope without a root (d1^2 - f'(a) f'(b) = 1 - 3 < 0).
+    assert _cubic_step(*ends) == 0.5
+
+
+def test_a_step_rounded_onto_an_end_bisects():
+    # f = x^3/3 - 1e-300 x on [0, 1]: the cubic is f itself, but its
+    # minimizer 1e-150 rounds onto the end 0, so the search bisects, keeps
+    # every point strictly inside and stops on the Newton decrement.
+    (x, value), calls = _cubic_case(lambda x: (x ** 3 / 3.0 - 1e-300 * x, x * x - 1e-300),
+                                    0.0, 1.0)
+    assert calls[:3] == [0.5, 0.25, 0.125]
+    assert all(0.0 < c < 1.0 for c in calls)
+    assert len(calls) <= 40
+    assert value <= 0.0
+
+
+def test_a_kink_is_bracketed_at_least_geometrically():
+    # Slopes -1 and 100 on either side of a kink at 0.3: the cubic steps
+    # keep landing on the steep side, so one end barely moves, and no slope
+    # is ever small.  The bisection after two steps that do not halve the
+    # bracket halves it at least every third step, so the bracket width
+    # stops the search within 3 * 36 steps (2/2^36 < 1e-10 * 0.3).
+    def f(x):
+        slope = 100.0 if x > 0.3 else -1.0
+        return slope * (x - 0.3), slope
+
+    (x, value), calls = _cubic_case(f, -1.0, 1.0)
+    assert abs(x - 0.3) <= SEARCH_RTOL
+    assert value == f(x)[0]
+    assert all(-1.0 < c < 1.0 for c in calls)
+    assert len(calls) <= 3 * 36
+
+
+def test_an_exact_zero_slope_stops():
+    # max(|x - 1| - 0.5, 0)^2 is flat on [0.5, 1.5], where the first step
+    # lands: its slope there is exactly 0.
+    def f(x):
+        excess = max(abs(x - 1.0) - 0.5, 0.0)
+        return excess * excess, math.copysign(2.0 * excess, x - 1.0)
+
+    (x, value), calls = _cubic_case(f, 0.0, 3.0)
+    assert len(calls) == 1 and 0.5 <= calls[0] <= 1.5
+    assert (x, value) == (calls[0], 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-300])
+def test_flat_function_terminates(scale):
+    # The slopes sit far below the decrement's floor of max(1, |f|).
+    (x, value), calls = _cubic_case(lambda x: (scale * (x - 0.3) ** 2 + 5.0,
+                                               2.0 * scale * (x - 0.3)), 0.0, 1.0)
+    assert len(calls) == 1 and 0.0 < calls[0] < 1.0
+    assert value == 5.0
+
+
+def test_minimum_needs_bracketing_slopes():
+    with pytest.raises(ValueError, match="bracket"):
+        cubic_minimize(lambda x: (x, 1.0), 0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+
+
+def test_classical_tail_bound_from_the_cubic_search():
+    # X ~ N(0, 1): Upsilon(mu) = -ln(1 - mu)/2, so at eps = 2 the gain
+    # 2 mu - Upsilon peaks at mu = 3/4, where it is 1.5 + ln(1/4)/2.
+    calls = []
+
+    def cgf(mu):
+        calls.append(np.ndim(mu))
+        return classical_gaussian_cgf_and_slope(ClassicalGaussian(mean=[0.0], cov=[[1.0]]), mu)
+
+    result = tail_bound(cgf, eps=2.0, mu_max=0.999)
+    assert abs(result.argmax_mu - 0.75) <= 1e-9
+    assert abs(result.log_prob_bound + 1.5 + 0.5 * math.log(0.25)) <= 1e-12
+    assert calls[0] == 1 and calls[1:] == [0] * len(calls[1:]) and len(calls) <= 4
