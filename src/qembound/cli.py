@@ -265,20 +265,15 @@ def _attempt(compute):
 
 def _verdict(engine, grid, top, cut=math.inf):
     """Status of each row of one ExactEngine.grid call over grid from its top:
-    ok below 1 and below qem.saturation_mu (and below cut), where the gap
-    1 - tanh(mu theta_max) nears double precision and the closed form (and
-    the radius) lose their digits.  Every other row reads infeasible_mu if
-    mu* is resolved below the span (an infinite moment), else
-    numerical_error (a moment the closed form cannot resolve: finite for an
-    infinite mu*, or a mu* past the span)."""
-    span = qem.saturation_mu(engine.basis)
-    mus = np.asarray(grid)
-    ok = (top < 1.0) & (mus < min(cut, span))
-    # A row with top >= 1 below the span shows mu* < span (the radius reaches
-    # 1 there): mu_star is solved (once, cached) only if a row is not ok and
-    # no row shows it.
-    decided = ok.all() or ((top >= 1.0) & (mus < span)).any()
-    flag = STATUS_INFEASIBLE if decided or engine.mu_star < span else STATUS_NUMERICAL
+    ok below 1 (and below cut).  Every other row reads infeasible_mu if the
+    engine resolves a finite mu* (an infinite moment), else numerical_error
+    (a moment the closed form cannot resolve, where top reads inf by
+    construction: the engine's saturation span)."""
+    ok = (top < 1.0) & (np.asarray(grid) < cut)
+    # A finite top >= 1 proves a crossing, so a finite mu*: mu_star is
+    # solved (once, cached) only if a row is not ok and no row proves it.
+    decided = ok.all() or ((top >= 1.0) & (top < math.inf)).any()
+    flag = STATUS_INFEASIBLE if decided or math.isfinite(engine.mu_star) else STATUS_NUMERICAL
     return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
 
 
@@ -304,12 +299,12 @@ def _exact_rows(config, engine, t, grid):
 def _tail_rows(config, engine, t, grid):
     upsilon, slope, top = engine.grid(grid, slope=True)
     mus = np.asarray(grid)
-    # Rows from mu_max = min(CGF_SAFETY mu*, span) on are cut, and _verdict
-    # flags them.  top(mu)/mu does not increase, so mu* >= mu/top(mu): a row
-    # with top < CGF_SAFETY lies below CGF_SAFETY mu* and is never cut, and
-    # one with top >= 1 is flagged anyway.  mu_max is read only where a row
-    # below the span has CGF_SAFETY <= top < 1.
-    near = (top >= qem.CGF_SAFETY) & (top < 1.0) & (mus < qem.saturation_mu(engine.basis))
+    # Rows from mu_max on are cut, and _verdict flags them.  top(mu)/mu does
+    # not increase, so mu* >= mu/top(mu): a row with top < CGF_SAFETY lies
+    # below CGF_SAFETY mu* and is never cut, and one with top >= 1 (inf from
+    # the span on) is flagged anyway.  mu_max is read only where a row has
+    # CGF_SAFETY <= top < 1.
+    near = (top >= qem.CGF_SAFETY) & (top < 1.0)
     cut = engine.mu_max() if near.any() else math.inf
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The

@@ -123,7 +123,9 @@ class ExactEngine:
     covariances and means once; grid evaluates each chunk of GRID_CHUNK mu
     by one stacked eigvalsh (w) and one stacked solve of S (the mean term
     and the slope) over its (mu, component) pairs, and cgf_and_slope reads
-    it.  mu* is computed on first use and cached.
+    it.  The exact route's validity limit is decided here alone: top reads
+    inf from saturation_mu on, so every exact entry point refuses those mu
+    as it refuses those past mu*.  mu* is computed on first use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -138,28 +140,35 @@ class ExactEngine:
 
     @functools.cached_property
     def mu_star(self) -> float:
-        """The critical mu* of the state (see critical_mu): the stacked
-        radius of the components whose limit radius exceeds 1 is doubled
-        from 1/theta_max until it reaches 1, then brent_root solves
-        radius = 1 on [0, hi] (radius(0) = 0).  The other components never
-        cross, and are left out so a saturated radius cannot read 1 first.
-        No radius is read past saturation_mu, where a mode whose limit
-        radius is 1 reads 1 once tanh(mu theta) rounds to 1: the doubling
-        stops at the span, and if the radius is below 1 there mu* is not
-        resolved and inf is returned."""
-        e_limit = 1.0 / np.sqrt(self.theta)
-        limits = np.linalg.eigvalsh(e_limit[:, None] * self.covs * e_limit)[:, -1]
-        covs = self.covs[limits > 1.0]
-        if not covs.size:
+        """The critical mu* of the state (see critical_mu), from a bracket on
+        the engine's own top.  mu B = T^(1/2) D C~ D T^(1/2) for
+        T = diag(tanh(mu theta)) and D = diag(theta)^(-1/2), so over the
+        largest eigenvalue r of D C~ D (largest over the components)
+        tanh(mu theta_min) r <= top(mu) <= tanh(mu theta_max) r, and mu* lies
+        in [atanh(1/r)/theta_max, atanh(1/r)/theta_min].  r - 1 is read in
+        gap form, from D (C~ - Theta) D, and atanh(1/r) as log1p(2/(r - 1))/2,
+        so a near-pure state keeps its digits.  For one frequency the bracket
+        is a point, the closed form; otherwise brent_root solves top = 1
+        inside it, clipped below saturation_mu, where top reads inf.  inf
+        where r <= 1, where the bracket starts at or past saturation_mu, or
+        where top still reads below 1 at the clipped end."""
+        d = 1.0 / np.sqrt(self.theta)
+        excess = np.linalg.eigvalsh(d[:, None] * (self.covs - np.diag(self.theta)) * d)[:, -1].max()
+        reach = 0.5 * math.log1p(2.0 / float(excess)) if excess > 0.0 else math.inf
+        lo, hi = reach / float(self.theta.max()), reach / float(self.theta.min())
+        end = min(hi, math.nextafter(saturation_mu(self.basis), 0.0))
+        if lo == hi or not lo <= end:
+            return lo if lo <= end else math.inf
+
+        def top_minus_one(mu):
+            return self.grid([mu])[2].item() - 1.0
+
+        # top(lo) <= 1 <= top(hi); a read past 1 at lo, or below 1 at an
+        # unclipped hi (the root when the top eigenvector lies in the slowest
+        # modes), is rounding and puts the root there.
+        if not (f_end := top_minus_one(end)) >= 0.0 and end < hi:
             return math.inf
-        radius = functools.partial(_radius, covs, self.theta)
-        span = saturation_mu(self.basis)
-        hi = 1.0 / float(self.theta.max())
-        while not (top := radius(hi)) >= 1.0 and hi < span:
-            hi = min(2.0 * hi, span)
-        if not top >= 1.0:
-            return math.inf
-        return brent_root(lambda mu: radius(mu) - 1.0, 0.0, hi, -1.0, top - 1.0)
+        return brent_root(top_minus_one, lo, end, min(top_minus_one(lo), 0.0), max(f_end, 0.0))
 
     def mu_max(self) -> float:
         """Truncated validity limit of the CGF (see exact_cgf)."""
@@ -167,27 +176,34 @@ class ExactEngine:
 
     def cgf_and_slope(self, mu):
         """(Upsilon(mu), Upsilon'(mu)) as floats at a float mu, or as arrays
-        over a 1-D array of mu, from one grid(mus, slope=True) call; raises
-        RiskParameterTooLarge at the first mu past the contraction limit."""
-        mus = np.atleast_1d(np.asarray(mu, dtype=float))
-        values, slopes, top = self.grid(mus, slope=True)
-        past = np.flatnonzero(top >= 1.0)
-        if past.size:
-            self._raise_too_large(mus[past[0]].item(), top[past[0]].item())
+        over a 1-D array of mu, from one _checked_grid(mus, slope=True) call."""
+        values, slopes = self._checked_grid(mu, slope=True)
         if np.ndim(mu):
             return values, slopes
         return values.item(), slopes.item()
+
+    def _checked_grid(self, mus, slope=False):
+        """(values, slopes) of grid over mus (a float or a 1-D array); raises
+        RiskParameterTooLarge at the first mu whose value grid leaves NaN:
+        past mu*, from saturation_mu on, or within rounding of mu*."""
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        values, slopes, top = self.grid(mus, slope)
+        past = np.flatnonzero(np.isnan(values))
+        if past.size:
+            self._raise_too_large(mus[past[0]].item(), top[past[0]].item())
+        return values, slopes
 
     def grid(self, mus, slope=False):
         """(values, slopes, top) of Upsilon over the positive mus, in chunks
         of at most GRID_CHUNK mu per stacked eigvalsh and solve.
 
         top is mu rho(C K(mu)), the largest over the components (the
-        Monte-Carlo variance is finite below 1/2), inf where mu theta
-        overflows: a finite mu* lies below about 18.4/theta_min, where tanh
-        saturates.  values (and slopes) are NaN where top >= 1, the moment
-        being infinite there (or, for an infinite mu*, its contraction gap
-        below double precision), and where a mu within rounding of mu*
+        Monte-Carlo variance is finite below 1/2), and inf from
+        saturation_mu on (where mu theta may overflow too): there the
+        contraction gap 1 - tanh(mu theta_max) nears double precision and
+        neither the closed form nor top keeps its digits.  values (and
+        slopes) are NaN where top >= 1, the moment being infinite there (or
+        not resolved, past the span), and where a mu within rounding of mu*
         leaves S singular.  slopes is None unless slope is true.  With
         x = mu theta, c = 2x/sinh(2x) in (0, 1] (-mu e^2 d(e^-2)/dmu for
         e^2 = tanh(x)/theta) and h = S^-1 m,
@@ -206,16 +222,16 @@ class ExactEngine:
                                     for i in range(0, max(mus.size, 1), GRID_CHUNK)])
         return np.concatenate(values), np.concatenate(slopes) if slope else None, np.concatenate(top)
 
-    # Past the limit mu theta (and the log cos term) may overflow to inf,
-    # and the slope's sinh(2x)/(2x) reads inf/inf; those rows read top = inf
-    # and are masked below, so no warning is due.
+    # Past the span mu theta (and the log cos term) may overflow to inf, and
+    # the slope's sinh(2x)/(2x) reads inf/inf; those rows read top = inf and
+    # are masked below, so no warning is due.
     @np.errstate(over="ignore", invalid="ignore")
     def _chunk(self, mus, slope):
         x = mus[:, None] * self.theta
         e = np.sqrt(_over_x(np.tanh, x))
         b = e[:, None, :, None] * self.covs * e[:, None, None, :]
         w = mus[:, None, None] * np.linalg.eigvalsh(b)
-        top = np.where(np.isinf(x).any(axis=1), np.inf, w.max(axis=(1, 2)))
+        top = np.where(mus >= saturation_mu(self.basis), np.inf, w.max(axis=(1, 2)))
         past = top >= 1.0
         # NaN rows past the limit keep log1p quiet and carry NaN into every
         # column; their S is I, so the stacked solve stays regular.
@@ -250,35 +266,27 @@ class ExactEngine:
         return values, (mix * slopes).sum(axis=1) / total, top
 
     def _raise_too_large(self, mu, top):
-        span = saturation_mu(self.basis)
-        if self.mu_star < span:
+        # top is inf by construction from saturation_mu on, so only a finite
+        # top is quoted.
+        read = f" (mu * rho(C K(mu)) = {top:.6g})" if math.isfinite(top) else ""
+        if math.isfinite(self.mu_star):
             raise RiskParameterTooLarge(
-                f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g} "
-                f"(mu * rho(C K(mu)) = {top:.6g})"
-            )
+                f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g}{read}")
         raise RiskParameterTooLarge(
-            f"contraction gap at mu = {mu} saturated double precision "
-            f"(mu * rho(C K(mu)) reads {top:.6g}; mu* is not resolved below "
-            f"saturation_mu = {span:.6g}, past which 1 - mu*rho(C K(mu)) is "
-            "below machine resolution)"
-        )
-
-
-def _radius(covs, theta, mu):
-    """Largest eigenvalue of the contraction over a stack of covariances, from
-    mu e^2 = tanh(mu theta)/theta; only mu_star's Brent solve reads it."""
-    d = np.sqrt(np.tanh(mu * theta) / theta)
-    return float(np.linalg.eigvalsh(d[:, None] * covs * d).max())
+            f"contraction gap at mu = {mu} saturated double precision{read}: from "
+            f"saturation_mu = {saturation_mu(self.basis):.6g} on, 1 - mu rho(C K(mu)) is "
+            "below machine resolution, and no mu* is resolved below it")
 
 
 def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
     """Exact log-moment of a Gaussian or Gaussian-mixture state.
 
     The moment is linear in the density operator, so a mixture's moment is
-    the weighted sum of its components' Gaussian closed forms: the value of
-    ExactEngine.cgf_and_slope(mu), which raises RiskParameterTooLarge past mu*.
+    the weighted sum of its components' Gaussian closed forms: the value that
+    ExactEngine.grid gives a gaussian_exact row.  It raises
+    RiskParameterTooLarge wherever that row is not ok (see _checked_grid).
     """
-    log_qem = ExactEngine(state, basis).cgf_and_slope(mu)[0]
+    log_qem = ExactEngine(state, basis)._checked_grid(mu)[0].item()
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
 
 
@@ -288,13 +296,13 @@ def critical_mu(state, basis: SymplecticBasis) -> float:
 
     mu * K(mu) has nondecreasing eigenvalues tanh(mu*theta_k)/theta_k with
     supremum 1/theta_k, so the map is nondecreasing in mu and bounded by
-    the spectral radius at the limit matrix; Brent's root-finder on a
-    doubling bracket solves it to relative 1e-10 (ExactEngine.mu_star).
-    For a mixture the smallest component root is returned.  Past
-    saturation_mu a mode whose limit radius is 1 reads radius 1 once
-    tanh(mu theta) rounds to 1, so the doubling stops at saturation_mu and
-    reads no radius past it: infinity then means that mu* is infinite or
-    lies at or past saturation_mu.
+    the spectral radius r at the limit matrix, which puts mu* in a
+    closed-form bracket (ExactEngine.mu_star).  On one frequency the
+    bracket is a point and mu* = atanh(1/r)/theta is exact; otherwise
+    Brent's root-finder closes it to a width of 1e-10 relative.  For a
+    mixture the smallest component root is returned.  No top is read from
+    saturation_mu on, where it reads inf: infinity means that mu* is
+    infinite or lies at or past saturation_mu.
     """
     return ExactEngine(state, basis).mu_star
 
@@ -599,6 +607,8 @@ def exact_cgf(state, basis: SymplecticBasis):
     Returns (ExactEngine.cgf_and_slope, mu_max), the pair tail_bound takes;
     mu_max = min(CGF_SAFETY * mu_star, SATURATION_SPAN / theta_max), the
     saturation limit alone when mu* is infinite (or not resolved below it).
+    The callable raises RiskParameterTooLarge past mu* and from
+    saturation_mu on.
     """
     engine = ExactEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()

@@ -2,6 +2,7 @@
 command-line entry point."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -524,17 +525,20 @@ class TestRun:
             assert row.upsilon_exact is None and row.tail_eps is None
 
     @pytest.fixture
-    def radius_reads(self, monkeypatch):
-        """The mu of every radius that ExactEngine.mu_star reads."""
-        reads = []
-        radius = qembound.qem._radius
+    def mu_star_solves(self, monkeypatch):
+        """The engine of every ExactEngine.mu_star solve (the property is
+        cached, so each engine solves at most once)."""
+        solves = []
+        solve = qembound.qem.ExactEngine.mu_star.func
 
-        def spy(covs, theta, mu):
-            reads.append(mu)
-            return radius(covs, theta, mu)
+        def spy(engine):
+            solves.append(engine)
+            return solve(engine)
 
-        monkeypatch.setattr("qembound.qem._radius", spy)
-        return reads
+        counted = functools.cached_property(spy)
+        counted.__set_name__(qembound.qem.ExactEngine, "mu_star")
+        monkeypatch.setattr(qembound.qem.ExactEngine, "mu_star", counted)
+        return solves
 
     @pytest.mark.parametrize("kind, mu_grid, statuses", [
         ("gaussian_exact", [0.1, 0.2, 0.3], ["ok"] * 3),
@@ -544,33 +548,34 @@ class TestRun:
         ("randomized_mc", [0.1, 0.5], ["ok", "infeasible_mu"]),
     ], ids=["exact-below-the-cut", "tail-below-the-cut", "exact-past-mu-star",
             "tail-past-mu-star", "mc-past-mu-star"])
-    def test_rows_that_decide_their_status_read_no_radius(self, radius_reads, kind, mu_grid,
+    def test_rows_that_decide_their_status_read_no_radius(self, mu_star_solves, kind, mu_grid,
                                                           statuses):
         # Cov 3 I on ccr [1]: mu* = atanh(1/3) ~ 0.3466 and top = 3 tanh(mu).
         # At mu <= 0.3, top <= 0.874 < CGF_SAFETY, so no row can lie at or
-        # past CGF_SAFETY mu*; at 0.5, top >= 1 below the span shows
-        # mu* < span.  Neither needs the mu* solve.
+        # past CGF_SAFETY mu*; at 0.5, a finite top >= 1 proves a finite mu*.
+        # Neither needs the mu* solve.
         cfg = _vacuum_config(kind=kind, state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
                              mu_grid=mu_grid, samples=1000, seed=1)
         report, _ = run(parse_config(json.dumps(cfg)))
         assert [r.status for r in report.rows] == statuses
-        assert radius_reads == []
+        assert mu_star_solves == []
 
     @pytest.mark.parametrize("kind, statuses", [
         ("tail", ["ok", "ok", "infeasible_mu", "infeasible_mu"]),
         ("gaussian_exact", ["ok", "ok", "ok", "infeasible_mu"]),
         ("randomized_mc", ["ok", "infinite_variance", "infinite_variance", "infeasible_mu"]),
     ])
-    def test_rows_between_the_cut_and_mu_star(self, radius_reads, kind, statuses):
+    def test_rows_between_the_cut_and_mu_star(self, mu_star_solves, kind, statuses):
         # mu* = atanh(1/3) ~ 0.346574 and CGF_SAFETY mu* ~ 0.346227.  At
         # 0.3462 top = 3 tanh(0.3462) ~ 0.99900 >= CGF_SAFETY, yet the row
         # lies below the cut, and 0.3464 lies past it with top < 1: only the
-        # tail reads mu_max to tell them apart.
+        # tail reads mu_max to tell them apart, by one mu* solve (on one
+        # frequency the closed form, which reads no top).
         cfg = _vacuum_config(kind=kind, state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
                              mu_grid=[0.1, 0.3462, 0.3464, 0.3467], samples=1000, seed=1)
         report, _ = run(parse_config(json.dumps(cfg)))
         assert [r.status for r in report.rows] == statuses
-        assert bool(radius_reads) == (kind == "tail")
+        assert len(mu_star_solves) == (1 if kind == "tail" else 0)
 
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top

@@ -7,7 +7,6 @@ spectrum, the component count, the seed of the random matrices, and the
 position of mu inside the bound's validity range.
 """
 
-import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -51,7 +50,6 @@ from qembound.qem import (
     ExactEngine,
     ScalarBoundEngine,
     _log_bound_prefactor,
-    _radius,
     saturation_mu,
     scalar_weight_limit,
 )
@@ -634,26 +632,85 @@ def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
         assert statuses == _statuses_reading_mu_star_first(kind, state, basis, mus)
 
 
+@st.composite
+def pure_mode_mixtures(draw):
+    """mixtures() with one mode made pure in every component: its 2 x 2
+    block of the covariance becomes freq * I and its other entries 0."""
+    state, basis = draw(mixtures())
+    theta = basis.ccr.theta
+    block = slice(2 * (k := draw(st.integers(0, basis.n_modes - 1))), 2 * k + 2)
+    components = []
+    for comp in state.components:
+        cov = comp.cov.copy()
+        cov[block, :] = cov[:, block] = 0.0
+        cov[block, block] = theta[2 * k, 2 * k + 1] * np.eye(2)
+        components.append(GaussianState(mean=comp.mean, cov=cov, ccr=basis.ccr))
+    return MixtureMgf(weights=state.weights, components=tuple(components)), basis
+
+
+mixtures_with_pure_modes = st.one_of(mixtures(), pure_mode_mixtures())
+
+
 @PROPERTY_SETTINGS
-@given(mixtures())
+@given(mixtures_with_pure_modes)
 def test_mu_star_matches_bisection_oracle(case):
-    # mu_star closes its doubling bracket [0, hi] by Brent; bisection on the
-    # same bracket and the same stacked radius is the reference.
+    # mu_star closes its bracket [atanh(1/r)/theta_max, atanh(1/r)/theta_min]
+    # (r the top eigenvalue of the limit matrix D C~ D, D = diag(theta)^-1/2,
+    # here read directly, not in gap form) by Brent on the engine's top,
+    # clipped below the span; bisection on the same top and bracket is the
+    # reference.  No top is read from the span on.
     state, basis = case
     engine = ExactEngine(state, basis)
-    calls = []
+    d = 1.0 / np.sqrt(engine.theta)
+    r = float(np.linalg.eigvalsh(d[:, None] * engine.covs * d).max())
+    reach = math.atanh(1.0 / r) if r > 1.0 else math.inf
+    lo, hi = reach / engine.theta.max(), reach / engine.theta.min()
+    span = saturation_mu(basis)
+    reads = []
+    grid = ExactEngine.grid
 
-    def counted(covs, theta, mu):
-        value = _radius(covs, theta, mu)
-        calls.append((covs, mu, value))
-        return value
+    def spy(self, mus, slope=False):
+        reads.extend(np.asarray(mus, dtype=float).tolist())
+        return grid(self, mus, slope)
 
-    with mock.patch("qembound.qem._radius", counted):
+    with mock.patch.object(ExactEngine, "grid", spy):
         mu_star = engine.mu_star
-    assert len(calls) <= 15
-    covs, hi, _ = next(call for call in calls if call[2] >= 1.0)
-    reference = bisect_nondecreasing(functools.partial(_radius, covs, engine.theta), 1.0, 0.0, hi)
+    assert len(reads) <= 15 and all(mu < span for mu in reads)
+    end = min(hi, math.nextafter(span, 0.0))
+
+    def top(mu):
+        return engine.grid([mu])[2][0]
+
+    if not math.isfinite(mu_star):
+        # The bracket starts at or past the span, or its end is clipped below
+        # the span, where top still reads below 1.
+        assert lo * (1.0 + 1e-12) >= span or (hi * (1.0 + 1e-12) >= span and top(end) < 1.0)
+        return
+    assert lo * (1.0 - 1e-12) <= mu_star <= hi * (1.0 + 1e-12)
+    reference = bisect_nondecreasing(top, 1.0, lo, end)
     assert abs(mu_star - reference) <= 2.0 * SEARCH_RTOL * reference
+
+
+@PROPERTY_SETTINGS
+@given(mixtures_with_pure_modes, st.lists(st.floats(0.01, 1.5), min_size=1, max_size=8),
+       st.lists(st.floats(0.5, 2.0), min_size=1, max_size=8))
+def test_library_refuses_exactly_the_rows_the_cli_flags(case, fractions, past_span):
+    # A grid to 1.5 min(mu*, span) and from 0.5 to 2 times the span: every
+    # gaussian_exact row is ok exactly where qem_exact returns, with its
+    # value bit for bit, and qem_exact raises RiskParameterTooLarge at every
+    # other row's mu.
+    state, basis = case
+    span = saturation_mu(basis)
+    scale = min(ExactEngine(state, basis).mu_star, span)
+    mus = np.unique(np.concatenate([np.array(fractions) * scale, np.array(past_span) * span]))
+    config = ScenarioConfig(kind="gaussian_exact", ccr=basis.ccr, state=state,
+                            mu_grid=tuple(mus.tolist()))
+    for row in run(config)[0].rows:
+        if row.status == "ok":
+            assert qem_exact(state, basis, row.mu).log_qem == row.upsilon_exact
+        else:
+            with pytest.raises(RiskParameterTooLarge):
+                qem_exact(state, basis, row.mu)
 
 
 # A lone Gaussian, or a mixture of one to four components.

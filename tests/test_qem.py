@@ -30,7 +30,8 @@ from qembound import (
     tail_bound,
     validate_ccr,
 )
-from qembound.qem import ExactEngine, ScalarBoundEngine, _radius, saturation_mu
+from qembound.qem import ExactEngine, ScalarBoundEngine, saturation_mu
+from qembound.cli import ScenarioConfig, run
 from qembound.sampling import log_mean_exp_stats
 from qembound.classical import classical_gaussian_cgf_and_slope
 from qembound.errors import (
@@ -202,50 +203,97 @@ class TestCriticalMu:
         assert critical_mu(state, basis) == pytest.approx(expected, rel=1e-9)
 
     @pytest.fixture
-    def radius_reads(self, monkeypatch):
-        """The mu of every radius that mu_star reads."""
+    def top_reads(self, monkeypatch):
+        """The mu of every top that mu_star reads, each from a grid call."""
         reads = []
+        grid = ExactEngine.grid
 
-        def spy(covs, theta, mu):
-            reads.append(mu)
-            return _radius(covs, theta, mu)
+        def spy(engine, mus, slope=False):
+            reads.extend(np.asarray(mus, dtype=float).tolist())
+            return grid(engine, mus, slope)
 
-        monkeypatch.setattr("qembound.qem._radius", spy)
+        monkeypatch.setattr(ExactEngine, "grid", spy)
         return reads
 
-    def test_radius_past_the_span_is_not_trusted(self, radius_reads):
-        # The theta = 10 mode (cov 10) has limit radius 1 and reads 1 once
-        # tanh(10 mu) rounds to 1, as at mu = 3.2, past the span 14/10.  The
-        # radius at the span is below 1, so mu* (in truth atanh(0.5)/0.1 ~
-        # 5.49, past the span) is not resolved.
+    def test_radius_past_the_span_is_not_trusted(self, top_reads):
+        # The theta = 10 mode (cov 10) is pure: its top tanh(10 mu) reads 1
+        # once tanh rounds to 1, as at mu = 3.2, past the span 14/10.  The
+        # theta = 0.1 mode (cov 0.2) gives r = 2, so mu* lies in
+        # [atanh(1/2)/10, atanh(1/2)/0.1]; that bracket is clipped below the
+        # span, where top is below 1, so mu* (in truth atanh(0.5)/0.1 ~
+        # 5.49, past the span) is not resolved, and no top is read from the
+        # span on.
         ccr = block_ccr([0.1, 10.0])
         basis = symplectic_eigenbasis(ccr)
         state = GaussianState(mean=np.zeros(4), cov=np.diag([0.2, 0.2, 10.0, 10.0]), ccr=ccr)
         assert critical_mu(state, basis) == math.inf
         assert ExactEngine(state, basis).mu_max() == saturation_mu(basis) == 1.4
-        assert radius_reads and max(radius_reads) <= saturation_mu(basis)
+        assert top_reads and max(top_reads) < saturation_mu(basis)
 
-    def test_root_between_the_last_doubling_and_the_span(self, radius_reads):
-        # cov c I on ccr [1] with c = 1 + 4e-9 crosses at atanh(1/c) ~ 10.0;
-        # the doubling reads below 1 at 8 and stops at the span 14, where it
-        # reads 1, and the root is solved on [0, 14].
+    def test_root_between_the_last_doubling_and_the_span(self, top_reads):
+        # cov c I on ccr [1] with c = 1 + 4e-9 crosses at atanh(1/c) ~ 10.0,
+        # below the span 14, where top = c tanh(mu) is flat near 1.  One
+        # frequency makes the bracket a point, the closed form
+        # log1p(2/(c - 1))/2, which reads no top at all.
         c = 1.0 + 4e-9
         state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=CCR2)
         mu_star = critical_mu(state, BASIS2)
         assert mu_star < saturation_mu(BASIS2)
         assert mu_star == pytest.approx(math.atanh(1.0 / c), rel=1e-8)
-        assert radius_reads and max(radius_reads) <= saturation_mu(BASIS2)
+        assert mu_star == 0.5 * math.log1p(2.0 / (c - 1.0))
+        assert top_reads == []
 
     @pytest.mark.parametrize("radius", [0.5, math.nan])
     def test_unreached_bracket_is_not_resolved(self, monkeypatch, radius):
-        # If the doubling never reads radius 1, it stops at the span and
-        # mu* is not resolved below it (inf, as _verdict, mu_max and
-        # _raise_too_large read it); brent_root never gets an unbracketed
-        # root.
-        monkeypatch.setattr("qembound.qem._radius", lambda covs, theta, mu: radius)
+        # Cov diag(0.4, 0.4, 10, 10) on ccr [0.1, 10] has r = 4, so mu* lies
+        # in [atanh(1/4)/10, atanh(1/4)/0.1] ~ [0.026, 2.55], clipped below
+        # the span 1.4.  If top does not read 1 at the clipped end, mu* is
+        # not resolved (inf, as _verdict, mu_max and _raise_too_large read
+        # it); brent_root never gets an unbracketed root.
+        ccr = block_ccr([0.1, 10.0])
+        basis = symplectic_eigenbasis(ccr)
+        state = GaussianState(mean=np.zeros(4), cov=np.diag([0.4, 0.4, 10.0, 10.0]), ccr=ccr)
+        monkeypatch.setattr(ExactEngine, "grid",
+                            lambda engine, mus, slope=False: (None, None, np.array([radius])))
         with mock.patch("qembound.qem.brent_root") as brent:
-            assert ExactEngine(THERMAL3, BASIS2).mu_star == math.inf
+            assert ExactEngine(state, basis).mu_star == math.inf
         brent.assert_not_called()
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0, 7.0])
+    @pytest.mark.parametrize("ratio", [1.0 + 4e-9, 1.0 + 1e-6, 1.5, 3.0, 10.0, 1e3])
+    def test_one_frequency_closed_form_against_50_digits(self, theta, ratio):
+        # cov c I on ccr [theta] has top = (c/theta) tanh(mu theta), so mu* =
+        # atanh(theta/c)/theta exactly, for the stored c, near a pure state
+        # (c/theta = 1 + 4e-9) too.
+        ccr = block_ccr([theta])
+        c = theta * ratio
+        state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=ccr)
+        mu_star = critical_mu(state, symplectic_eigenbasis(ccr))
+        with mpmath.workdps(50):
+            exact = float(mpmath.atanh(mpmath.mpf(theta) / mpmath.mpf(c)) / mpmath.mpf(theta))
+        assert abs(mu_star - exact) <= 4 * np.spacing(exact)
+
+
+# The fast mode of cov diag(0.2, 0.2, 10, 10) on ccr [0.1, 10] is pure, so
+# its span is 14/10 = 1.4 although mu* = atanh(0.5)/0.1 ~ 5.49; cov 2 I on
+# ccr [2] is pure, with mu* = inf, span 7 and Upsilon = 2 mu.
+_PAST_THE_SPAN = [([0.1, 10.0], [0.2, 0.2, 10.0, 10.0], mu) for mu in (2.0, 3.0, 5.0)] + [
+    ([2.0], [2.0, 2.0], mu) for mu in (8.0, 9.0, 10.0)]
+
+
+@pytest.mark.parametrize("freqs, cov, mu", _PAST_THE_SPAN)
+def test_library_refuses_what_the_cli_flags(freqs, cov, mu):
+    # The gaussian_exact row reads numerical_error, and every exact entry
+    # point raises there, with no top quoted: it is inf by construction.
+    ccr = block_ccr(freqs)
+    basis = symplectic_eigenbasis(ccr)
+    state = GaussianState(mean=np.zeros(len(cov)), cov=np.diag(cov), ccr=ccr)
+    config = ScenarioConfig(kind="gaussian_exact", ccr=ccr, state=state, mu_grid=(mu,))
+    assert [row.status for row in run(config)[0].rows] == ["numerical_error"]
+    for entry in (lambda: qem_exact(state, basis, mu), lambda: exact_cgf(state, basis)[0](mu)):
+        with pytest.raises(RiskParameterTooLarge, match="saturated double precision") as info:
+            entry()
+        assert "reads inf" not in str(info.value) and "= inf" not in str(info.value)
 
 
 class TestRandomizedMc:
