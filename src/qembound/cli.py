@@ -263,16 +263,18 @@ def _attempt(compute):
         return None, STATUS_NUMERICAL
 
 
-def _verdict(engine, grid, top, cut=math.inf):
-    """Status of each row of one ExactEngine.grid call over grid from its top:
-    ok below 1 (and below cut).  Every other row reads infeasible_mu if the
-    engine resolves a finite mu* (an infinite moment), else numerical_error
-    (a moment the closed form cannot resolve, where top reads inf by
-    construction: the engine's saturation span)."""
-    ok = (top < 1.0) & (np.asarray(grid) < cut)
-    # A finite top >= 1 proves a crossing, so a finite mu*: mu_star is
-    # solved (once, cached) only if a row is not ok and no row proves it.
-    decided = ok.all() or ((top >= 1.0) & (top < math.inf)).any()
+def _verdict(engine, grid, feasible, cut=math.inf):
+    """Status of each row of an ExactEngine route over grid from the rows'
+    feasibility mask (top < 1): ok where feasible (and below cut).  Every
+    other row reads infeasible_mu if the engine resolves a finite mu* (an
+    infinite moment), else numerical_error (a moment the closed form cannot
+    resolve: no row is feasible from the engine's saturation span on)."""
+    mus = np.asarray(grid)
+    ok = feasible & (mus < cut)
+    # A row that is not feasible below the span proves a crossing, so a
+    # finite mu*: mu_star is solved (once, cached) only if a row is not ok
+    # and no row proves it.
+    decided = ok.all() or (~feasible & (mus < qem.saturation_mu(engine.basis))).any()
     flag = STATUS_INFEASIBLE if decided or math.isfinite(engine.mu_star) else STATUS_NUMERICAL
     return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
 
@@ -292,34 +294,33 @@ def _grid_rows(t, grid, statuses, **columns):
 
 
 def _exact_rows(config, engine, t, grid):
-    values, _, top = engine.grid(grid)
-    return _grid_rows(t, grid, _verdict(engine, grid, top), upsilon_exact=values)
+    values, _, feasible = engine.grid(grid)
+    return _grid_rows(t, grid, _verdict(engine, grid, feasible), upsilon_exact=values)
 
 
 def _tail_rows(config, engine, t, grid):
-    upsilon, slope, top = engine.grid(grid, slope=True)
+    upsilon, slope, feasible, safe = engine.grid(grid, slope=True, safety=qem.CGF_SAFETY)
     mus = np.asarray(grid)
     # Rows from mu_max on are cut, and _verdict flags them.  top(mu)/mu does
-    # not increase, so mu* >= mu/top(mu): a row with top < CGF_SAFETY lies
-    # below CGF_SAFETY mu* and is never cut, and one with top >= 1 (inf from
-    # the span on) is flagged anyway.  mu_max is read only where a row has
-    # CGF_SAFETY <= top < 1.
-    near = (top >= qem.CGF_SAFETY) & (top < 1.0)
-    cut = engine.mu_max() if near.any() else math.inf
+    # not increase, so mu* >= mu/top(mu): a safe row (top < CGF_SAFETY) lies
+    # below CGF_SAFETY mu* and is never cut, and a row that is not feasible
+    # is flagged anyway.  mu_max is read only where a feasible row is not
+    # safe, CGF_SAFETY <= top < 1.
+    cut = engine.mu_max() if (feasible & ~safe).any() else math.inf
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.
-    return _grid_rows(t, grid, _verdict(engine, grid, top, cut), upsilon_exact=upsilon,
+    return _grid_rows(t, grid, _verdict(engine, grid, feasible, cut), upsilon_exact=upsilon,
                       tail_eps=slope, tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
 
 
 def _mc_rows(config, engine, t, grid):
-    # One grid call gives every row's top = mu rho(C K(mu)): past the
-    # _verdict no sample is drawn; from 1/2 the estimator's variance is
-    # infinite, so no error bar is printed.
-    top = engine.grid(grid)[2]
+    # One bare eigvalsh per chunk gives every row's top = mu rho(C K(mu)):
+    # past the _verdict no sample is drawn; from 1/2 the estimator's
+    # variance is infinite, so no error bar is printed.
+    top = engine.top(grid)
     statuses = [STATUS_INFINITE_VARIANCE if s == STATUS_OK and x >= 0.5 else s
-                for s, x in zip(_verdict(engine, grid, top), top.tolist())]
+                for s, x in zip(_verdict(engine, grid, top < 1.0), top.tolist())]
     return [_mc_row(config, engine, t, i, mu, s) for i, (mu, s) in enumerate(zip(grid, statuses))]
 
 
@@ -350,12 +351,12 @@ def _bound_rows(config, engine, t, grid):
 
 #: Engine class, route and required keys beyond _STATE_KEYS of each kind,
 #: in the order KINDS (and the parse message naming them) lists the kinds.
-#: Every route makes one grid call per scenario (or oqho_sweep horizon):
-#: the ExactEngine routes read their rows' feasibility from it (see
-#: _verdict), and the bound routes their values.  Only the Monte-Carlo
-#: route then calls a row function per mu, _mc_row, by its module name, so
-#: a wrapper bound to that name (perfbench's cli.cell span) sees those rows
-#: and no others.
+#: Every route makes one grid call per scenario (or oqho_sweep horizon),
+#: the Monte-Carlo route one top call: the ExactEngine routes read their
+#: rows' feasibility from it (see _verdict), and the bound routes their
+#: values.  Only the Monte-Carlo route then calls a row function per mu,
+#: _mc_row, by its module name, so a wrapper bound to that name
+#: (perfbench's cli.cell span) sees those rows and no others.
 _KINDS = {
     "gaussian_exact": (qem.ExactEngine, _exact_rows, ()),
     "randomized_mc": (qem.ExactEngine, _mc_rows, ()),

@@ -7,8 +7,8 @@ are provided:
 
 * exact Gaussian closed form, valid while mu * rho(C K(mu)) < 1 with
   K(mu) = tanc(mu*Theta), evaluated for a whole mixture over a grid of mu
-  by ExactEngine from one stacked eigvalsh and one stacked solve per grid
-  chunk, which also yield the analytic slope Upsilon'(mu);
+  by ExactEngine from one batched LDL^T elimination per grid chunk, whose
+  pivots also decide feasibility and yield the analytic slope Upsilon'(mu);
 * a randomized Monte-Carlo estimator that averages the state's MGF over an
   auxiliary Gaussian vector with covariance K(mu) and divides by
   sqrt(det cos(mu*Theta));
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import brent_root, cubic_minimize, newton_minimize_grid
-from .ccr import (SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
+from .ccr import (TINY, SymplecticBasis, _cholesky, _over_x, _require_positive, _same_ccr,
                   aux_covariance, lncosh, lnsinh, log_det_cos, mode_matrix)
 from .errors import (
     DimensionMismatch,
@@ -59,9 +59,9 @@ CGF_SAFETY = 0.999
 #: CGF spans are capped at mu * theta_max = 14, a margin before that point.
 SATURATION_SPAN = 14.0
 
-#: Most mu values that ExactEngine.grid puts into one stacked eigvalsh and
-#: solve, so a long grid never holds more than GRID_CHUNK * K n x n
-#: matrices at once.
+#: Most mu values that ExactEngine.grid puts into one batched elimination
+#: (and ExactEngine.top into one stacked eigvalsh), so a long grid never
+#: holds more than GRID_CHUNK * K n x n matrices at once.
 GRID_CHUNK = 64
 
 
@@ -116,14 +116,16 @@ class ExactEngine:
     contraction mu K^(1/2) C K^(1/2) is therefore similar to mu B with the
     unit-scale B = diag(e) C~ diag(e), C~ = Q^T C Q.  With M~ = Q^T M,
 
-        Upsilon = (mu m^T S^-1 m - sum ln(1 - w) - ln det cos(mu Theta)) / 2
+        Upsilon = (mu m^T S^-1 m - ln det S - ln det cos(mu Theta)) / 2
 
-    with S = I - mu B, m = e * M~ and w = mu w_unit over the eigenvalues
-    w_unit of B, all finite down to subnormal mu.  Construction rotates the
-    covariances and means once; grid evaluates each chunk of GRID_CHUNK mu
-    by one stacked eigvalsh (w) and one stacked solve of S (the mean term
-    and the slope) over its (mu, component) pairs, and cgf_and_slope reads
-    it.  The exact route's validity limit is decided here alone: top reads
+    with S = I - mu B and m = e * M~, all finite down to subnormal mu.
+    Construction rotates the covariances and means once; grid evaluates
+    each chunk of GRID_CHUNK mu by one batched LDL^T elimination of S over
+    its (mu, component) pairs (see _chunk), whose pivots give ln det S, the
+    mean term, the slope and each row's feasibility, and cgf_and_slope
+    reads it.  top gives top = mu rho(C K(mu)) itself, from a bare stacked
+    eigvalsh, to mu_star and the Monte-Carlo rows.  The exact route's
+    validity limit is decided here alone: no row is feasible and top reads
     inf from saturation_mu on, so every exact entry point refuses those mu
     as it refuses those past mu*.  mu* is computed on first use and cached.
     """
@@ -136,6 +138,8 @@ class ExactEngine:
         self.log_weights = np.log(mix.weights)
         self.covs = np.stack([q.T @ c.cov @ q for c in mix.components])
         self.means = np.stack([c.mean @ q for c in mix.components])
+        # C~ with the component axis last, for the batched elimination.
+        self._covs_last = np.ascontiguousarray(self.covs.transpose(1, 2, 0))[..., None]
         self.theta = np.repeat(basis.gamma, 2)
 
     @functools.cached_property
@@ -161,7 +165,7 @@ class ExactEngine:
             return lo if lo <= end else math.inf
 
         def top_minus_one(mu):
-            return self.grid([mu])[2].item() - 1.0
+            return self.top([mu]).item() - 1.0
 
         # top(lo) <= 1 <= top(hi); a read past 1 at lo, or below 1 at an
         # unclipped hi (the root when the top eigenvector lies in the slowest
@@ -187,87 +191,168 @@ class ExactEngine:
         RiskParameterTooLarge at the first mu whose value grid leaves NaN:
         past mu*, from saturation_mu on, or within rounding of mu*."""
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        values, slopes, top = self.grid(mus, slope)
+        values, slopes, _ = self.grid(mus, slope)
         past = np.flatnonzero(np.isnan(values))
         if past.size:
-            self._raise_too_large(mus[past[0]].item(), top[past[0]].item())
+            self._raise_too_large(mus[past[0]].item())
         return values, slopes
 
-    def grid(self, mus, slope=False):
-        """(values, slopes, top) of Upsilon over the positive mus, in chunks
-        of at most GRID_CHUNK mu per stacked eigvalsh and solve.
+    def _unit_scale(self, mus):
+        """(x, e) at the 1-D mus: x = mu theta and e = sqrt(tanh(x)/x), the
+        scale of the unit-scale B = diag(e) C~ diag(e)."""
+        x = mus[:, None] * self.theta
+        return x, np.sqrt(_over_x(np.tanh, x))
 
-        top is mu rho(C K(mu)), the largest over the components (the
-        Monte-Carlo variance is finite below 1/2), and inf from
-        saturation_mu on (where mu theta may overflow too): there the
-        contraction gap 1 - tanh(mu theta_max) nears double precision and
-        neither the closed form nor top keeps its digits.  values (and
-        slopes) are NaN where top >= 1, the moment being infinite there (or
-        not resolved, past the span), and where a mu within rounding of mu*
-        leaves S singular.  slopes is None unless slope is true.  With
-        x = mu theta, c = 2x/sinh(2x) in (0, 1] (-mu e^2 d(e^-2)/dmu for
-        e^2 = tanh(x)/theta) and h = S^-1 m,
+    def _stacked_b(self, e):
+        """The (mu, component) stack of B over the rows of e."""
+        return e[:, None, :, None] * self.covs * e[:, None, None, :]
+
+    # From saturation_mu on mu theta may overflow; those rows read top = inf,
+    # so no warning is due.
+    @np.errstate(over="ignore")
+    def top(self, mus):
+        """top = mu rho(C K(mu)) over the positive 1-D mus, the largest over
+        the components (the Monte-Carlo variance is finite below 1/2), from
+        one bare stacked eigvalsh of mu B per GRID_CHUNK mu; inf from
+        saturation_mu on, where it does not keep its digits.  grid reads
+        feasibility (top < 1) from its pivots instead; this serves the
+        callers that need the number itself."""
+        mus = np.asarray(mus, dtype=float)
+        if not np.all(mus > 0.0):
+            raise ValueError("mu must be positive")
+        tops = []
+        for i in range(0, max(mus.size, 1), GRID_CHUNK):
+            chunk = mus[i:i + GRID_CHUNK]
+            w = chunk[:, None, None] * np.linalg.eigvalsh(self._stacked_b(self._unit_scale(chunk)[1]))
+            tops.append(w.max(axis=(1, 2)))
+        return np.where(mus >= saturation_mu(self.basis), np.inf, np.concatenate(tops))
+
+    def grid(self, mus, slope=False, safety=None):
+        """(values, slopes, feasible) of Upsilon over the positive mus, in
+        chunks of at most GRID_CHUNK mu per batched elimination (_chunk).
+
+        feasible is true where top (see top) is below 1, read from the
+        pivots of S = I - mu B: S is positive definite iff every pivot is
+        (Sylvester's criterion).  It is false from saturation_mu on (where
+        mu theta may overflow too): there the contraction gap
+        1 - tanh(mu theta_max) nears double precision and the closed form
+        does not keep its digits.  values (and slopes) are NaN where
+        feasible is false, the moment being infinite there (or not
+        resolved, past the span).  slopes is None unless slope is true.
+        Given a level safety in (0, 1), a fourth output marks the rows with
+        top < safety, from the same elimination on the deficits scaled by
+        1/safety.  With x = mu theta, c = 2x/sinh(2x) in (0, 1]
+        (-mu e^2 d(e^-2)/dmu for e^2 = tanh(x)/theta) and h = S^-1 m,
 
             2 Upsilon_k' = sum c (h^2 + diag(S^-1 B)) - 2 sum_modes theta tanh(x),
 
         where the 1/mu terms of the direct derivative have cancelled
-        analytically; S and B commute, so h and S^-1 B come from one solve
-        against [m | B].  The mixture slope is the softmax-weighted sum of
-        the component slopes.  At mu -> 0 it tends to (tr C + |M|^2)/2.
+        analytically.  The mixture slope is the softmax-weighted sum of the
+        component slopes.  At mu -> 0 it tends to (tr C + |M|^2)/2.
         """
         mus = np.asarray(mus, dtype=float)
         if not np.all(mus > 0.0):
             raise ValueError("mu must be positive")
-        values, slopes, top = zip(*[self._chunk(mus[i:i + GRID_CHUNK], slope)
-                                    for i in range(0, max(mus.size, 1), GRID_CHUNK)])
-        return np.concatenate(values), np.concatenate(slopes) if slope else None, np.concatenate(top)
+        chunks = zip(*[self._chunk(mus[i:i + GRID_CHUNK], slope, safety)
+                       for i in range(0, max(mus.size, 1), GRID_CHUNK)])
+        return tuple(None if part[0] is None else np.concatenate(part) for part in chunks)
 
     # Past the span mu theta (and the log cos term) may overflow to inf, and
-    # the slope's sinh(2x)/(2x) reads inf/inf; those rows read top = inf and
-    # are masked below, so no warning is due.
-    @np.errstate(over="ignore", invalid="ignore")
-    def _chunk(self, mus, slope):
-        x = mus[:, None] * self.theta
-        e = np.sqrt(_over_x(np.tanh, x))
-        b = e[:, None, :, None] * self.covs * e[:, None, None, :]
-        w = mus[:, None, None] * np.linalg.eigvalsh(b)
-        top = np.where(mus >= saturation_mu(self.basis), np.inf, w.max(axis=(1, 2)))
-        past = top >= 1.0
-        # NaN rows past the limit keep log1p quiet and carry NaN into every
-        # column; their S is I, so the stacked solve stays regular.
-        w[past] = np.nan
-        s = np.eye(self.theta.size) - mus[:, None, None, None] * b
-        s[past] = np.eye(self.theta.size)
-        m = (e[:, None, :] * self.means)[..., None]
-        rhs = np.concatenate([m, b], axis=3) if slope else m
-        try:
-            solved = np.linalg.solve(s, rhs)
-        except np.linalg.LinAlgError:
-            # A mu within rounding of mu* can leave S exactly singular while
-            # top still reads below 1; those rows are masked in the same way.
-            lost = np.linalg.det(s) == 0.0
-            w[lost], s[lost] = np.nan, np.eye(self.theta.size)
-            solved = np.linalg.solve(s, rhs)
-        h = solved[..., 0]
+    # the slope's sinh(2x)/(2x) reads inf/inf; a pivot at or below 0 is
+    # divided by and leaves log1p an argument at or below -1.  All those
+    # rows are not feasible and are masked below, so no warning is due.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def _chunk(self, mus, slope, safety):
+        """grid over one chunk, by one LDL^T elimination of S = I - mu B over
+        the whole (mu, component) stack, with a Python loop over the n
+        pivots only.  It runs on B itself: pivot k is 1 - d_k for the
+        deficit d_k = mu B_kk of the updated B, and the trailing block takes
+        B_22 += mu b_21 b_21^T/(1 - d_k), the Schur complement of S written
+        as its deficit.  So ln det S = sum log1p(-d_k) keeps its digits at
+        small mu, and a row is feasible iff every d_k < 1.  The carried
+        columns [m | I] become y = L^-1 m (the mean term is sum y^2/(1 - d))
+        and Z = L^-1, unit lower triangular, whose strictly lower part N is
+        O(mu).  Then h = Z^T (y/(1 - d)) and, from diag(S^-1) - 1 =
+        diag(S^-1 mu B), diag(S^-1 B)_i = B_ii/(1 - d_i) +
+        sum_k N_ki^2/(1 - d_k)/mu, with no cancellation.  The stack axis
+        runs last, so every update is one contiguous elementwise pass."""
+        n, components = self.theta.size, self.log_weights.size
+        x, e = self._unit_scale(mus)
+        e_t = e.T
+        cols = components * mus.size
+        # Each (component, mu) pair's B, then the carried columns m and, for
+        # the slope, I, in the (row, column, pair) layout.  B's products run
+        # in the order of _stacked_b: a mode that is pure (and uncoupled)
+        # then reads the deficit of the eigenvalue route.
+        width = n + (n + 1 if slope else 1)
+        both = np.empty((n, width, components, mus.size))
+        np.multiply(e_t[:, None, None] * self._covs_last, e_t[None, :, None], out=both[:, :n])
+        both[:, n] = self.means.T[:, :, None] * e_t[:, None]
+        if slope:
+            both[:, n + 1:] = np.eye(n)[:, :, None, None]
+        both = both.reshape(n, width, cols)
+        scale = np.concatenate([mus] * components)
+        # Rows whose smallest deficit mu B_kk lies below TINY, the smallest
+        # normal double, read ln det S from the eigenvalues of mu B, as the
+        # eigh route did: there each eigenvalue rounds on the subnormal grid
+        # by itself, which no eigenvalue-free route reproduces.  Without
+        # this, over random one- to three-frequency Gaussians, the value was
+        # a third off that route's at mu = 5e-324 and 3e-12 relative off at
+        # 1e-312, and within 4e-14 from 1e-310 on.
+        smallest = np.diagonal(both).min(axis=1).reshape(components, mus.size).min(axis=0)
+        tiny = mus * smallest < TINY
+        copies = 1 if safety is None else 2
+        if safety is not None:
+            # The scaled copy's carried columns are eliminated along, unread.
+            both, scale = np.concatenate([both, both], axis=2), np.concatenate([scale, scale / safety])
+        # pivot/mu = 1/mu - B_kk; where 1/mu overflows, the ratio mu B_ik/pivot
+        # reads 0 in place of a product below the normal range.
+        inv_scale = 1.0 / scale
+        for k in range(n):
+            row = both[k]
+            ratio = row[k + 1:n] / (inv_scale - row[k])
+            # B's trailing block, y and the columns of Z = L^-1 up to its
+            # diagonal (row k of Z is zero right of it) in one update.
+            trailing = both[k + 1:, k + 1:n + k + 2]
+            trailing += ratio[:, None] * row[k + 1:n + k + 2]
+        unit, carried = both[:, :n], both[:, n:, :cols]
+        deficits = scale[:, None] * np.diagonal(unit)
+        worst = deficits.max(axis=1).reshape(copies, components, mus.size).max(axis=1)
+        feasible, *safe = (worst < 1.0) & (mus < saturation_mu(self.basis))
+        deficits = deficits[:cols].T
+        inv_gap = 1.0 / (1.0 - deficits)
+        log_det = np.log1p(-deficits).sum(axis=0).reshape(components, mus.size)
+        if tiny.any():
+            w = mus[tiny, None, None] * np.linalg.eigvalsh(self._stacked_b(e[tiny]))
+            log_det[:, tiny] = np.log1p(-w).sum(axis=2).T
+        y = carried[:, 0]
+        scaled = y * inv_gap
         log_cos = 2.0 * lncosh(mus[:, None] * self.basis.gamma).sum(axis=1)
-        parts = 0.5 * (mus[:, None] * (m[..., 0] * h).sum(axis=2) - np.log1p(-w).sum(axis=2)
-                       - log_cos[:, None])
-        x_mix = parts + self.log_weights
-        shift = x_mix.max(axis=1)
-        mix = np.exp(x_mix - shift[:, None])
-        total = mix.sum(axis=1)
+        mean = (y * scaled).sum(axis=0).reshape(components, mus.size)
+        parts = 0.5 * (mus * mean - log_det - log_cos)
+        # NaN rows carry NaN into every column.
+        parts[:, ~feasible] = np.nan
+        x_mix = parts + self.log_weights[:, None]
+        shift = x_mix.max(axis=0)
+        mix = np.exp(x_mix - shift)
+        total = mix.sum(axis=0)
         values = shift + np.log(total)
         if not slope:
-            return values, None, top
-        c = 1.0 / _over_x(np.sinh, 2.0 * x)
-        spread = np.diagonal(solved[..., 1:], axis1=2, axis2=3)
-        slopes = 0.5 * ((c[:, None, :] * (h * h + spread)).sum(axis=2)
-                        - (self.theta * np.tanh(x)).sum(axis=1)[:, None])
-        return values, (mix * slopes).sum(axis=1) / total, top
+            return values, None, feasible, *safe
+        z = carried[:, 1:]
+        h = (z * scaled[:, None]).sum(axis=0)
+        z[range(n), range(n)] = 0.0
+        beta = np.diagonal(unit)[:cols].T
+        spread = beta * inv_gap + (z * z * inv_gap[:, None]).sum(axis=0) / scale[:cols]
+        terms = ((h * h + spread).reshape(n, components, mus.size)
+                 / _over_x(np.sinh, 2.0 * x).T[:, None]).sum(axis=0)
+        slopes = 0.5 * (terms - (self.theta * np.tanh(x)).sum(axis=1))
+        return values, (mix * slopes).sum(axis=0) / total, feasible, *safe
 
-    def _raise_too_large(self, mu, top):
+    def _raise_too_large(self, mu):
         # top is inf by construction from saturation_mu on, so only a finite
         # top is quoted.
+        top = self.top([mu]).item()
         read = f" (mu * rho(C K(mu)) = {top:.6g})" if math.isfinite(top) else ""
         if math.isfinite(self.mu_star):
             raise RiskParameterTooLarge(

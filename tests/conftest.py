@@ -205,11 +205,12 @@ def log_propagated_norm(initial, model, t, lam):
 
 @np.errstate(over="ignore", invalid="ignore")
 def eigh_exact_chunk(engine, mus, slope):
-    """(values, slopes, top) of ExactEngine.grid over one chunk of mus from
-    one stacked eigh of the unit-scale B = V diag(w_unit) V^T: the mean term
-    mu sum p^2/(1 - w) with p = V^T (e * M~), and the slope's
-    h = V (p/(1 - w)) and spread sum_j V_ij^2 w_unit_j/(1 - w_j); the
-    oracle for ExactEngine's stacked solve."""
+    """(values, slopes, top) over one chunk of mus from one stacked eigh of
+    the unit-scale B = V diag(w_unit) V^T: the mean term mu sum p^2/(1 - w)
+    with p = V^T (e * M~), and the slope's h = V (p/(1 - w)) and spread
+    sum_j V_ij^2 w_unit_j/(1 - w_j); the oracle for ExactEngine.grid's
+    values, slopes and feasibility mask (top < 1) and for ExactEngine.top.
+    It knows no saturation span."""
     mus = np.asarray(mus, dtype=float)
     x = mus[:, None] * engine.theta
     e = np.sqrt(_over_x(np.tanh, x))

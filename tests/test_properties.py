@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bisect_nondecreasing, block_ccr, brent_tail, eigh_exact_chunk,
@@ -525,8 +525,8 @@ def test_feasibility_flips_at_critical_mu(case):
     assert math.isfinite(mu_star)
     engine = ExactEngine(state, basis)
     assert engine.mu_star == mu_star
-    assert engine.grid([mu_star * (1.0 - 1e-8)])[2][0] < 1.0
-    assert engine.grid([mu_star * (1.0 + 1e-8)])[2][0] >= 1.0
+    assert engine.top([mu_star * (1.0 - 1e-8)])[0] < 1.0
+    assert engine.top([mu_star * (1.0 + 1e-8)])[0] >= 1.0
 
 
 @PROPERTY_SETTINGS
@@ -538,8 +538,9 @@ def test_grid_matches_scalar_evaluations(case, chunk):
     state, basis = case
     engine = ExactEngine(state, basis)
     mus = np.linspace(0.01, 1.5, GRID_CHUNK + 9) * engine.mu_star
-    values, slopes, top = engine.grid(mus, slope=True)
-    assert values.shape == slopes.shape == top.shape == mus.shape
+    values, slopes, feasible = engine.grid(mus, slope=True)
+    top = engine.top(mus)
+    assert values.shape == slopes.shape == top.shape == feasible.shape == mus.shape
     assert np.any(top >= 1.0) and np.any(top < 1.0)
     for mu, value, slope, t in zip(mus, values, slopes, top):
         assert math.isnan(value) == math.isnan(slope) == (t >= 1.0)
@@ -552,8 +553,9 @@ def test_grid_matches_scalar_evaluations(case, chunk):
         assert slope == pytest.approx(reference[1], rel=1e-12, abs=0.0)
     with mock.patch("qembound.qem.GRID_CHUNK", chunk):
         rechunked = engine.grid(mus, slope=True)
-    for result, again in zip((values, slopes, top), rechunked):
+    for result, again in zip((values, slopes), rechunked):
         np.testing.assert_allclose(again, result, rtol=1e-12, atol=0.0)
+    assert np.array_equal(rechunked[2], feasible)
     assert engine.grid(mus)[1] is None
 
 
@@ -565,7 +567,7 @@ def test_exact_and_mc_rows_share_one_verdict(case):
     # read infinite_variance exactly where 1/2 <= top < 1.
     state, basis = case
     mus = np.linspace(0.02, 1.5, 40) * critical_mu(state, basis)
-    top = ExactEngine(state, basis).grid(mus)[2]
+    top = ExactEngine(state, basis).top(mus)
 
     def statuses(kind):
         config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
@@ -577,59 +579,6 @@ def test_exact_and_mc_rows_share_one_verdict(case):
     assert any(status in flags for status in exact)
     assert [s if s in flags else None for s in mc] == [s if s in flags else None for s in exact]
     assert [s == "infinite_variance" for s in mc] == ((top >= 0.5) & (top < 1.0)).tolist()
-
-
-@PROPERTY_SETTINGS
-@given(mixtures(squeezed=True),
-       st.lists(st.one_of(st.floats(0.01, 0.98), st.floats(1.02, 1.5)), max_size=8))
-def test_grid_matches_eigh_oracle(case, fractions):
-    # The stacked solve against the eigh route it replaced (conftest), at
-    # subnormal and tiny mu and on a grid across mu* (or the span, where
-    # mu* is not resolved below it), squeezed components included.
-    state, basis = case
-    engine = ExactEngine(state, basis)
-    scale = engine.mu_star if math.isfinite(engine.mu_star) else saturation_mu(basis)
-    mus = np.concatenate([[5e-324, 1e-300], np.array(fractions + [0.5, 1.25]) * scale])
-    values, slopes, top = engine.grid(mus, slope=True)
-    ref_values, ref_slopes, ref_top = eigh_exact_chunk(engine, mus, True)
-    assert np.all(np.abs(top - ref_top) <= 16 * np.spacing(ref_top))
-    past = ref_top >= 1.0
-    assert np.array_equal(np.isnan(values), past) and np.array_equal(np.isnan(slopes), past)
-    np.testing.assert_allclose(values[~past], ref_values[~past], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(slopes[~past], ref_slopes[~past], rtol=1e-12, atol=0.0)
-
-
-def _statuses_reading_mu_star_first(kind, state, basis, mus):
-    """Statuses of an exact-engine kind from the rule with mu* read first:
-    ok below top 1, the span and (for tail) mu_max, else infeasible_mu for a
-    mu* below the span and numerical_error otherwise; Monte-Carlo rows read
-    infinite_variance where an ok row has top >= 1/2."""
-    engine = ExactEngine(state, basis)
-    span = saturation_mu(basis)
-    flag = "infeasible_mu" if engine.mu_star < span else "numerical_error"
-    limit = min(engine.mu_max(), span) if kind == "tail" else span
-    top = engine.grid(mus)[2]
-    statuses = ["ok" if x < 1.0 and mu < limit else flag for mu, x in zip(mus, top)]
-    if kind == "randomized_mc":
-        statuses = ["infinite_variance" if s == "ok" and x >= 0.5 else s
-                    for s, x in zip(statuses, top)]
-    return statuses
-
-
-@PROPERTY_SETTINGS
-@given(mixtures(), st.lists(st.floats(0.01, 1.5), min_size=1, max_size=12),
-       st.sampled_from([[], [0.9995]]))
-def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
-    # cli reads mu* only where a row's own top cannot decide its status;
-    # every kind still gives the statuses of the rule that reads mu* first,
-    # also with a row between the tail's cut CGF_SAFETY mu* and mu*.
-    state, basis = case
-    mus = np.unique(np.array(fractions + between) * critical_mu(state, basis))
-    for kind in ("gaussian_exact", "tail", "randomized_mc"):
-        config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
-                                mu_grid=tuple(mus.tolist()), samples=16, seed=1)
-        statuses = [row.status for row in run(config)[0].rows]
-        assert statuses == _statuses_reading_mu_star_first(kind, state, basis, mus)
 
 
 @st.composite
@@ -652,6 +601,79 @@ mixtures_with_pure_modes = st.one_of(mixtures(), pure_mode_mixtures())
 
 
 @PROPERTY_SETTINGS
+@given(st.one_of(mixtures(squeezed=True), pure_mode_mixtures()),
+       st.lists(st.one_of(st.floats(0.01, 0.98), st.floats(1.02, 1.5)), max_size=8))
+def test_grid_matches_eigh_oracle(case, fractions):
+    # The batched elimination against the eigh route it replaced (conftest),
+    # at subnormal and tiny mu and on a grid across mu* (or the span, where
+    # mu* is not resolved below it), squeezed components and pure modes
+    # included.  Its feasibility mask is the eigh route's top < 1, except
+    # at rows within rounding of mu*, which are counted.  The eigh route
+    # knows no span; from the span on no row is feasible.
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    span = saturation_mu(basis)
+    scale = engine.mu_star if math.isfinite(engine.mu_star) else span
+    mus = np.concatenate([[5e-324, 1e-300], np.array(fractions + [0.5, 1.25]) * scale])
+    values, slopes, feasible = engine.grid(mus, slope=True)
+    ref_values, ref_slopes, ref_top = eigh_exact_chunk(engine, mus, True)
+    assert not feasible[mus >= span].any() and np.isnan(values[mus >= span]).all()
+    near = np.abs(mus / engine.mu_star - 1.0) <= 1e-12
+    event(f"rows within 1e-12 of mu*: {int(near.sum())}")
+    keep = ~near & (mus < span)
+    top, ref_top = engine.top(mus)[keep], ref_top[keep]
+    assert np.all(np.abs(top - ref_top) <= 16 * np.spacing(ref_top))
+    assert np.array_equal(feasible[keep], ref_top < 1.0)
+    past, values, slopes = ref_top >= 1.0, values[keep], slopes[keep]
+    ref_values, ref_slopes = ref_values[keep], ref_slopes[keep]
+    assert np.array_equal(np.isnan(values), past) and np.array_equal(np.isnan(slopes), past)
+    np.testing.assert_allclose(values[~past], ref_values[~past], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(slopes[~past], ref_slopes[~past], rtol=1e-12, atol=0.0)
+
+
+def _statuses_reading_mu_star_first(kind, state, basis, mus):
+    """Statuses of an exact-engine kind from the rule with mu* read first:
+    ok below top 1, the span and (for tail) mu_max, else infeasible_mu for a
+    mu* below the span and numerical_error otherwise; Monte-Carlo rows read
+    infinite_variance where an ok row has top >= 1/2."""
+    engine = ExactEngine(state, basis)
+    span = saturation_mu(basis)
+    flag = "infeasible_mu" if engine.mu_star < span else "numerical_error"
+    limit = min(engine.mu_max(), span) if kind == "tail" else span
+    top = engine.top(mus)
+    statuses = ["ok" if x < 1.0 and mu < limit else flag for mu, x in zip(mus, top)]
+    if kind == "randomized_mc":
+        statuses = ["infinite_variance" if s == "ok" and x >= 0.5 else s
+                    for s, x in zip(statuses, top)]
+    return statuses
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.lists(st.floats(0.01, 1.5), min_size=1, max_size=12),
+       st.sampled_from([[], [0.9995]]))
+def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
+    # cli reads mu* only where a row's own top cannot decide its status;
+    # every kind still gives the statuses of the rule that reads mu* first,
+    # also with a row between the tail's cut CGF_SAFETY mu* and mu*.  The
+    # exact and tail rows read feasibility from pivots, the rule from
+    # eigvalsh: rows within 1e-12 relative of mu* may read either way, and
+    # are counted, not compared.
+    state, basis = case
+    mu_star = critical_mu(state, basis)
+    mus = np.unique(np.array(fractions + between) * mu_star)
+    near = np.abs(mus / mu_star - 1.0) <= 1e-12
+    event(f"rows within 1e-12 of mu*: {int(near.sum())}")
+    for kind in ("gaussian_exact", "tail", "randomized_mc"):
+        config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
+                                mu_grid=tuple(mus.tolist()), samples=16, seed=1)
+        statuses = [row.status for row in run(config)[0].rows]
+        expected = _statuses_reading_mu_star_first(kind, state, basis, mus)
+        if kind != "randomized_mc":
+            statuses, expected = ([s for s, n in zip(x, near) if not n] for x in (statuses, expected))
+        assert statuses == expected
+
+
+@PROPERTY_SETTINGS
 @given(mixtures_with_pure_modes)
 def test_mu_star_matches_bisection_oracle(case):
     # mu_star closes its bracket [atanh(1/r)/theta_max, atanh(1/r)/theta_min]
@@ -667,19 +689,19 @@ def test_mu_star_matches_bisection_oracle(case):
     lo, hi = reach / engine.theta.max(), reach / engine.theta.min()
     span = saturation_mu(basis)
     reads = []
-    grid = ExactEngine.grid
+    bare_top = ExactEngine.top
 
-    def spy(self, mus, slope=False):
+    def spy(self, mus):
         reads.extend(np.asarray(mus, dtype=float).tolist())
-        return grid(self, mus, slope)
+        return bare_top(self, mus)
 
-    with mock.patch.object(ExactEngine, "grid", spy):
+    with mock.patch.object(ExactEngine, "top", spy):
         mu_star = engine.mu_star
     assert len(reads) <= 15 and all(mu < span for mu in reads)
     end = min(hi, math.nextafter(span, 0.0))
 
     def top(mu):
-        return engine.grid([mu])[2][0]
+        return engine.top([mu])[0]
 
     if not math.isfinite(mu_star):
         # The bracket starts at or past the span, or its end is clipped below
@@ -729,7 +751,7 @@ def test_randomized_mc_matches_per_sample_oracle(case, frac, samples, seed):
     # rel_std_error small and its relative rounding error large.)
     state, basis = case
     engine = ExactEngine(state, basis)
-    mu_var = bisect_nondecreasing(lambda mu: engine.grid([mu])[2][0], 0.5, 0.0, engine.mu_star)
+    mu_var = bisect_nondecreasing(lambda mu: engine.top([mu])[0], 0.5, 0.0, engine.mu_star)
     mu = frac * mu_var
     value = qem_randomized_mc(state, basis, mu, samples, seed)
     log_qem, rel_se = per_sample_randomized_mc(state, basis, mu, samples, seed)

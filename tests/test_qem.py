@@ -30,7 +30,7 @@ from qembound import (
     tail_bound,
     validate_ccr,
 )
-from qembound.qem import ExactEngine, ScalarBoundEngine, saturation_mu
+from qembound.qem import CGF_SAFETY, ExactEngine, ScalarBoundEngine, saturation_mu
 from qembound.cli import ScenarioConfig, run
 from qembound.sampling import log_mean_exp_stats
 from qembound.classical import classical_gaussian_cgf_and_slope
@@ -86,9 +86,12 @@ class TestExactGaussian:
             qem_exact(state, basis, 1e308)
         with pytest.raises(RiskParameterTooLarge, match=message):
             exact_cgf(state, basis)[0](1e308)
-        values, slopes, top = ExactEngine(state, basis).grid([0.01, 1e308], slope=True)
+        engine = ExactEngine(state, basis)
+        values, slopes, feasible = engine.grid([0.01, 1e308], slope=True)
+        top = engine.top([0.01, 1e308])
         assert np.isfinite([values[0], slopes[0], top[0]]).all() and top[0] < 1.0
         assert np.isnan([values[1], slopes[1]]).all() and top[1] == math.inf
+        assert feasible.tolist() == [True, False]
 
     def test_mean_contribution(self):
         # commuting case reduces per mode; checked against the scalar formula
@@ -118,7 +121,8 @@ class TestExactGaussian:
         state = GaussianState(mean=[0.3, 0.0], cov=[[1.7, -0.5], [-0.5, 1.7]], ccr=CCR2)
         engine = ExactEngine(state, BASIS2)
         mus = engine.mu_star + np.arange(-40, 41) * np.spacing(engine.mu_star)
-        values, slopes, top = engine.grid(mus, slope=True)
+        values, slopes, _ = engine.grid(mus, slope=True)
+        top = engine.top(mus)
         assert np.array_equal(np.isnan(values), np.isnan(slopes))
         assert np.isnan(values[top >= 1.0]).all() and np.isfinite(values[0])
 
@@ -162,8 +166,8 @@ def _mp_upsilon(engine, mu):
 def test_grid_near_mu_star_against_50_digits():
     # The seed-1 exact_grid chunk that holds mu* (its last 25 of 100 rows
     # to 1.25 mu*), whose rows below mu* are the worst conditioned of the
-    # workload: the stacked solve's values and slopes are no further from a
-    # 50-digit evaluation of the closed form than the eigh route's.
+    # workload: the batched elimination's values and slopes are no further
+    # from a 50-digit evaluation of the closed form than the eigh route's.
     state, basis = _exact_grid_mixture(1)
     engine = ExactEngine(state, basis)
     chunk = (1.25 * engine.mu_star * (np.arange(100) + 0.5) / 100)[75:]
@@ -174,12 +178,71 @@ def test_grid_near_mu_star_against_50_digits():
     with mpmath.workdps(50):
         mus = [mpmath.mpf(mu) for mu in chunk[below].tolist()]
         exact = [(upsilon(mu), mpmath.diff(upsilon, mu)) for mu in mus]
-        for name, (values, slopes, _) in (("solve", engine.grid(chunk, slope=True)),
+        for name, (values, slopes, _) in (("grid", engine.grid(chunk, slope=True)),
                                           ("eigh", eigh_exact_chunk(engine, chunk, True))):
             errors[name] = max(max(float(abs(value / v - 1)), float(abs(slope / s - 1)))
                                for value, slope, (v, s) in zip(values[below].tolist(),
                                                                slopes[below].tolist(), exact))
-    assert errors["solve"] <= errors["eigh"] < 1e-11
+    assert errors["grid"] <= errors["eigh"] < 1e-11
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The numpy.linalg.eigvalsh and numpy.linalg.solve calls, by name."""
+    calls = {"eigvalsh": [], "solve": []}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_needs_no_eigvalsh_or_solve(linalg_calls, seed):
+    # Values, slopes and both feasibility masks come from the elimination's
+    # pivots alone, on a grid across mu* and the tail's cut; only rows whose
+    # deficits lie below the normal range read ln det S from eigvalsh.
+    state, basis = _exact_grid_mixture(seed)
+    engine = ExactEngine(state, basis)
+    mus = np.linspace(0.01, 1.25, 70) * engine.mu_star
+    linalg_calls["eigvalsh"].clear()
+    _, _, feasible = engine.grid(mus)
+    _, _, again, safe = engine.grid(mus, slope=True, safety=CGF_SAFETY)
+    assert linalg_calls == {"eigvalsh": [], "solve": []}
+    assert np.array_equal(again, feasible) and np.array_equal(feasible, mus < engine.mu_star)
+    assert np.array_equal(safe, engine.top(mus) < CGF_SAFETY)
+    linalg_calls["eigvalsh"].clear()
+    engine.grid([5e-324, 1e-300, 0.1])
+    assert linalg_calls == {"eigvalsh": [(1, 4, 8, 8)], "solve": []}
+
+
+def test_empty_grid_gives_empty_outputs():
+    # The elimination's layouts are sized from the chunk, so an empty grid
+    # gives empty arrays, as the stacked eigvalsh and solve did.
+    state, basis = _exact_grid_mixture(1)
+    engine = ExactEngine(state, basis)
+    assert [a.shape for a in engine.grid([], slope=True, safety=CGF_SAFETY)] == [(0,)] * 4
+    assert engine.grid([])[1] is None and engine.top([]).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_mu_star_reads_bare_tops(linalg_calls, seed):
+    # mu_star reads each top from one bare eigvalsh (ExactEngine.top) and
+    # solves nothing: one gap eigvalsh for the bracket, then one per top
+    # read, which on these states is 9-10 eigvalsh calls, as many as when
+    # each top came from a whole grid evaluation.
+    state, basis = _exact_grid_mixture(seed)
+    engine = ExactEngine(state, basis)
+    linalg_calls["eigvalsh"].clear()
+    mu_star = engine.mu_star
+    assert linalg_calls["solve"] == []
+    assert len(linalg_calls["eigvalsh"]) <= 10
+    assert linalg_calls["eigvalsh"][1:] == [(1, 4, 8, 8)] * (len(linalg_calls["eigvalsh"]) - 1)
+    assert engine.top([mu_star * (1.0 - 1e-9)])[0] < 1.0 <= engine.top([mu_star * (1.0 + 1e-9)])[0]
 
 
 class TestCriticalMu:
@@ -204,15 +267,15 @@ class TestCriticalMu:
 
     @pytest.fixture
     def top_reads(self, monkeypatch):
-        """The mu of every top that mu_star reads, each from a grid call."""
+        """The mu of every top that mu_star reads, each from a top call."""
         reads = []
-        grid = ExactEngine.grid
+        top = ExactEngine.top
 
-        def spy(engine, mus, slope=False):
+        def spy(engine, mus):
             reads.extend(np.asarray(mus, dtype=float).tolist())
-            return grid(engine, mus, slope)
+            return top(engine, mus)
 
-        monkeypatch.setattr(ExactEngine, "grid", spy)
+        monkeypatch.setattr(ExactEngine, "top", spy)
         return reads
 
     def test_radius_past_the_span_is_not_trusted(self, top_reads):
@@ -253,8 +316,7 @@ class TestCriticalMu:
         ccr = block_ccr([0.1, 10.0])
         basis = symplectic_eigenbasis(ccr)
         state = GaussianState(mean=np.zeros(4), cov=np.diag([0.4, 0.4, 10.0, 10.0]), ccr=ccr)
-        monkeypatch.setattr(ExactEngine, "grid",
-                            lambda engine, mus, slope=False: (None, None, np.array([radius])))
+        monkeypatch.setattr(ExactEngine, "top", lambda engine, mus: np.array([radius]))
         with mock.patch("qembound.qem.brent_root") as brent:
             assert ExactEngine(state, basis).mu_star == math.inf
         brent.assert_not_called()
