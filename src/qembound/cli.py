@@ -269,12 +269,10 @@ def _verdict(engine, grid, feasible, cut=math.inf):
     other row reads infeasible_mu if the engine resolves a finite mu* (an
     infinite moment), else numerical_error (a moment the closed form cannot
     resolve: no row is feasible from the engine's saturation span on)."""
-    mus = np.asarray(grid)
-    ok = feasible & (mus < cut)
-    # A row that is not feasible below the span proves a crossing, so a
-    # finite mu*: mu_star is solved (once, cached) only if a row is not ok
-    # and no row proves it.
-    decided = ok.all() or (~feasible & (mus < qem.saturation_mu(engine.basis))).any()
+    ok = feasible & (np.asarray(grid) < cut)
+    # mu_star is solved (once, cached) only if a row is not ok and no row
+    # proves a crossing, so a finite mu*.
+    decided = ok.all() or engine.proves_crossing(grid, feasible)
     flag = STATUS_INFEASIBLE if decided or math.isfinite(engine.mu_star) else STATUS_NUMERICAL
     return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
 
@@ -299,14 +297,14 @@ def _exact_rows(config, engine, t, grid):
 
 
 def _tail_rows(config, engine, t, grid):
-    upsilon, slope, feasible, safe = engine.grid(grid, slope=True, safety=qem.CGF_SAFETY)
+    upsilon, slope, feasible, near = engine.grid(grid, slope=True, near=True)
     mus = np.asarray(grid)
     # Rows from mu_max on are cut, and _verdict flags them.  top(mu)/mu does
-    # not increase, so mu* >= mu/top(mu): a safe row (top < CGF_SAFETY) lies
+    # not increase, so mu* >= mu/top(mu): a row with top < CGF_SAFETY lies
     # below CGF_SAFETY mu* and is never cut, and a row that is not feasible
-    # is flagged anyway.  mu_max is read only where a feasible row is not
-    # safe, CGF_SAFETY <= top < 1.
-    cut = engine.mu_max() if (feasible & ~safe).any() else math.inf
+    # is flagged anyway.  mu_max is read only where a row is near,
+    # CGF_SAFETY <= top < 1.
+    cut = engine.mu_max() if near.any() else math.inf
     # One threshold-bound pair per mu from the analytic CGF slope:
     # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
     # slope doubles as the eps column.

@@ -608,8 +608,9 @@ def test_grid_matches_eigh_oracle(case, fractions):
     # at subnormal and tiny mu and on a grid across mu* (or the span, where
     # mu* is not resolved below it), squeezed components and pure modes
     # included.  Its feasibility mask is the eigh route's top < 1, except
-    # at rows within rounding of mu*, which are counted.  The eigh route
-    # knows no span; from the span on no row is feasible.
+    # at rows within 1e-12 relative of mu*, which are counted.  The eigh
+    # route knows no span; from the span on top reads inf and no row is
+    # feasible.
     state, basis = case
     engine = ExactEngine(state, basis)
     span = saturation_mu(basis)
@@ -617,31 +618,33 @@ def test_grid_matches_eigh_oracle(case, fractions):
     mus = np.concatenate([[5e-324, 1e-300], np.array(fractions + [0.5, 1.25]) * scale])
     values, slopes, feasible = engine.grid(mus, slope=True)
     ref_values, ref_slopes, ref_top = eigh_exact_chunk(engine, mus, True)
-    assert not feasible[mus >= span].any() and np.isnan(values[mus >= span]).all()
+    top, below = engine.top(mus), mus < span
+    assert np.all(top[~below] == math.inf) and not feasible[~below].any()
+    assert np.all(np.abs(top[below] - ref_top[below]) <= 16 * np.spacing(ref_top[below]))
+    assert np.array_equal(np.isnan(values), ~feasible)
+    assert np.array_equal(np.isnan(slopes), ~feasible)
     near = np.abs(mus / engine.mu_star - 1.0) <= 1e-12
     event(f"rows within 1e-12 of mu*: {int(near.sum())}")
-    keep = ~near & (mus < span)
-    top, ref_top = engine.top(mus)[keep], ref_top[keep]
-    assert np.all(np.abs(top - ref_top) <= 16 * np.spacing(ref_top))
-    assert np.array_equal(feasible[keep], ref_top < 1.0)
-    past, values, slopes = ref_top >= 1.0, values[keep], slopes[keep]
-    ref_values, ref_slopes = ref_values[keep], ref_slopes[keep]
-    assert np.array_equal(np.isnan(values), past) and np.array_equal(np.isnan(slopes), past)
-    np.testing.assert_allclose(values[~past], ref_values[~past], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(slopes[~past], ref_slopes[~past], rtol=1e-12, atol=0.0)
+    assert np.array_equal(feasible[below & ~near], ref_top[below & ~near] < 1.0)
+    both = feasible & (ref_top < 1.0)
+    np.testing.assert_allclose(values[both], ref_values[both], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(slopes[both], ref_slopes[both], rtol=1e-12, atol=0.0)
 
 
 def _statuses_reading_mu_star_first(kind, state, basis, mus):
     """Statuses of an exact-engine kind from the rule with mu* read first:
-    ok below top 1, the span and (for tail) mu_max, else infeasible_mu for a
-    mu* below the span and numerical_error otherwise; Monte-Carlo rows read
-    infinite_variance where an ok row has top >= 1/2."""
+    ok where the row is feasible (from grid's pivots, or top < 1 from
+    ExactEngine.top for Monte-Carlo rows) and below the span and (for tail)
+    mu_max, else infeasible_mu for a mu* below the span and numerical_error
+    otherwise; Monte-Carlo rows read infinite_variance where an ok row has
+    top >= 1/2."""
     engine = ExactEngine(state, basis)
     span = saturation_mu(basis)
     flag = "infeasible_mu" if engine.mu_star < span else "numerical_error"
     limit = min(engine.mu_max(), span) if kind == "tail" else span
     top = engine.top(mus)
-    statuses = ["ok" if x < 1.0 and mu < limit else flag for mu, x in zip(mus, top)]
+    feasible = top < 1.0 if kind == "randomized_mc" else engine.grid(mus)[2]
+    statuses = ["ok" if f and mu < limit else flag for mu, f in zip(mus, feasible)]
     if kind == "randomized_mc":
         statuses = ["infinite_variance" if s == "ok" and x >= 0.5 else s
                     for s, x in zip(statuses, top)]
@@ -654,23 +657,14 @@ def _statuses_reading_mu_star_first(kind, state, basis, mus):
 def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
     # cli reads mu* only where a row's own top cannot decide its status;
     # every kind still gives the statuses of the rule that reads mu* first,
-    # also with a row between the tail's cut CGF_SAFETY mu* and mu*.  The
-    # exact and tail rows read feasibility from pivots, the rule from
-    # eigvalsh: rows within 1e-12 relative of mu* may read either way, and
-    # are counted, not compared.
+    # also with a row between the tail's cut CGF_SAFETY mu* and mu*.
     state, basis = case
-    mu_star = critical_mu(state, basis)
-    mus = np.unique(np.array(fractions + between) * mu_star)
-    near = np.abs(mus / mu_star - 1.0) <= 1e-12
-    event(f"rows within 1e-12 of mu*: {int(near.sum())}")
+    mus = np.unique(np.array(fractions + between) * critical_mu(state, basis))
     for kind in ("gaussian_exact", "tail", "randomized_mc"):
         config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
                                 mu_grid=tuple(mus.tolist()), samples=16, seed=1)
         statuses = [row.status for row in run(config)[0].rows]
-        expected = _statuses_reading_mu_star_first(kind, state, basis, mus)
-        if kind != "randomized_mc":
-            statuses, expected = ([s for s, n in zip(x, near) if not n] for x in (statuses, expected))
-        assert statuses == expected
+        assert statuses == _statuses_reading_mu_star_first(kind, state, basis, mus)
 
 
 @PROPERTY_SETTINGS

@@ -208,16 +208,28 @@ def test_grid_needs_no_eigvalsh_or_solve(linalg_calls, seed):
     # deficits lie below the normal range read ln det S from eigvalsh.
     state, basis = _exact_grid_mixture(seed)
     engine = ExactEngine(state, basis)
-    mus = np.linspace(0.01, 1.25, 70) * engine.mu_star
+    mus = np.sort(np.append(np.linspace(0.01, 1.25, 70), 0.9995)) * engine.mu_star
     linalg_calls["eigvalsh"].clear()
     _, _, feasible = engine.grid(mus)
-    _, _, again, safe = engine.grid(mus, slope=True, safety=CGF_SAFETY)
+    _, _, again, near = engine.grid(mus, slope=True, near=True)
     assert linalg_calls == {"eigvalsh": [], "solve": []}
     assert np.array_equal(again, feasible) and np.array_equal(feasible, mus < engine.mu_star)
-    assert np.array_equal(safe, engine.top(mus) < CGF_SAFETY)
+    assert near.any() and np.array_equal(near, feasible & (engine.top(mus) >= CGF_SAFETY))
     linalg_calls["eigvalsh"].clear()
     engine.grid([5e-324, 1e-300, 0.1])
     assert linalg_calls == {"eigvalsh": [(1, 4, 8, 8)], "solve": []}
+
+
+def test_rows_not_feasible_below_the_span_prove_a_crossing():
+    # A row that is not feasible below the span proves a finite mu*; rows
+    # from the span on are not feasible whatever their top, and prove
+    # nothing.
+    state, basis = _exact_grid_mixture(1)
+    engine = ExactEngine(state, basis)
+    span = saturation_mu(basis)
+    below, past, beyond = [0.5 * engine.mu_star], [1.25 * engine.mu_star], [span, 2.0 * span]
+    for mus, proved in ((below, False), (below + past, True), (below + beyond, False)):
+        assert engine.proves_crossing(mus, engine.grid(mus)[2]) is proved
 
 
 def test_empty_grid_gives_empty_outputs():
@@ -225,7 +237,7 @@ def test_empty_grid_gives_empty_outputs():
     # gives empty arrays, as the stacked eigvalsh and solve did.
     state, basis = _exact_grid_mixture(1)
     engine = ExactEngine(state, basis)
-    assert [a.shape for a in engine.grid([], slope=True, safety=CGF_SAFETY)] == [(0,)] * 4
+    assert [a.shape for a in engine.grid([], slope=True, near=True)] == [(0,)] * 4
     assert engine.grid([])[1] is None and engine.top([]).shape == (0,)
 
 
