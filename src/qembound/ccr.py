@@ -180,6 +180,40 @@ def validate_ccr(theta) -> CcrMatrix:
 def symplectic_eigenbasis(ccr: CcrMatrix) -> SymplecticBasis:
     """Compute eigenfrequencies and a deterministic real eigenbasis.
 
+    A Theta equal to diag(theta) (x) J2 with every theta_k finite and
+    positive (every frequency-list ccr, and any such block-diagonal literal)
+    has its basis in closed form: gamma is theta sorted in descending order,
+    stably on ties, and H the permutation to that order scaled by
+    1/sqrt(2), which is the basis _eigh_basis gives for distinct
+    frequencies.  Any other Theta takes _eigh_basis.  Either basis is
+    verified (orthonormality, eigenrelation and reconstruction).
+    """
+    theta = ccr.theta
+    n = ccr.n
+    # Plain lists: on a scenario's small Theta they cost less than the
+    # numpy calls they replace.
+    rows = theta.tolist()
+    freqs = [rows[k][k + 1] for k in range(0, n, 2)]
+    block = [[0.0] * n for _ in range(n)]
+    for k, f in zip(range(0, n, 2), freqs):
+        block[k][k + 1], block[k + 1][k] = f, -f
+    if 0.0 < min(freqs) and max(freqs) < math.inf and rows == block:
+        order = sorted(range(n // 2), key=freqs.__getitem__, reverse=True)  # stable
+        h = [[0.0] * n for _ in range(n)]
+        for j, k in enumerate(order):
+            # eigh's normalisation; math.sqrt(0.5) is one ulp above it.
+            h[2 * k][2 * j] = h[2 * k + 1][2 * j + 1] = 1.0 / math.sqrt(2.0)
+        basis = SymplecticBasis(H=_readonly(h), gamma=_readonly([freqs[k] for k in order]),
+                                ccr=ccr)
+    else:
+        basis = _eigh_basis(ccr)
+    _verify_basis(theta, basis, float(np.abs(theta).max()))
+    return basis
+
+
+def _eigh_basis(ccr: CcrMatrix) -> SymplecticBasis:
+    """The basis of any Theta from one Hermitian eigensolve, unverified.
+
     The Hermitian i*Theta has eigenvalues +-theta_k; the n/2 largest, in
     descending order, have unit eigenvectors z = x + i*y whose parts (u_k,
     v_k) = (y, x) have norm 1/sqrt(2), satisfy Theta u_k = -theta_k v_k,
@@ -202,9 +236,7 @@ def symplectic_eigenbasis(ccr: CcrMatrix) -> SymplecticBasis:
     h = np.empty((n, n))
     h[:, 0::2], h[:, 1::2] = z.imag, z.real
     h.setflags(write=False)
-    basis = SymplecticBasis(H=h, gamma=_readonly(gamma), ccr=ccr)
-    _verify_basis(theta, basis, float(np.abs(theta).max()))
-    return basis
+    return SymplecticBasis(H=h, gamma=_readonly(gamma), ccr=ccr)
 
 
 def _verify_basis(theta, basis, scale):

@@ -15,9 +15,9 @@ import csv
 import io
 import json
 import math
-import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ DEFAULT_SEED = 42
 _BAD_VALUE = (QemBoundError, ValueError, TypeError, OverflowError)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     t: float | None = None
     mu: float | None = None
     upsilon_exact: float | None = None
@@ -62,12 +61,7 @@ class ReportRow:
     status: str = STATUS_OK
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
-_VALUES = operator.attrgetter(*CSV_COLUMNS[:-1])
-
-
-def _fmt(value):
-    return "" if value is None else format(value, ".17g")
+CSV_COLUMNS = ReportRow._fields
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,19 @@ class BoundReport:
     rows: tuple
 
     def to_csv_text(self) -> str:
-        # One join: no field needs csv quoting (numbers, blanks and STATUSES).
+        """The report as CSV: the header, then one line per row, each value
+        at 17 significant digits ("%.17g", the bytes of format(v, ".17g"))
+        and None as an empty field.  Rows are transposed once and formatted
+        column by column; a column that is blank on every row is written
+        without formatting.  No field needs csv quoting (numbers, blanks and
+        STATUSES), so each line is one join."""
         lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join([*map(_fmt, _VALUES(r)), r.status]) for r in self.rows]
+        if self.rows:
+            *columns, statuses = zip(*self.rows)
+            blank = [""] * len(statuses)
+            columns = [blank if col.count(None) == len(col)
+                       else ["" if v is None else "%.17g" % v for v in col] for col in columns]
+            lines += map(",".join, zip(*columns, statuses))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -278,14 +282,18 @@ def _verdict(engine, grid, feasible, cut=math.inf):
 
 
 def _grid_rows(t, grid, statuses, **columns):
-    """Report rows of one engine grid call: each row's status where not ok,
-    else numerical_error where a column is not finite."""
-    finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()])
-    columns = {name: c.tolist() for name, c in columns.items()}
-    return [ReportRow(t=t, mu=mu, status=status) if status != STATUS_OK
-            else ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL) if not finite[i]
-            else ReportRow(t=t, mu=mu, **{name: c[i] for name, c in columns.items()})
-            for i, (mu, status) in enumerate(zip(grid, statuses))]
+    """Report rows of one engine grid call, built by column: each row's
+    status where not ok, else numerical_error where a column is not finite;
+    the value columns are blank on every row that is not ok."""
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()]).tolist()
+    statuses = [STATUS_NUMERICAL if s == STATUS_OK and not f else s
+                for s, f in zip(statuses, finite)]
+    ok = [s == STATUS_OK for s in statuses]
+    blank = [None] * len(statuses)
+    columns = {name: [v if keep else None for v, keep in zip(c.tolist(), ok)]
+               for name, c in columns.items()}
+    columns.update(t=[t] * len(statuses), mu=grid, status=statuses)
+    return list(map(ReportRow._make, zip(*(columns.get(name, blank) for name in CSV_COLUMNS))))
 
 
 # Routes: (config, engine, t, grid) -> list of ReportRow, one per mu.

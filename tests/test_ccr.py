@@ -1,5 +1,6 @@
 """Tests for CCR validation, eigenstructure, and matrix functions."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from qembound import (
     symplectic_eigenbasis,
     validate_ccr,
 )
-from qembound.ccr import _diag_kron_j2, lnsinh
+from qembound import ccr as ccr_module
+from qembound.ccr import _diag_kron_j2, _eigh_basis, lnsinh
+from qembound.cli import parse_config
 from qembound.errors import (
     DimensionMismatch,
     NotAntisymmetric,
@@ -125,6 +128,65 @@ class TestSymplecticEigenbasis:
                 u = basis.H[:, 2 * k]
                 nz = np.flatnonzero(np.abs(u) > 1e-12 * np.abs(u).max())
                 assert u[nz[0]] > 0.0
+
+
+class TestClosedFormBasis:
+    """A block-diagonal Theta with positive frequencies gets its basis in
+    closed form, any other Theta from the eigensolver; both are verified."""
+
+    @staticmethod
+    def _spy(monkeypatch, refuse_eigh):
+        calls = {"eigh": 0, "verify": 0}
+        eigh, verify = np.linalg.eigh, ccr_module._verify_basis
+
+        def counted_eigh(*args, **kwargs):
+            if refuse_eigh:
+                raise AssertionError("symplectic_eigenbasis called np.linalg.eigh")
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_verify(*args, **kwargs):
+            calls["verify"] += 1
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(ccr_module, "_verify_basis", counted_verify)
+        return calls
+
+    @pytest.mark.parametrize("freqs", [[1.0], [2.5, 1.0], [0.5, 3.0, 0.5], [1.0, 1.5, 2.0, 2.5]])
+    def test_frequency_list_needs_no_eigh(self, monkeypatch, freqs):
+        n = 2 * len(freqs)
+        config = parse_config(json.dumps({
+            "kind": "gaussian_exact", "ccr": freqs, "mu_grid": [0.1],
+            "state": {"mean": [0.0] * n, "cov": (3.0 * np.eye(n)).tolist()}}))
+        calls = self._spy(monkeypatch, refuse_eigh=True)
+        basis = symplectic_eigenbasis(config.ccr)
+        assert calls["verify"] == 1
+        order = np.argsort(-np.asarray(freqs), kind="stable")
+        assert basis.gamma.tolist() == sorted(freqs, reverse=True)
+        expected = np.zeros((n, n))
+        for j, k in enumerate(order):
+            expected[2 * k, 2 * j] = expected[2 * k + 1, 2 * j + 1] = 1.0 / math.sqrt(2.0)
+        np.testing.assert_array_equal(basis.H, expected)
+
+    def test_block_diagonal_literal_needs_no_eigh(self, monkeypatch):
+        ccr = block_ccr([2.0, 0.5])
+        calls = self._spy(monkeypatch, refuse_eigh=True)
+        assert symplectic_eigenbasis(ccr).gamma.tolist() == [2.0, 0.5]
+        assert calls["verify"] == 1
+
+    @pytest.mark.parametrize("case", ["negative-frequency", "rotated"])
+    def test_other_literals_take_eigh(self, monkeypatch, case):
+        if case == "negative-frequency":
+            ccr = validate_ccr(_diag_kron_j2([-1.0, 2.0]))
+        else:
+            ccr, _ = random_ccr(np.random.default_rng(5), 3)
+        reference = _eigh_basis(ccr)
+        calls = self._spy(monkeypatch, refuse_eigh=False)
+        basis = symplectic_eigenbasis(ccr)
+        assert calls == {"eigh": 1, "verify": 1}
+        np.testing.assert_array_equal(basis.H, reference.H)
+        np.testing.assert_array_equal(basis.gamma, reference.gamma)
 
 
 def _series_cos(a, terms=30):

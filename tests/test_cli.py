@@ -9,12 +9,11 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qembound
@@ -592,7 +591,7 @@ class TestRun:
             model={"R": [[0.0, 0.0], [0.0, 0.0]], "N": [[1.0, 0.0], [0.0, 1.0]]}))))
         assert code == 2
         assert [r.status for r in static.rows] == ["ok", "empty_interval"]
-        assert [replace(r, t=None) for r in sweep.rows[:2]] == list(static.rows)
+        assert [r._replace(t=None) for r in sweep.rows[:2]] == list(static.rows)
         assert [r.status for r in sweep.rows[2:]] == ["ok", "empty_interval"]
 
     def test_oqho_sweep_flags_faulty_horizon(self):
@@ -673,12 +672,20 @@ class TestReportSerialization:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(
-        st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                            1e308, -1e308, sys.float_info.max])),
                  min_size=len(CSV_COLUMNS) - 1, max_size=len(CSV_COLUMNS) - 1),
-        st.sampled_from(STATUSES)), max_size=6))
-    def test_csv_text_is_what_csv_writer_writes(self, rows):
-        # Every None pattern and every status: the one-join text equals
-        # csv.writer's, so no field ever needed quoting.
+        st.sampled_from(STATUSES)), max_size=6),
+        st.sets(st.integers(0, len(CSV_COLUMNS) - 2)))
+    @example([], set())
+    def test_csv_text_is_what_csv_writer_writes(self, rows, blank_columns):
+        # Every None pattern (whole columns blank too), subnormals, signed
+        # zeros, the double range's ends and every status: the by-column
+        # text equals csv.writer's over format(v, ".17g"), so no field ever
+        # needed quoting, and it reads back as the same rows.
+        rows = [([None if i in blank_columns else v for i, v in enumerate(values)], status)
+                for values, status in rows]
         report = BoundReport(rows=tuple(ReportRow(*values, status=status)
                                         for values, status in rows))
         buffer = io.StringIO()
@@ -686,7 +693,9 @@ class TestReportSerialization:
         writer.writerow(CSV_COLUMNS)
         writer.writerows(["" if v is None else format(v, ".17g") for v in values] + [status]
                          for values, status in rows)
-        assert report.to_csv_text() == buffer.getvalue()
+        text = report.to_csv_text()
+        assert text == buffer.getvalue()
+        assert BoundReport.from_csv_text(text) == report
 
     def test_round_trip_of_every_status(self):
         rows = tuple(ReportRow(mu=0.5, status=status) for status in STATUSES)

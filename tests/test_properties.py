@@ -25,6 +25,7 @@ from qembound import (
     matrix_function,
     OqhoModel,
     WeightMatrix,
+    aux_covariance,
     critical_mu,
     dynamics_matrices,
     exact_cgf,
@@ -40,6 +41,7 @@ from qembound import (
     tail_bound,
 )
 from qembound._search import SEARCH_RTOL
+from qembound.ccr import _diag_kron_j2, _eigh_basis, _verify_basis, validate_ccr
 from qembound.cli import ScenarioConfig, run
 from qembound.errors import (EmptyFeasibleWindow, NumericalOverflowDespiteLogSpace,
                              QemBoundError, RiskParameterTooLarge)
@@ -337,7 +339,7 @@ def test_sweep_is_its_horizons(case, ts, at_zero, seed):
         assert abs(row.lambda_opt - lam) <= 1e-12 * lam
     if at_zero:
         static, _ = run(replace(config, kind="upper_bound", model=None, t_grid=None))
-        assert [replace(r, t=0.0) for r in static.rows] == list(sweep.rows[:len(static.rows)])
+        assert [r._replace(t=0.0) for r in static.rows] == list(sweep.rows[:len(static.rows)])
 
 
 def _mean_half_quadratic(state):
@@ -751,3 +753,30 @@ def test_randomized_mc_matches_per_sample_oracle(case, frac, samples, seed):
     log_qem, rel_se = per_sample_randomized_mc(state, basis, mu, samples, seed)
     assert abs(value.log_qem - log_qem) <= 1e-12
     assert abs(value.rel_std_error - rel_se) <= 1e-12 * rel_se
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=5, unique=True))
+def test_closed_form_basis_is_the_eigh_basis_on_distinct_frequencies(freqs):
+    # On distinct frequencies the eigensolver's basis is unique up to the
+    # phase its route fixes, and the closed form gives it value for value
+    # (eigh writes -0.0 where the closed form writes 0.0).
+    ccr = validate_ccr(_diag_kron_j2(freqs))
+    basis, reference = symplectic_eigenbasis(ccr), _eigh_basis(ccr)
+    np.testing.assert_array_equal(basis.gamma, reference.gamma)
+    np.testing.assert_array_equal(basis.H, reference.H)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(0, 2), min_size=1, max_size=5), st.floats(1e-3, 30.0))
+def test_closed_form_basis_on_repeated_frequencies(values, picks, mu):
+    # Inside a degenerate eigenspace the eigensolver may pick another
+    # basis; the frequencies and every symmetric function agree.
+    freqs = [values[i % len(values)] for i in picks + picks[:1]]
+    ccr = validate_ccr(_diag_kron_j2(freqs))
+    basis, reference = symplectic_eigenbasis(ccr), _eigh_basis(ccr)
+    np.testing.assert_array_equal(basis.gamma, reference.gamma)
+    _verify_basis(ccr.theta, reference, float(np.abs(ccr.theta).max()))
+    aux, aux_reference = aux_covariance(basis, mu), aux_covariance(reference, mu)
+    assert np.abs(aux - aux_reference).max() <= 1e-15 * np.abs(aux_reference).max()
