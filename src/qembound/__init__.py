@@ -33,7 +33,9 @@ from .oqho import (
     qem_bound_time,
 )
 from .qem import (
+    ExactEngine,
     QemValue,
+    ScalarBoundEngine,
     TailBound,
     critical_mu,
     exact_cgf,
@@ -60,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CcrMatrix",
     "ClassicalGaussian",
+    "ExactEngine",
     "GaussianState",
     "GramianResult",
     "IdentityCheck",
@@ -68,6 +71,7 @@ __all__ = [
     "OqhoModel",
     "QemBoundError",
     "QemValue",
+    "ScalarBoundEngine",
     "SymplecticBasis",
     "TailBound",
     "WeightMatrix",

@@ -56,18 +56,19 @@ def _require_positive(value, name):
 
 
 def _symmetric(a, error, message):
-    """The symmetric part of a; raises error(message) when |a - a^T|
-    exceeds SYMMETRY_RTOL * max(1, max|a|)."""
+    """The symmetric part of a, as 0.5 a + 0.5 a^T, which does not overflow
+    (halving is exact in the normal range); raises error(message) when
+    |a - a^T| exceeds SYMMETRY_RTOL * max(1, max|a|)."""
     if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * max(1.0, float(np.abs(a).max())):
         raise error(message)
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 def _cholesky(a, error, message):
-    """(lower Cholesky factor, ln det) of the symmetric part of a; raises
-    error(message) when it is not positive definite."""
+    """(lower Cholesky factor, ln det) of the symmetric part of a (as in
+    _symmetric); raises error(message) when it is not positive definite."""
     try:
-        chol = np.linalg.cholesky(0.5 * (a + a.T))
+        chol = np.linalg.cholesky(0.5 * a + 0.5 * a.T)
     except np.linalg.LinAlgError as exc:
         raise error(message) from exc
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -151,7 +152,9 @@ def validate_ccr(theta) -> CcrMatrix:
 
     The input must be finite, square of even order, antisymmetric within
     1e-12 * max|entry|, and nonsingular (smallest singular value above
-    1e-10 times the largest).
+    1e-10 times the largest).  The antisymmetric part is formed as
+    0.5 theta - 0.5 theta^T, which does not overflow for entries near the
+    double range.
     """
     theta = np.asarray(theta, dtype=float)
     _require_finite(theta, "commutation matrix")
@@ -168,7 +171,7 @@ def validate_ccr(theta) -> CcrMatrix:
         raise NotAntisymmetric(
             f"max |theta + theta^T| = {asym:.3e} exceeds {ANTISYM_RTOL:.0e} * max|entry|"
         )
-    theta = 0.5 * (theta - theta.T)
+    theta = 0.5 * theta - 0.5 * theta.T
     sv = np.linalg.svd(theta, compute_uv=False)
     if sv[-1] <= SINGULAR_RTOL * sv[0]:
         raise SingularCcr(
@@ -240,17 +243,20 @@ def _eigh_basis(ccr: CcrMatrix) -> SymplecticBasis:
 
 
 def _verify_basis(theta, basis, scale):
+    """Raise EigenSolverFailure unless every check's error is at most
+    BASIS_ATOL * max(1, scale); one that is not finite (a NaN basis) fails."""
     tol = BASIS_ATOL * max(1.0, scale)
     h, gamma = basis.H, basis.gamma
-    if np.abs(h.T @ h - 0.5 * np.eye(basis.n)).max() > tol:
+    if not np.abs(h.T @ h - 0.5 * np.eye(basis.n)).max() <= tol:
         raise EigenSolverFailure("basis orthonormality H^T H = I/2 violated")
     # H (Gamma (x) J2) has the columns (-gamma_k v_k, gamma_k u_k) for H's (u_k, v_k).
     h_core = np.empty_like(h)
     h_core[:, 0::2] = -gamma * h[:, 1::2]
     h_core[:, 1::2] = gamma * h[:, 0::2]
-    if np.abs(theta @ h - h_core).max() > tol:
+    if not np.abs(theta @ h - h_core).max() <= tol:
         raise EigenSolverFailure("eigenrelation Theta H = H (Gamma (x) J2) violated")
-    if np.abs(2.0 * h_core @ h.T - theta).max() > tol:
+    # Doubled after the product, which then overflows only where Theta does.
+    if not np.abs(2.0 * (h_core @ h.T) - theta).max() <= tol:
         raise EigenSolverFailure("reconstruction 2 H (Gamma (x) J2) H^T = Theta violated")
 
 

@@ -24,15 +24,9 @@ import numpy as np
 from . import classical, oqho, qem
 from .ccr import J2, CcrMatrix, _diag_kron_j2, symplectic_eigenbasis, validate_ccr
 from .errors import ConfigParse, QemBoundError, SuspectedDivergence
+from .qem import STATUS_INFINITE_VARIANCE, STATUS_NUMERICAL, STATUS_OK, STATUSES
 from .sampling import check_samples, check_seed
 from .states import GaussianState, MixtureMgf
-
-STATUS_OK = "ok"
-STATUS_INFEASIBLE = "infeasible_mu"
-STATUS_EMPTY = "empty_interval"
-STATUS_NUMERICAL = "numerical_error"
-STATUS_INFINITE_VARIANCE = "infinite_variance"
-STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_EMPTY, STATUS_NUMERICAL, STATUS_INFINITE_VARIANCE)
 
 #: Config keys every kind requires, and those every kind takes ("kind" is
 #: checked first, the others are optional); _KINDS adds a kind's own keys.
@@ -258,36 +252,18 @@ def _row_seed(seed, index):
 
 
 def _attempt(compute):
-    """(compute(), "ok"), or (None, "numerical_error") if it raised a
-    library error.  Rows past mu* never get here: _verdict flags them
-    first, and an empty weight window is a grid row, not an error."""
+    """(compute(), "ok"), or (None, "numerical_error") if it raised a library
+    error; an infinite moment or an empty window is an engine's row status."""
     try:
         return compute(), STATUS_OK
     except QemBoundError:
         return None, STATUS_NUMERICAL
 
 
-def _verdict(engine, grid, feasible, cut=math.inf):
-    """Status of each row of an ExactEngine route over grid from the rows'
-    feasibility mask (top < 1): ok where feasible (and below cut).  Every
-    other row reads infeasible_mu if the engine resolves a finite mu* (an
-    infinite moment), else numerical_error (a moment the closed form cannot
-    resolve: no row is feasible from the engine's saturation span on)."""
-    ok = feasible & (np.asarray(grid) < cut)
-    # mu_star is solved (once, cached) only if a row is not ok and no row
-    # proves a crossing, so a finite mu*.
-    decided = ok.all() or engine.proves_crossing(grid, feasible)
-    flag = STATUS_INFEASIBLE if decided or math.isfinite(engine.mu_star) else STATUS_NUMERICAL
-    return [STATUS_OK if row_ok else flag for row_ok in ok.tolist()]
-
-
-def _grid_rows(t, grid, statuses, **columns):
-    """Report rows of one engine grid call, built by column: each row's
-    status where not ok, else numerical_error where a column is not finite;
-    the value columns are blank on every row that is not ok."""
-    finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()]).tolist()
-    statuses = [STATUS_NUMERICAL if s == STATUS_OK and not f else s
-                for s, f in zip(statuses, finite)]
+def _grid_rows(t, grid, status, **columns):
+    """Report rows of one engine grid call, built by column: each row's status
+    from the engine, and the value columns blank where it is not ok."""
+    statuses = status.tolist()
     ok = [s == STATUS_OK for s in statuses]
     blank = [None] * len(statuses)
     columns = {name: [v if keep else None for v, keep in zip(c.tolist(), ok)]
@@ -300,33 +276,21 @@ def _grid_rows(t, grid, statuses, **columns):
 
 
 def _exact_rows(config, engine, t, grid):
-    values, _, feasible = engine.grid(grid)
-    return _grid_rows(t, grid, _verdict(engine, grid, feasible), upsilon_exact=values)
+    values, _, status = engine.grid(grid)
+    return _grid_rows(t, grid, status, upsilon_exact=values)
 
 
 def _tail_rows(config, engine, t, grid):
-    upsilon, slope, feasible, near = engine.grid(grid, slope=True, near=True)
-    mus = np.asarray(grid)
-    # Rows from mu_max on are cut, and _verdict flags them.  top(mu)/mu does
-    # not increase, so mu* >= mu/top(mu): a row with top < CGF_SAFETY lies
-    # below CGF_SAFETY mu* and is never cut, and a row that is not feasible
-    # is flagged anyway.  mu_max is read only where a row is near,
-    # CGF_SAFETY <= top < 1.
-    cut = engine.mu_max() if near.any() else math.inf
-    # One threshold-bound pair per mu from the analytic CGF slope:
-    # ln P(Q >= 2 Upsilon'(mu)) <= Upsilon(mu) - mu Upsilon'(mu).  The
+    # Rows are cut at the CGF's mu_max.  One threshold-bound pair per mu from
+    # the analytic slope, ln P(Q >= 2 Upsilon') <= Upsilon - mu Upsilon'; the
     # slope doubles as the eps column.
-    return _grid_rows(t, grid, _verdict(engine, grid, feasible, cut), upsilon_exact=upsilon,
-                      tail_eps=slope, tail_log_bound=np.minimum(0.0, upsilon - mus * slope))
+    upsilon, slope, status = engine.grid(grid, slope=True, cut=True)
+    return _grid_rows(t, grid, status, upsilon_exact=upsilon, tail_eps=slope,
+                      tail_log_bound=np.minimum(0.0, upsilon - np.asarray(grid) * slope))
 
 
 def _mc_rows(config, engine, t, grid):
-    # One bare eigvalsh per chunk gives every row's top = mu rho(C K(mu)):
-    # past the _verdict no sample is drawn; from 1/2 the estimator's
-    # variance is infinite, so no error bar is printed.
-    top = engine.top(grid)
-    statuses = [STATUS_INFINITE_VARIANCE if s == STATUS_OK and x >= 0.5 else s
-                for s, x in zip(_verdict(engine, grid, top < 1.0), top.tolist())]
+    statuses = engine.mc_status(grid).tolist()
     return [_mc_row(config, engine, t, i, mu, s) for i, (mu, s) in enumerate(zip(grid, statuses))]
 
 
@@ -334,35 +298,28 @@ def _mc_row(config, engine, t, index, mu, status):
     if status not in (STATUS_OK, STATUS_INFINITE_VARIANCE):
         return ReportRow(t=t, mu=mu, status=status)
 
-    # Only Monte-Carlo rows draw samples, so only they get a row seed.
+    # Only Monte-Carlo rows draw samples, so only they get a row seed.  The
+    # estimate and its error bar are finite, or qem_randomized_mc raises;
+    # infinite_variance rows print no error bar.
     value, error = _attempt(lambda: qem.qem_randomized_mc(
         config.state, engine.basis, mu, config.samples, _row_seed(config.seed, index)))
     if value is None:
         return ReportRow(t=t, mu=mu, status=error)
     mc_se = value.rel_std_error if status == STATUS_OK else None
-    # An error bar is printed only where it is finite, as is the estimate.
-    if not all(math.isfinite(v) for v in (value.log_qem, mc_se) if v is not None):
-        return ReportRow(t=t, mu=mu, status=STATUS_NUMERICAL)
     return ReportRow(t=t, mu=mu, status=status, upsilon_mc=value.log_qem, mc_se=mc_se)
 
 
 def _bound_rows(config, engine, t, grid):
-    # One ScalarBoundEngine.grid call: empty_interval where a window is
-    # empty; its NaN rows where the weight limit overflows, and any other
-    # non-finite value, read numerical_error.
-    values, lams, empty = engine.grid(grid)
-    statuses = [STATUS_EMPTY if e else STATUS_OK for e in empty.tolist()]
-    return _grid_rows(t, grid, statuses, upsilon_bound=values, lambda_opt=lams)
+    values, lams, status = engine.grid(grid)
+    return _grid_rows(t, grid, status, upsilon_bound=values, lambda_opt=lams)
 
 
 #: Engine class, route and required keys beyond _STATE_KEYS of each kind,
 #: in the order KINDS (and the parse message naming them) lists the kinds.
-#: Every route makes one grid call per scenario (or oqho_sweep horizon),
-#: the Monte-Carlo route one top call: the ExactEngine routes read their
-#: rows' feasibility from it (see _verdict), and the bound routes their
-#: values.  Only the Monte-Carlo route then calls a row function per mu,
-#: _mc_row, by its module name, so a wrapper bound to that name
-#: (perfbench's cli.cell span) sees those rows and no others.
+#: Every route reads its rows' statuses from one engine call per scenario
+#: (or oqho_sweep horizon): grid, or mc_status.  Only the Monte-Carlo route
+#: then calls a row function per mu, _mc_row, by its module name, so a
+#: wrapper bound to that name (perfbench's cli.cell span) sees those rows.
 _KINDS = {
     "gaussian_exact": (qem.ExactEngine, _exact_rows, ()),
     "randomized_mc": (qem.ExactEngine, _mc_rows, ()),

@@ -22,6 +22,7 @@ close the pipeline.
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,14 @@ SATURATION_SPAN = 14.0
 #: holds more than GRID_CHUNK * K n x n matrices at once.
 GRID_CHUNK = 64
 
+#: Row statuses: one per mu in each engine grid's status column and the report's.
+STATUS_OK = "ok"
+STATUS_INFEASIBLE = "infeasible_mu"
+STATUS_EMPTY = "empty_interval"
+STATUS_NUMERICAL = "numerical_error"
+STATUS_INFINITE_VARIANCE = "infinite_variance"
+STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_EMPTY, STATUS_NUMERICAL, STATUS_INFINITE_VARIANCE)
+
 
 @dataclass(frozen=True)
 class QemValue:
@@ -95,6 +104,13 @@ class TailBound:
     argmax_mu: float | None
 
 
+#: The engines' grid results, one entry (and one status) per mu.
+ExactGrid = NamedTuple("ExactGrid", [("values", np.ndarray), ("slopes", np.ndarray | None),
+                                     ("status", np.ndarray)])
+BoundGrid = NamedTuple("BoundGrid", [("values", np.ndarray), ("lam_opt", np.ndarray),
+                                     ("status", np.ndarray)])
+
+
 def _check_basis(state, basis: SymplecticBasis):
     if not _same_ccr(state.ccr, basis.ccr):
         raise DimensionMismatch("state and basis do not come from one CCR matrix")
@@ -122,12 +138,11 @@ class ExactEngine:
     Construction rotates the covariances and means once; grid evaluates
     each chunk of GRID_CHUNK mu by one batched LDL^T elimination of S over
     its (mu, component) pairs (see _chunk), whose pivots give ln det S, the
-    mean term, the slope and each row's feasibility, and cgf_and_slope
-    reads it.  top gives top = mu rho(C K(mu)) itself, from a bare stacked
-    eigvalsh, to mu_star and the Monte-Carlo rows.  The exact route's
-    validity limit is decided here alone: no row is feasible and top reads
-    inf from saturation_mu on, so every exact entry point refuses those mu
-    as it refuses those past mu*.  mu* is computed on first use and cached.
+    mean term, the slope and each row's feasibility.  top gives top =
+    mu rho(C K(mu)) itself, from a bare stacked eigvalsh, to mu_star and
+    mc_status.  Each row's status is decided here alone (_status), and
+    every exact entry point raises from it.  mu* is computed on first use
+    and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -187,15 +202,26 @@ class ExactEngine:
         return values.item(), slopes.item()
 
     def _checked_grid(self, mus, slope=False):
-        """(values, slopes) of grid over mus (a float or a 1-D array); raises
-        RiskParameterTooLarge at the first mu whose value grid leaves NaN:
-        past mu*, from saturation_mu on, or within rounding of mu*."""
+        """(values, slopes) of grid over mus (a float or 1-D); raises at the first row not ok."""
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        values, slopes, _ = self.grid(mus, slope)
-        past = np.flatnonzero(np.isnan(values))
-        if past.size:
-            self._raise_too_large(mus[past[0]].item())
-        return values, slopes
+        values, slopes, status = self.grid(mus, slope)
+        refused = np.flatnonzero(status != STATUS_OK)
+        if not refused.size:
+            return values, slopes
+        mu = mus[refused[0]].item()
+        # top is inf by construction from saturation_mu on, so only a finite
+        # top is quoted.
+        top = self.top([mu]).item()
+        read = f" (mu * rho(C K(mu)) = {top:.6g})" if math.isfinite(top) else ""
+        if status[refused[0]] == STATUS_NUMERICAL and mu < saturation_mu(self.basis):
+            raise NumericalOverflowDespiteLogSpace(f"the closed form overflows at mu = {mu}{read}")
+        if math.isfinite(self.mu_star):
+            raise RiskParameterTooLarge(
+                f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g}{read}")
+        raise RiskParameterTooLarge(
+            f"contraction gap at mu = {mu} saturated double precision{read}: from "
+            f"saturation_mu = {saturation_mu(self.basis):.6g} on, 1 - mu rho(C K(mu)) is "
+            "below machine resolution, and no mu* is resolved below it")
 
     def _unit_scale(self, mus):
         """(x, e) at the 1-D mus: x = mu theta and e = sqrt(tanh(x)/x), the
@@ -233,21 +259,18 @@ class ExactEngine:
             tops.append(w.max(axis=(1, 2)))
         return np.where(mus >= saturation_mu(self.basis), np.inf, np.concatenate(tops))
 
-    def grid(self, mus, slope=False, near=False):
-        """(values, slopes, feasible) of Upsilon over the positive mus, in
-        chunks of at most GRID_CHUNK mu per batched elimination (_chunk).
+    def grid(self, mus, slope=False, cut=False):
+        """ExactGrid(values, slopes, status) of Upsilon over the positive
+        mus, in chunks of at most GRID_CHUNK mu per batched elimination
+        (_chunk); slopes is None unless slope is true.
 
-        feasible is true where top (see top) is below 1, read from the
-        pivots of S = I - mu B: S is positive definite iff every pivot is
-        (Sylvester's criterion).  It is false from saturation_mu on (where
-        mu theta may overflow too): there the contraction gap
-        1 - tanh(mu theta_max) nears double precision and the closed form
-        does not keep its digits.  values (and slopes) are NaN where
-        feasible is false, the moment being infinite there (or not
-        resolved, past the span).  slopes is None unless slope is true.
-        With near true, a fourth output marks the feasible rows with
-        CGF_SAFETY <= top, from the same elimination on B scaled by
-        1/CGF_SAFETY.  With x = mu theta, c = 2x/sinh(2x) in (0, 1]
+        A row is feasible where top < 1, by the pivots of S = I - mu B, and
+        never from saturation_mu on, where 1 - tanh(mu theta_max) nears
+        double precision; values and slopes are NaN where it is not.  With
+        cut, rows from mu_max on are not ok either (see _status); mu_max is
+        read only if a row is near (_chunk), since mu* >= mu/top.
+
+        With x = mu theta, c = 2x/sinh(2x) in (0, 1]
         (-mu e^2 d(e^-2)/dmu for e^2 = tanh(x)/theta) and h = S^-1 m,
 
             2 Upsilon_k' = sum c (h^2 + diag(S^-1 B)) - 2 sum_modes theta tanh(x),
@@ -259,26 +282,40 @@ class ExactEngine:
         mus = np.asarray(mus, dtype=float)
         if not np.all(mus > 0.0):
             raise ValueError("mu must be positive")
-        chunks = zip(*[self._chunk(mus[i:i + GRID_CHUNK], slope, near)
+        chunks = zip(*[self._chunk(mus[i:i + GRID_CHUNK], slope, cut)
                        for i in range(0, max(mus.size, 1), GRID_CHUNK)])
-        return tuple(None if part[0] is None else np.concatenate(part) for part in chunks)
+        values, slopes, feasible, near = (None if part[0] is None else np.concatenate(part)
+                                          for part in chunks)
+        ok = feasible & (mus < self.mu_max()) if cut and near.any() else feasible
+        with np.errstate(over="ignore"):  # a term past the double range is flagged
+            finite = np.isfinite(values if slopes is None else values - mus * slopes)
+        return ExactGrid(values, slopes, self._status(mus, feasible, ok, finite))
 
-    def proves_crossing(self, mus, feasible):
-        """Whether a row of mus that feasible marks false lies below
-        saturation_mu: its top >= 1 there proves a crossing, so a finite mu*,
-        with no mu* solved.  From the span on no row is feasible, whatever
-        its top."""
-        return bool((~feasible & (np.asarray(mus) < saturation_mu(self.basis))).any())
+    def mc_status(self, mus):
+        """Monte-Carlo statuses from one top call (_status); infinite_variance at top >= 1/2."""
+        top = self.top(mus)
+        return self._status(mus, top < 1.0, top < 1.0, top < 0.5, STATUS_INFINITE_VARIANCE)
+
+    def _status(self, mus, feasible, ok, good, fault=STATUS_NUMERICAL):
+        """ok on the ok rows that are good (grid: finite, the tail's bound
+        Upsilon - mu Upsilon' too), else fault; the rest read infeasible_mu
+        if mu* is finite, else numerical_error.  mu* is solved (once) only if
+        a row is not ok and no row not feasible below saturation_mu proves it."""
+        decided = ok.all() or (~feasible & (np.asarray(mus) < saturation_mu(self.basis))).any()
+        flag = STATUS_INFEASIBLE if decided or math.isfinite(self.mu_star) else STATUS_NUMERICAL
+        return np.where(ok, np.where(good, STATUS_OK, fault), flag)
 
     # Past the span mu theta (and the log cos term) may overflow to inf, and
     # the slope's sinh(2x)/(2x) reads inf/inf; a pivot at or below 0 is
     # divided by and leaves log1p an argument at or below -1.  All those
-    # rows are not feasible and are masked below, so no warning is due.
+    # rows are not feasible, and a feasible row that overflows is not ok
+    # (grid), so no warning is due.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def _chunk(self, mus, slope, near):
-        """grid over one chunk, by one LDL^T elimination of S = I - mu B over
-        the whole (mu, component) stack, with a Python loop over the n
-        pivots only.  It runs on B itself: pivot k is 1 - d_k for the
+    def _chunk(self, mus, slope, cut):
+        """(values, slopes, feasible, near) of grid over one chunk, near (with
+        cut) the rows with CGF_SAFETY <= top < 1, by one LDL^T elimination
+        of S = I - mu B over the whole (mu, component) stack, with a Python
+        loop over the n pivots only.  It runs on B itself: pivot k is 1 - d_k for the
         deficit d_k = mu B_kk of the updated B, and the trailing block takes
         B_22 += mu b_21 b_21^T/(1 - d_k), the Schur complement of S written
         as its deficit.  So ln det S = sum log1p(-d_k) keeps its digits at
@@ -311,8 +348,8 @@ class ExactEngine:
         # 1e-312, and within 4e-14 from 1e-310 on.
         smallest = np.diagonal(both).min(axis=1).reshape(components, mus.size).min(axis=0)
         tiny = mus * smallest < TINY
-        copies = 2 if near else 1
-        if near:
+        copies = 2 if cut else 1
+        if cut:
             # A copy of every pair whose B is scaled by 1/CGF_SAFETY.  Its
             # carried columns are eliminated along, unread: one update over
             # every pair per pivot costs less than a second update that
@@ -333,9 +370,9 @@ class ExactEngine:
         unit, carried = both[:, :n], both[:, n:, :cols]
         deficits = scale[:, None] * np.diagonal(unit)
         worst = deficits.max(axis=1).reshape(copies, components, mus.size).max(axis=1)
-        # With near, the copy's row of worst marks the rows with top < CGF_SAFETY.
+        # With cut, the copy's row of worst marks the rows with top < CGF_SAFETY.
         feasible, *safe = (worst < 1.0) & (mus < saturation_mu(self.basis))
-        near_rows = [feasible & ~s for s in safe]
+        near = feasible & ~safe[0] if cut else None
         deficits = deficits[:cols].T
         inv_gap = 1.0 / (1.0 - deficits)
         log_det = np.log1p(-deficits).sum(axis=0).reshape(components, mus.size)
@@ -356,7 +393,7 @@ class ExactEngine:
         total = mix.sum(axis=0)
         values = shift + np.log(total)
         if not slope:
-            return values, None, feasible, *near_rows
+            return values, None, feasible, near
         z = carried[:, 1:]
         h = (z * scaled[:, None]).sum(axis=0)
         z[range(n), range(n)] = 0.0
@@ -365,20 +402,7 @@ class ExactEngine:
         terms = ((h * h + spread).reshape(n, components, mus.size)
                  / _over_x(np.sinh, 2.0 * x).T[:, None]).sum(axis=0)
         slopes = 0.5 * (terms - (self.theta * np.tanh(x)).sum(axis=1))
-        return values, (mix * slopes).sum(axis=0) / total, feasible, *near_rows
-
-    def _raise_too_large(self, mu):
-        # top is inf by construction from saturation_mu on, so only a finite
-        # top is quoted.
-        top = self.top([mu]).item()
-        read = f" (mu * rho(C K(mu)) = {top:.6g})" if math.isfinite(top) else ""
-        if math.isfinite(self.mu_star):
-            raise RiskParameterTooLarge(
-                f"mu = {mu} exceeds the critical value mu* = {self.mu_star:.12g}{read}")
-        raise RiskParameterTooLarge(
-            f"contraction gap at mu = {mu} saturated double precision{read}: from "
-            f"saturation_mu = {saturation_mu(self.basis):.6g} on, 1 - mu rho(C K(mu)) is "
-            "below machine resolution, and no mu* is resolved below it")
+        return values, (mix * slopes).sum(axis=0) / total, feasible, near
 
 
 def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
@@ -386,8 +410,8 @@ def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
 
     The moment is linear in the density operator, so a mixture's moment is
     the weighted sum of its components' Gaussian closed forms: the value that
-    ExactEngine.grid gives a gaussian_exact row.  It raises
-    RiskParameterTooLarge wherever that row is not ok (see _checked_grid).
+    ExactEngine.grid gives a gaussian_exact row, and it raises wherever
+    that row is not ok (see exact_cgf).
     """
     log_qem = ExactEngine(state, basis)._checked_grid(mu)[0].item()
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
@@ -531,12 +555,13 @@ class ScalarBoundEngine:
         means = np.array([c.mean for c in mix.components])
         covs = np.array([c.cov for c in mix.components])
         s, v = np.linalg.eigh(0.5 * (covs[i, :] + covs[j, :]))
-        q = ((means[i, :] + means[j, :])[:, None, :] @ v)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # bound and grid flag it
+            q = ((means[i, :] + means[j, :])[:, None, :] @ v)[:, 0]
+            self.quad = 0.25 * q * q
         constant = 0.5 * mix.n * math.log(math.pi)
         self.log_base = np.array([log_w[a] + log_w[b] + constant + (math.log(2.0) if b > a else 0.0)
                                   for a, b in zip(i, j)])
         self.s = s
-        self.quad = 0.25 * q * q
         self.lam_lo = float(s.max())
 
     def log_norm_derivatives(self, lam):
@@ -582,8 +607,7 @@ class ScalarBoundEngine:
     def cgf_and_slope(self, mu):
         """(B(mu), B'(mu)) for the optimized bound B as floats at a float mu,
         from bound, or as arrays over a 1-D array of mu, from one grid call;
-        raises bound's error (EmptyFeasibleWindow or
-        NumericalOverflowDespiteLogSpace) at the first mu where bound raises.
+        at the first row whose status is not ok it raises what bound raises.
         The slope costs nothing beyond the bound: by the envelope theorem
         (Milgrom & Segal, Econometrica 70(2), 2002),
         B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at the
@@ -592,10 +616,8 @@ class ScalarBoundEngine:
             value, lam_opt = self.bound(mu)
             return value.log_qem, float(self._envelope_slope(mu, lam_opt))
         mus = np.asarray(mu, dtype=float)
-        values, lams, _ = self.grid(mus)
-        # lam_opt is NaN exactly at the empty windows and the overflowing
-        # weight limits, where bound raises.
-        failed = np.flatnonzero(np.isnan(lams))
+        values, lams, status = self.grid(mus)
+        failed = np.flatnonzero(status != STATUS_OK)
         if failed.size:
             self.bound(mus[failed[0]].item())
         return values, self._envelope_slope(mus, lams)
@@ -631,14 +653,17 @@ class ScalarBoundEngine:
         return (value - 0.5 * np.log(gap).sum(axis=0), slope + 0.5 * inv.sum(axis=0),
                 curvature + 0.5 * (inv * inv).sum(axis=0))
 
+    # A bound that overflows is flagged, so no warning is due.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def bound(self, mu: float):
         """The grid's bound at one mu: returns (QemValue, lam_opt); raises
         EmptyFeasibleWindow when the window is empty and
-        NumericalOverflowDespiteLogSpace where the weight limit overflows (see
-        scalar_weight_limit).  It is the grid's one-window case, with the
-        objective evaluated at a float lam, which costs less than a one-entry
-        grid on tail_bound's one-point calls: answering them from grid made
-        perfbench's tail_bound step 12-16% slower, for the same bits."""
+        NumericalOverflowDespiteLogSpace where the weight limit (see
+        scalar_weight_limit) or the bound overflows.  It is the grid's
+        one-window case, with the objective evaluated at a float lam, which
+        costs less than a one-entry grid on tail_bound's one-point calls:
+        answering them from grid made perfbench's tail_bound step 12-16%
+        slower, for the same bits."""
         scalar_weight_limit(self.basis, mu)  # raises where the limit overflows
         gamma = self.basis.gamma
         upper = gamma / np.tanh(mu * gamma)
@@ -651,30 +676,32 @@ class ScalarBoundEngine:
             )
         [(lam_opt, inner)] = newton_minimize_grid(
             lambda lams, _: [self._objective(lams[0], upper)], *zip(window))
-        log_bound = _log_bound_prefactor(self.basis, mu) + inner
-        return QemValue(mu=mu, log_qem=float(log_bound), method=METHOD_BOUND), lam_opt
+        log_bound = float(_log_bound_prefactor(self.basis, mu) + inner)
+        if not math.isfinite(log_bound):
+            raise NumericalOverflowDespiteLogSpace(f"the bound at mu = {mu!r} is not finite")
+        return QemValue(mu=mu, log_qem=log_bound, method=METHOD_BOUND), lam_opt
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def grid(self, mus):
-        """(values, lam_opt, empty) of the weighted-norm bound over the
-        positive mus, each minimized over lam in its feasible window
+        """BoundGrid(values, lam_opt, status) of the weighted-norm bound over
+        the positive mus, each minimized over lam in its feasible window
         (lam_lo, min u) with u = theta/tanh(mu theta) (see _window and
         _objective).
 
         Every window goes to newton_minimize_grid, so each round evaluates
         the objective once, on the lam of every window still open; lam_opt
-        is Newton-refined (see _search._newton_search).  empty is true where
-        the window is empty; values and lam_opt are NaN there and where u
-        overflows (at a subnormal mu, where scalar_weight_limit raises).
+        is Newton-refined (see _search._newton_search).  A row reads
+        empty_interval where the window is empty (values and lam_opt NaN)
+        and numerical_error where either is not finite (as at a subnormal mu).
         """
         mus = np.asarray(mus, dtype=float)
         if not (mus > 0.0).all():
             raise ValueError("mu must be positive")
         gamma = self.basis.gamma
         # u overflows to inf where the weight limit does; those rows are skipped.
-        with np.errstate(divide="ignore", over="ignore"):
-            upper = gamma / np.tanh(np.multiply.outer(mus, gamma))
+        upper = gamma / np.tanh(np.multiply.outer(mus, gamma))
         values, lams = np.full(mus.shape, np.nan), np.full(mus.shape, np.nan)
-        empty = np.zeros(mus.shape, dtype=bool)
+        status = np.full(mus.shape, STATUS_NUMERICAL)
         rows, windows = [], []
         for i, (u_min, finite) in enumerate(zip(upper.min(axis=1).tolist(),
                                                 np.isfinite(upper).all(axis=1).tolist())):
@@ -682,7 +709,7 @@ class ScalarBoundEngine:
                 continue
             window = self._window(u_min)
             if window is None:
-                empty[i] = True
+                status[i] = STATUS_EMPTY
             else:
                 rows.append(i)
                 windows.append(window)
@@ -694,7 +721,8 @@ class ScalarBoundEngine:
             lam_opt, inner = zip(*solved)
             values[rows] = _log_bound_prefactor(self.basis, mus[rows]) + inner
             lams[rows] = lam_opt
-        return values, lams, empty
+        status[np.isfinite(values) & np.isfinite(lams)] = STATUS_OK
+        return BoundGrid(values, lams, status)
 
 
 def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
@@ -711,7 +739,7 @@ def exact_cgf(state, basis: SymplecticBasis):
     mu_max = min(CGF_SAFETY * mu_star, SATURATION_SPAN / theta_max), the
     saturation limit alone when mu* is infinite (or not resolved below it).
     The callable raises RiskParameterTooLarge past mu* and from
-    saturation_mu on.
+    saturation_mu on, NumericalOverflowDespiteLogSpace where it overflows.
     """
     engine = ExactEngine(state, basis)
     return engine.cgf_and_slope, engine.mu_max()

@@ -37,7 +37,7 @@ def check_samples(samples, least: int) -> int:
     return _integer_in(samples, "samples", least)
 
 
-def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
+def block_rng(seed: int, stream: int, block: int) -> "np.random.Generator":
     """Independent generator for one (seed, stream, block) cell."""
     key = np.array([seed, ((stream & _MASK32) << 32) | (block & _MASK32)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

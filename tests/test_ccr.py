@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qembound.ccr import _diag_kron_j2, _eigh_basis, lnsinh
 from qembound.cli import parse_config
 from qembound.errors import (
     DimensionMismatch,
+    EigenSolverFailure,
     NotAntisymmetric,
     OddDimension,
     SingularCcr,
@@ -67,6 +69,24 @@ class TestValidateCcr:
         theta = np.array([[0.0, 1.0], [-1.0 + 1e-14, 0.0]])
         ccr = validate_ccr(theta)
         np.testing.assert_array_equal(ccr.theta, -ccr.theta.T)
+
+    @pytest.mark.parametrize("raw", [[1.7e308], [[0.0, 1.7e308], [-1.7e308, 0.0]]],
+                             ids=["frequency-list", "matrix-literal"])
+    def test_huge_frequency_canonicalised_without_overflow(self, raw):
+        # 0.5 * (theta - theta^T) overflowed to +-inf for entries above half
+        # the double range; 0.5 theta - 0.5 theta^T keeps every entry's bits,
+        # and so does 0.5 C + 0.5 C^T for a covariance there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = parse_config(json.dumps({
+                "kind": "gaussian_exact", "ccr": raw, "mu_grid": [0.1],
+                "state": {"mean": [0, 0], "cov": [[1.75e308, 0], [0, 1.75e308]]}}))
+            basis = symplectic_eigenbasis(config.ccr)
+            chol, _ = ccr_module._cholesky(config.state.cov, ValueError, "not positive definite")
+        assert config.ccr.theta.tolist() == [[0.0, 1.7e308], [-1.7e308, 0.0]]
+        assert config.state.cov.tolist() == [[1.75e308, 0.0], [0.0, 1.75e308]]
+        assert basis.gamma.tolist() == [1.7e308]
+        assert chol.tolist() == [[math.sqrt(1.75e308), 0.0], [0.0, math.sqrt(1.75e308)]]
 
     def test_singular_rejected(self):
         theta = scipy.linalg.block_diag(J2, np.zeros((2, 2)))
@@ -174,6 +194,23 @@ class TestClosedFormBasis:
         calls = self._spy(monkeypatch, refuse_eigh=True)
         assert symplectic_eigenbasis(ccr).gamma.tolist() == [2.0, 0.5]
         assert calls["verify"] == 1
+
+    @pytest.mark.parametrize("check", ["H", "gamma"])
+    def test_a_nan_basis_is_rejected(self, monkeypatch, check):
+        # Each check fails on an error that is not finite: a NaN compares
+        # False with any tolerance, so "err > tol" let a NaN basis through.
+        ccr, _ = random_ccr(np.random.default_rng(5), 2)
+        eigh_basis = ccr_module._eigh_basis
+
+        def nan_basis(c):
+            basis = eigh_basis(c)
+            parts = {"H": basis.H, "gamma": basis.gamma}
+            parts[check] = np.full_like(parts[check], np.nan)
+            return ccr_module.SymplecticBasis(ccr=c, **parts)
+
+        monkeypatch.setattr(ccr_module, "_eigh_basis", nan_basis)
+        with pytest.raises(EigenSolverFailure):
+            symplectic_eigenbasis(ccr)
 
     @pytest.mark.parametrize("case", ["negative-frequency", "rotated"])
     def test_other_literals_take_eigh(self, monkeypatch, case):

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -804,6 +805,29 @@ class TestHonestRows:
         for row in report.rows:
             assert row.status == "numerical_error"
             assert all(getattr(row, name) is None for name in CSV_COLUMNS[2:-1])
+
+    @pytest.mark.parametrize("ccr", [[1.7e308], [[0.0, 1.7e308], [-1.7e308, 0.0]]],
+                             ids=["frequency-list", "matrix-literal"])
+    def test_huge_frequency_finishes_every_kind_quietly(self, ccr):
+        # Theta and the covariance lie above half the double range, where
+        # canonicalising as 0.5 * (a -+ a^T) overflowed.  Every kind now
+        # finishes with no warning and flags what it cannot resolve; the
+        # exact row at mu = 1e-320 is ok, about mu (tr C)/2.
+        base = _vacuum_config(ccr=ccr, mu_grid=[1e-320, 1e-300, 0.1], samples=1000,
+                              state={"mean": [0, 0], "cov": [[1.75e308, 0], [0, 1.75e308]]},
+                              model={"R": [[1, 0], [0, 1]], "N": [[1, 0], [0, 1]]}, t_grid=[0, 1])
+        for kind in qembound.cli.KINDS:
+            cfg = {key: value for key, value in base.items()
+                   if kind == "oqho_sweep" or key not in ("model", "t_grid")}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report, code = run(parse_config(json.dumps(dict(cfg, kind=kind))))
+            assert code == 2 and all(row.status in STATUSES for row in report.rows)
+            if kind == "gaussian_exact":
+                first, *rest = report.rows
+                assert first.status == "ok"
+                assert first.upsilon_exact == pytest.approx(first.mu * 1.75e308, rel=1e-12)
+                assert [row.status for row in rest] == ["infeasible_mu"] * 2
 
     def test_tiny_ccr_bound_matches_exact(self):
         # mu * theta = 1e-201 must not cancel in the bound's ln sinh; for a

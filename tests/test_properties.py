@@ -182,7 +182,8 @@ def test_bound_grid_matches_one_window_solves(case, split):
     state, basis = case
     engine = ScalarBoundEngine(state, basis)
     mus = np.concatenate([[1e-310], np.linspace(1e-3, 1.1, 24) * engine.mu_max() / CGF_SAFETY])
-    values, lams, empty = engine.grid(mus)
+    values, lams, status = engine.grid(mus)
+    empty = status == "empty_interval"
     assert values.shape == lams.shape == empty.shape == mus.shape
     exact = ExactEngine(state, basis).grid(mus)[0]
     with pytest.raises(NumericalOverflowDespiteLogSpace):
@@ -208,7 +209,7 @@ def test_bound_grid_matches_one_window_solves(case, split):
     for again in (reversed_grid, [np.concatenate(pair) for pair in halves]):
         for result, other in zip((values, lams), again):
             np.testing.assert_allclose(other, result, rtol=1e-12, atol=0.0)
-        assert np.array_equal(again[2], empty)
+        assert np.array_equal(again[2] == "empty_interval", empty)
 
 
 @PROPERTY_SETTINGS
@@ -540,7 +541,8 @@ def test_grid_matches_scalar_evaluations(case, chunk):
     state, basis = case
     engine = ExactEngine(state, basis)
     mus = np.linspace(0.01, 1.5, GRID_CHUNK + 9) * engine.mu_star
-    values, slopes, feasible = engine.grid(mus, slope=True)
+    values, slopes, status = engine.grid(mus, slope=True)
+    feasible = status == "ok"
     top = engine.top(mus)
     assert values.shape == slopes.shape == top.shape == feasible.shape == mus.shape
     assert np.any(top >= 1.0) and np.any(top < 1.0)
@@ -557,7 +559,7 @@ def test_grid_matches_scalar_evaluations(case, chunk):
         rechunked = engine.grid(mus, slope=True)
     for result, again in zip((values, slopes), rechunked):
         np.testing.assert_allclose(again, result, rtol=1e-12, atol=0.0)
-    assert np.array_equal(rechunked[2], feasible)
+    assert np.array_equal(rechunked[2] == "ok", feasible)
     assert engine.grid(mus)[1] is None
 
 
@@ -618,7 +620,8 @@ def test_grid_matches_eigh_oracle(case, fractions):
     span = saturation_mu(basis)
     scale = engine.mu_star if math.isfinite(engine.mu_star) else span
     mus = np.concatenate([[5e-324, 1e-300], np.array(fractions + [0.5, 1.25]) * scale])
-    values, slopes, feasible = engine.grid(mus, slope=True)
+    values, slopes, status = engine.grid(mus, slope=True)
+    feasible = status == "ok"
     ref_values, ref_slopes, ref_top = eigh_exact_chunk(engine, mus, True)
     top, below = engine.top(mus), mus < span
     assert np.all(top[~below] == math.inf) and not feasible[~below].any()
@@ -645,7 +648,7 @@ def _statuses_reading_mu_star_first(kind, state, basis, mus):
     flag = "infeasible_mu" if engine.mu_star < span else "numerical_error"
     limit = min(engine.mu_max(), span) if kind == "tail" else span
     top = engine.top(mus)
-    feasible = top < 1.0 if kind == "randomized_mc" else engine.grid(mus)[2]
+    feasible = top < 1.0 if kind == "randomized_mc" else engine.grid(mus)[2] == "ok"
     statuses = ["ok" if f and mu < limit else flag for mu, f in zip(mus, feasible)]
     if kind == "randomized_mc":
         statuses = ["infinite_variance" if s == "ok" and x >= 0.5 else s

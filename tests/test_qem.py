@@ -87,11 +87,11 @@ class TestExactGaussian:
         with pytest.raises(RiskParameterTooLarge, match=message):
             exact_cgf(state, basis)[0](1e308)
         engine = ExactEngine(state, basis)
-        values, slopes, feasible = engine.grid([0.01, 1e308], slope=True)
+        values, slopes, status = engine.grid([0.01, 1e308], slope=True)
         top = engine.top([0.01, 1e308])
         assert np.isfinite([values[0], slopes[0], top[0]]).all() and top[0] < 1.0
         assert np.isnan([values[1], slopes[1]]).all() and top[1] == math.inf
-        assert feasible.tolist() == [True, False]
+        assert (status == "ok").tolist() == [True, False]
 
     def test_mean_contribution(self):
         # commuting case reduces per mode; checked against the scalar formula
@@ -210,10 +210,11 @@ def test_grid_needs_no_eigvalsh_or_solve(linalg_calls, seed):
     engine = ExactEngine(state, basis)
     mus = np.sort(np.append(np.linspace(0.01, 1.25, 70), 0.9995)) * engine.mu_star
     linalg_calls["eigvalsh"].clear()
-    _, _, feasible = engine.grid(mus)
-    _, _, again, near = engine.grid(mus, slope=True, near=True)
+    feasible = engine.grid(mus).status == "ok"
+    again = engine.grid(mus, slope=True).status == "ok"
     assert linalg_calls == {"eigvalsh": [], "solve": []}
     assert np.array_equal(again, feasible) and np.array_equal(feasible, mus < engine.mu_star)
+    near = feasible & (engine.grid(mus, slope=True, cut=True).status != "ok")
     assert near.any() and np.array_equal(near, feasible & (engine.top(mus) >= CGF_SAFETY))
     linalg_calls["eigvalsh"].clear()
     engine.grid([5e-324, 1e-300, 0.1])
@@ -221,15 +222,19 @@ def test_grid_needs_no_eigvalsh_or_solve(linalg_calls, seed):
 
 
 def test_rows_not_feasible_below_the_span_prove_a_crossing():
-    # A row that is not feasible below the span proves a finite mu*; rows
-    # from the span on are not feasible whatever their top, and prove
-    # nothing.
+    # A row that is not feasible below the span proves a finite mu*, so the
+    # grid flags it with no mu* solved; rows from the span on are not
+    # feasible whatever their top, and prove nothing, so mu* is solved.  A
+    # grid of ok rows needs no mu*.
     state, basis = _exact_grid_mixture(1)
-    engine = ExactEngine(state, basis)
+    mu_star = ExactEngine(state, basis).mu_star
     span = saturation_mu(basis)
-    below, past, beyond = [0.5 * engine.mu_star], [1.25 * engine.mu_star], [span, 2.0 * span]
-    for mus, proved in ((below, False), (below + past, True), (below + beyond, False)):
-        assert engine.proves_crossing(mus, engine.grid(mus)[2]) is proved
+    below, past, beyond = [0.5 * mu_star], [1.25 * mu_star], [span, 2.0 * span]
+    for mus, solved in ((below, False), (below + past, False), (below + beyond, True)):
+        engine = ExactEngine(state, basis)
+        status = engine.grid(mus).status
+        assert ("mu_star" in vars(engine)) is solved
+        assert status.tolist() == ["ok"] + ["infeasible_mu"] * (len(mus) - 1)
 
 
 def test_empty_grid_gives_empty_outputs():
@@ -237,7 +242,7 @@ def test_empty_grid_gives_empty_outputs():
     # gives empty arrays, as the stacked eigvalsh and solve did.
     state, basis = _exact_grid_mixture(1)
     engine = ExactEngine(state, basis)
-    assert [a.shape for a in engine.grid([], slope=True, near=True)] == [(0,)] * 4
+    assert [a.shape for a in engine.grid([], slope=True, cut=True)] == [(0,)] * 3
     assert engine.grid([])[1] is None and engine.top([]).shape == (0,)
 
 
@@ -779,3 +784,57 @@ class TestBasisContract:
         twin = symplectic_eigenbasis(validate_ccr(J2))
         assert twin.ccr is not CCR2
         assert self.CALLS[name](self.STATE, twin) == self.CALLS[name](self.STATE, BASIS2)
+
+
+class TestOverflowingMean:
+    """ccr [1], mean [1e308, 0] and cov 3 I at mu = 0.1, where top = 0.299 < 1:
+    the moment is finite in exact arithmetic, but its mean term overflows.
+    Each engine's status column reads numerical_error, which the CLI prints
+    (TestHonestRows in test_cli.py), and every library entry point raises
+    NumericalOverflowDespiteLogSpace there, with no overflow warning."""
+
+    STATE = GaussianState(mean=[1e308, 0.0], cov=3.0 * np.eye(2), ccr=CCR2)
+
+    def _bound_tail(state):
+        cgf, mu_max = scalar_bound_cgf(state, BASIS2)
+        return tail_bound(cgf, 5.0, mu_max)
+
+    CALLS = {
+        "qem_exact": lambda s: qem_exact(s, BASIS2, 0.1),
+        "exact_cgf-float": lambda s: exact_cgf(s, BASIS2)[0](0.1),
+        "exact_cgf-array": lambda s: exact_cgf(s, BASIS2)[0](np.array([0.1])),
+        "ScalarBoundEngine.bound": lambda s: ScalarBoundEngine(s, BASIS2).bound(0.1),
+        "qem_upper_bound_scalar_opt": lambda s: qem_upper_bound_scalar_opt(s, BASIS2, 0.1),
+        "scalar_bound_cgf-float": lambda s: scalar_bound_cgf(s, BASIS2)[0](0.1),
+        "scalar_bound_cgf-array": lambda s: scalar_bound_cgf(s, BASIS2)[0](np.array([0.1])),
+        "tail_bound": _bound_tail,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_library_raises_numerical_overflow(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowDespiteLogSpace):
+                self.CALLS[name](self.STATE)
+
+    def test_qem_exact_does_not_blame_mu_star(self):
+        # The row lies below mu* = atanh(1/3) ~ 0.3466; the message quotes its top.
+        with pytest.raises(NumericalOverflowDespiteLogSpace, match=r"= 0\.299004\)") as err:
+            qem_exact(self.STATE, BASIS2, 0.1)
+        assert "critical" not in str(err.value)
+
+    def test_engine_status_columns_read_numerical_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = ExactEngine(self.STATE, BASIS2)
+            bound = ScalarBoundEngine(self.STATE, BASIS2)
+            columns = [exact.grid([0.1]).status, exact.grid([0.1], slope=True, cut=True).status,
+                       bound.grid([0.1]).status]
+        assert [c.tolist() for c in columns] == [["numerical_error"]] * 3
+
+
+def test_status_names_are_defined_in_qem():
+    from qembound import cli, qem
+    assert cli.STATUSES is qem.STATUSES
+    assert qem.STATUSES == ("ok", "infeasible_mu", "empty_interval", "numerical_error",
+                            "infinite_variance")
