@@ -287,8 +287,10 @@ class ExactEngine:
         values, slopes, feasible, near = (None if part[0] is None else np.concatenate(part)
                                           for part in chunks)
         ok = feasible & (mus < self.mu_max()) if cut and near.any() else feasible
+        # Finite where the value is, and with slope mu Upsilon' (so the tail's
+        # bound Upsilon - mu Upsilon' too, whose terms are both nonnegative).
         with np.errstate(over="ignore"):  # a term past the double range is flagged
-            finite = np.isfinite(values if slopes is None else values - mus * slopes)
+            finite = np.isfinite(values) & (slopes is None or np.isfinite(mus * slopes))
         return ExactGrid(values, slopes, self._status(mus, feasible, ok, finite))
 
     def mc_status(self, mus):
@@ -297,13 +299,16 @@ class ExactEngine:
         return self._status(mus, top < 1.0, top < 1.0, top < 0.5, STATUS_INFINITE_VARIANCE)
 
     def _status(self, mus, feasible, ok, good, fault=STATUS_NUMERICAL):
-        """ok on the ok rows that are good (grid: finite, the tail's bound
-        Upsilon - mu Upsilon' too), else fault; the rest read infeasible_mu
-        if mu* is finite, else numerical_error.  mu* is solved (once) only if
-        a row is not ok and no row not feasible below saturation_mu proves it."""
-        decided = ok.all() or (~feasible & (np.asarray(mus) < saturation_mu(self.basis))).any()
-        flag = STATUS_INFEASIBLE if decided or math.isfinite(self.mu_star) else STATUS_NUMERICAL
-        return np.where(ok, np.where(good, STATUS_OK, fault), flag)
+        """ok on the ok rows that are good (grid: finite), else fault; the
+        rest read infeasible_mu if mu* is finite, else numerical_error.  mu*
+        is solved (once) only if a row is not ok and no row not feasible
+        below saturation_mu proves it."""
+        status = np.where(good, STATUS_OK, fault)
+        if not ok.all():
+            proved = (~feasible & (np.asarray(mus) < saturation_mu(self.basis))).any()
+            status[~ok] = (STATUS_INFEASIBLE if proved or math.isfinite(self.mu_star)
+                           else STATUS_NUMERICAL)
+        return status
 
     # Past the span mu theta (and the log cos term) may overflow to inf, and
     # the slope's sinh(2x)/(2x) reads inf/inf; a pivot at or below 0 is
@@ -607,21 +612,33 @@ class ScalarBoundEngine:
     def cgf_and_slope(self, mu):
         """(B(mu), B'(mu)) for the optimized bound B as floats at a float mu,
         from bound, or as arrays over a 1-D array of mu, from one grid call;
-        at the first row whose status is not ok it raises what bound raises.
+        at the first row whose status is not ok, or whose slope is not
+        finite, it raises what the float call raises there: bound's error, or
+        NumericalOverflowDespiteLogSpace where the slope overflows (as at
+        mu = 1e-200, where theta^2/sinh^2(mu theta) does).
         The slope costs nothing beyond the bound: by the envelope theorem
         (Milgrom & Segal, Econometrica 70(2), 2002),
         B' = -sum u + sum theta^2/(sinh^2(mu theta) (u - lam_opt))/2 at the
         bound's lam_opt, with u = theta/tanh(mu theta)."""
         if not np.ndim(mu):
             value, lam_opt = self.bound(mu)
-            return value.log_qem, float(self._envelope_slope(mu, lam_opt))
+            slope = float(self._envelope_slope(mu, lam_opt))
+            if not math.isfinite(slope):
+                raise NumericalOverflowDespiteLogSpace(f"the bound's slope at mu = {mu!r} overflows")
+            return value.log_qem, slope
         mus = np.asarray(mu, dtype=float)
         values, lams, status = self.grid(mus)
         failed = np.flatnonzero(status != STATUS_OK)
         if failed.size:
             self.bound(mus[failed[0]].item())
-        return values, self._envelope_slope(mus, lams)
+        slopes = self._envelope_slope(mus, lams)
+        failed = np.flatnonzero(~np.isfinite(slopes))
+        if failed.size:
+            self.cgf_and_slope(mus[failed[0]].item())
+        return values, slopes
 
+    # A slope that overflows raises in cgf_and_slope, so no warning is due.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _envelope_slope(self, mu, lam_opt):
         """B'(mu) of cgf_and_slope at a float mu and its lam_opt, or over 1-D
         arrays of both."""

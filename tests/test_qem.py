@@ -212,9 +212,9 @@ def test_grid_needs_no_eigvalsh_or_solve(linalg_calls, seed):
     linalg_calls["eigvalsh"].clear()
     feasible = engine.grid(mus).status == "ok"
     again = engine.grid(mus, slope=True).status == "ok"
+    near = feasible & (engine.grid(mus, slope=True, cut=True).status != "ok")
     assert linalg_calls == {"eigvalsh": [], "solve": []}
     assert np.array_equal(again, feasible) and np.array_equal(feasible, mus < engine.mu_star)
-    near = feasible & (engine.grid(mus, slope=True, cut=True).status != "ok")
     assert near.any() and np.array_equal(near, feasible & (engine.top(mus) >= CGF_SAFETY))
     linalg_calls["eigvalsh"].clear()
     engine.grid([5e-324, 1e-300, 0.1])
@@ -831,6 +831,18 @@ class TestOverflowingMean:
             columns = [exact.grid([0.1]).status, exact.grid([0.1], slope=True, cut=True).status,
                        bound.grid([0.1]).status]
         assert [c.tolist() for c in columns] == [["numerical_error"]] * 3
+
+
+@pytest.mark.parametrize("mu", [1e-200, np.array([0.1, 1e-200])], ids=["float", "array"])
+def test_bound_slope_overflow_raises_quietly(mu):
+    # At mu = 1e-200 the bound's window and value are finite and its row
+    # reads ok, but theta^2/sinh^2(mu theta) in the envelope slope overflows.
+    engine = ScalarBoundEngine(THERMAL3, BASIS2)
+    assert engine.grid(np.atleast_1d(mu)).status.tolist() == ["ok"] * np.size(mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflowDespiteLogSpace, match="mu = 1e-200 overflows"):
+            engine.cgf_and_slope(mu)
 
 
 def test_status_names_are_defined_in_qem():
