@@ -55,13 +55,25 @@ def _require_positive(value, name):
         raise ValueError(f"{name} must be positive")
 
 
+def _doubled_text(x: float) -> str:
+    """format(2 x, ".3e") for a positive double x, also where 2 x is past
+    the double range (the product is exact at 800 digits).  Only error
+    messages call it, so decimal is imported here, not with the package."""
+    from decimal import Context, Decimal
+
+    mantissa, exponent = format(Context(prec=800).multiply(Decimal(x), 2), ".3e").split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
 def _symmetric(a, error, message):
-    """The symmetric part of a, as 0.5 a + 0.5 a^T, which does not overflow
-    (halving is exact in the normal range); raises error(message) when
-    |a - a^T| exceeds SYMMETRY_RTOL * max(1, max|a|)."""
-    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * max(1.0, float(np.abs(a).max())):
+    """The symmetric part of a, as 0.5 a + 0.5 a^T; raises error(message)
+    when |a - a^T| exceeds SYMMETRY_RTOL * max(1, max|a|).  Neither the
+    part nor the check (|0.5 a - 0.5 a^T| against half the tolerance)
+    overflows, and halving is exact in the normal range."""
+    half = 0.5 * a
+    if float(np.abs(half - half.T).max()) > 0.5 * SYMMETRY_RTOL * max(1.0, float(np.abs(a).max())):
         raise error(message)
-    return 0.5 * a + 0.5 * a.T
+    return half + half.T
 
 
 def _cholesky(a, error, message):
@@ -153,8 +165,9 @@ def validate_ccr(theta) -> CcrMatrix:
     The input must be finite, square of even order, antisymmetric within
     1e-12 * max|entry|, and nonsingular (smallest singular value above
     1e-10 times the largest).  The antisymmetric part is formed as
-    0.5 theta - 0.5 theta^T, which does not overflow for entries near the
-    double range.
+    0.5 theta - 0.5 theta^T, and the check reads |0.5 theta + 0.5 theta^T|
+    against half the tolerance, so neither overflows for entries near the
+    double range (halving is exact in the normal range).
     """
     theta = np.asarray(theta, dtype=float)
     _require_finite(theta, "commutation matrix")
@@ -166,12 +179,14 @@ def validate_ccr(theta) -> CcrMatrix:
     scale = float(np.abs(theta).max())
     if scale == 0.0:
         raise SingularCcr("zero matrix")
-    asym = float(np.abs(theta + theta.T).max())
-    if asym > ANTISYM_RTOL * scale:
+    half = 0.5 * theta
+    half_asym = float(np.abs(half + half.T).max())
+    if half_asym > 0.5 * ANTISYM_RTOL * scale:
         raise NotAntisymmetric(
-            f"max |theta + theta^T| = {asym:.3e} exceeds {ANTISYM_RTOL:.0e} * max|entry|"
+            f"max |theta + theta^T| = {_doubled_text(half_asym)} "
+            f"exceeds {ANTISYM_RTOL:.0e} * max|entry|"
         )
-    theta = 0.5 * theta - 0.5 * theta.T
+    theta = half - half.T
     sv = np.linalg.svd(theta, compute_uv=False)
     if sv[-1] <= SINGULAR_RTOL * sv[0]:
         raise SingularCcr(

@@ -4,6 +4,12 @@ Samples are produced in fixed-size blocks, each from its own counter-based
 Philox stream keyed by (seed, stream, block index).  The draw for a given
 (seed, stream) therefore does not depend on how consumers batch or thread
 over blocks, which makes every estimator bit-reproducible for a fixed seed.
+Each block is handed out in consecutive pieces of at most PIECE_VALUES
+numbers drawn from the block's one stream.  The generator fills in order, so
+the pieces concatenate to the block's one-call draw and every estimate keeps
+its bits; a piece and the arrays computed from it are small enough for the
+allocator to reuse their memory from row to row instead of faulting in fresh
+pages for each block.
 """
 
 import math
@@ -12,6 +18,8 @@ import operator
 import numpy as np
 
 BLOCK_SIZE = 16384
+#: Most float64 values in one piece of a block (2**15 values, 256 KB).
+PIECE_VALUES = 2**15
 
 _MASK32 = 0xFFFFFFFF
 
@@ -44,15 +52,25 @@ def block_rng(seed: int, stream: int, block: int) -> "np.random.Generator":
 
 
 def standard_normal_blocks(seed: int, stream: int, samples: int, dim: int):
-    """Iterator over standard-normal blocks of shape (<= BLOCK_SIZE, dim);
-    the seed and sample count are checked at the call, before any draw."""
+    """Iterator over standard-normal pieces of shape (rows, dim), in draw order.
+
+    Block b holds samples b*BLOCK_SIZE onward, at most BLOCK_SIZE of them,
+    drawn from block_rng(seed, stream, b).  It is yielded in pieces of
+    max(1, PIECE_VALUES // dim) rows (the last piece of a block may be
+    shorter), drawn one after another from that generator, so the pieces of
+    a block concatenate to exactly its one-call draw of shape (take, dim).
+    The seed and sample count are checked at the call, before any draw.
+    """
     seed = check_seed(seed)
     samples = check_samples(samples, 0)
+    rows = max(1, PIECE_VALUES // max(1, dim))
 
     def blocks():
         for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
             take = min(BLOCK_SIZE, samples - start)
-            yield block_rng(seed, stream, block).standard_normal((take, dim))
+            rng = block_rng(seed, stream, block)
+            for done in range(0, take, rows):
+                yield rng.standard_normal((min(rows, take - done), dim))
 
     return blocks()
 

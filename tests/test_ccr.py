@@ -88,6 +88,32 @@ class TestValidateCcr:
         assert basis.gamma.tolist() == [1.7e308]
         assert chol.tolist() == [[math.sqrt(1.75e308), 0.0], [0.0, math.sqrt(1.75e308)]]
 
+    def test_huge_asymmetry_rejected_without_overflow(self):
+        # |theta + theta^T| = 3.4e308 lies past the double range; the check
+        # reads the halved sum, and the message still quotes the full one.
+        theta = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAntisymmetric) as info:
+                validate_ccr(theta)
+        assert str(info.value) == "max |theta + theta^T| = 3.400e+308 exceeds 1e-12 * max|entry|"
+
+    @pytest.mark.parametrize("defect", [1e-6, 2.4690e-9, 0.75, 1.5])
+    def test_asymmetry_message_quotes_the_full_sum(self, defect):
+        # In the normal range the message reads what format(|theta + theta^T|)
+        # gives, as when the sum itself was formatted.
+        theta = np.array([[0.0, 1.0], [-1.0 + defect, 0.0]])
+        asym = float(np.abs(theta + theta.T).max())
+        with pytest.raises(NotAntisymmetric) as info:
+            validate_ccr(theta)
+        assert str(info.value) == f"max |theta + theta^T| = {asym:.3e} exceeds 1e-12 * max|entry|"
+
+    def test_doubled_text_is_the_format_of_the_double(self):
+        rng = np.random.default_rng(5)
+        values = np.exp(rng.uniform(-740.0, 709.0, 2000)).tolist() + [5e-324, 0.61725, 8.98e307]
+        for x in values:
+            assert ccr_module._doubled_text(x) == format(2.0 * x, ".3e"), x
+
     def test_singular_rejected(self):
         theta = scipy.linalg.block_diag(J2, np.zeros((2, 2)))
         theta[2, 3], theta[3, 2] = 1e-14, -1e-14

@@ -829,6 +829,30 @@ class TestHonestRows:
                 assert first.upsilon_exact == pytest.approx(first.mu * 1.75e308, rel=1e-12)
                 assert [row.status for row in rest] == ["infeasible_mu"] * 2
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"ccr": [[0.0, 1.7e308], [1.7e308, 0.0]]},
+         r"invalid ccr: max \|theta \+ theta\^T\| = 3\.400e\+308 exceeds"),
+        ({"state": {"mean": [0, 0], "cov": [[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]}},
+         "invalid state: covariance is not symmetric within tolerance"),
+    ], ids=["ccr", "cov"])
+    def test_huge_asymmetry_is_a_config_error(self, overrides, message, tmp_path):
+        # The sums a + a^T and a - a^T of these inputs overflow; the symmetry
+        # checks read the halved sums, so both configs are rejected quietly.
+        doc = _vacuum_config(mu_grid=[0.1], **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigParse, match=message):
+                parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(qembound.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        command = [sys.executable, "-W", "error", "-m", "qembound.cli", "run", str(path)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid ")
+
     def test_tiny_ccr_bound_matches_exact(self):
         # mu * theta = 1e-201 must not cancel in the bound's ln sinh; for a
         # centered Gaussian with C = I the scalar optimum is exact.
