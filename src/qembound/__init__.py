@@ -30,19 +30,16 @@ from .oqho import (
     gramian_finite,
     gramian_infinite,
     propagate_mgf,
-    qem_bound_time,
 )
 from .qem import (
     ExactEngine,
     QemValue,
     ScalarBoundEngine,
     TailBound,
-    critical_mu,
     exact_cgf,
     qem_exact,
     qem_randomized_mc,
     qem_upper_bound,
-    qem_upper_bound_scalar_opt,
     scalar_bound_cgf,
     scalar_weight_limit,
     tail_bound,
@@ -52,7 +49,6 @@ from .states import (
     MixtureMgf,
     WeightMatrix,
     as_mixture,
-    log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
 )
@@ -79,24 +75,20 @@ __all__ = [
     "aux_covariance",
     "classical_gaussian_qem",
     "classical_qem_mc",
-    "critical_mu",
     "dynamics_matrices",
     "empirical_tail",
     "exact_cgf",
     "gramian_finite",
     "gramian_infinite",
     "log_det_cos",
-    "log_scalar_norm",
     "log_weighted_norm",
     "matrix_function",
     "mgf_eval",
     "mode_matrix",
     "propagate_mgf",
-    "qem_bound_time",
     "qem_exact",
     "qem_randomized_mc",
     "qem_upper_bound",
-    "qem_upper_bound_scalar_opt",
     "randomized_identity_check",
     "scalar_bound_cgf",
     "scalar_weight_limit",

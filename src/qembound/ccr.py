@@ -142,10 +142,6 @@ class SymplecticBasis:
     def n_modes(self):
         return self.gamma.size
 
-    def reconstruct(self):
-        """Rebuild the commutation matrix 2*H*(diag(gamma) (x) J2)*H^T."""
-        return 2.0 * self.H @ _diag_kron_j2(self.gamma) @ self.H.T
-
 
 def _diag_kron_j2(values) -> np.ndarray:
     """diag(values) (x) J2, built by slicing: bit for bit np.kron(np.diag(values), J2),

@@ -1,20 +1,19 @@
 """Open quantum harmonic oscillators: linear dynamics from energy and
-coupling data, controllability Gramians, MGF propagation, and
-time-dependent moment bounds.
+coupling data, controllability Gramians and MGF propagation.
 
 The dynamics dX = A X dt + B dW with vacuum input fields has
 A = 2*Theta*(R + N^T J N) and B = 2*Theta*N^T.  The MGF then evolves by
 psi_t(u) = psi_0(e^{tA^T} u) * exp(||u||^2_{Sigma_t}/2) with the
 finite-horizon controllability Gramian Sigma_t, so Gaussian mixtures stay
-Gaussian mixtures and every norm and bound of the initial state transports
-to time t in closed form.
+Gaussian mixtures and every norm of the initial state transports to time
+t in closed form.
 
-The time-t moment bound is the static scalar-weight bound on the
-propagated mixture: Pi(t, lam) - (C_i + C_j)/2 is congruent under e^{-tA}
+No bound lives here.  The time-t moment bound is the static scalar-weight
+bound on the propagated mixture, ScalarBoundEngine(propagate_mgf(initial,
+model, t), basis): Pi(t, lam) - (C_i + C_j)/2 is congruent under e^{-tA}
 to lam I - (C_i(t) + C_j(t))/2, so the initial-state norm at Pi(t, lam)
-carries a -2t tr A log-det shift that cancels the -(t/2) tr A prefactor.
-It is therefore computed by qem.ScalarBoundEngine on propagate_mgf's
-state, and the static bound is its t = 0 case.
+carries a -2t tr A log-det shift that cancels the -(t/2) tr A prefactor,
+and the static bound is its t = 0 case.
 """
 
 import math
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import (CcrMatrix, SymplecticBasis, _diag_kron_j2, _readonly, _require_finite,
-                  _require_positive, _same_ccr, _symmetric, symplectic_eigenbasis)
+from .ccr import CcrMatrix, _diag_kron_j2, _readonly, _require_finite, _same_ccr, _symmetric
 from .errors import (
     DimensionMismatch,
     ExpmFailure,
@@ -31,7 +29,6 @@ from .errors import (
     NotAdmissible,
     NotHurwitz,
 )
-from .qem import ScalarBoundEngine
 from .states import MixtureMgf, _gaussian_states, as_mixture
 
 HURWITZ_MARGIN = -1e-10
@@ -200,29 +197,3 @@ def propagate_mgf(initial, model: OqhoModel, t: float) -> MixtureMgf:
             f"propagated covariance violates admissibility at t = {t}: {exc}"
         ) from exc
     return MixtureMgf(weights=mix.weights, components=comps)
-
-
-def qem_bound_time(
-    initial, model: OqhoModel, mu: float, t: float, basis: SymplecticBasis | None = None
-):
-    """Time-dependent moment bound, minimized over scalar weights:
-
-        ln Xi_t(mu) <= -nu/2 ln(4 pi) - (t/2) tr A - ln det(mu sinc(mu Theta))/2
-                       + inf_lam [ ln |||psi_0|||_{Pi(t,lam)}
-                                   - ln det((1/mu) K(mu)^-1 - lam I)/4 ],
-
-    over lam in (lambda_max(Sigma_t), theta_min/tanh(mu theta_min)) further
-    restricted so the initial-state norm stays finite.  By the congruence
-    in the module docstring this is the static bound on
-    propagate_mgf(initial, model, t), and it is evaluated that way, by
-    ScalarBoundEngine; at t = 0 it is the static bound itself.  Each
-    propagated covariance is e^{tA} C e^{tA^T} + Sigma_t with C > 0, so its
-    top eigenvalue exceeds lambda_max(Sigma_t) and the window is the static
-    one, (max_i lambda_max(C_i(t)), theta_min/tanh(mu theta_min)).  Returns
-    (QemValue, lam_opt); raises EmptyFeasibleWindow when that window is
-    empty (mu too large for the horizon), as the static bound does.
-    """
-    _require_positive(mu, "mu")
-    if basis is None:
-        basis = symplectic_eigenbasis(model.ccr)
-    return ScalarBoundEngine(propagate_mgf(initial, model, t), basis).bound(mu)

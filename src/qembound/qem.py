@@ -159,18 +159,22 @@ class ExactEngine:
 
     @functools.cached_property
     def mu_star(self) -> float:
-        """The critical mu* of the state (see critical_mu), from a bracket on
-        the engine's own top.  mu B = T^(1/2) D C~ D T^(1/2) for
-        T = diag(tanh(mu theta)) and D = diag(theta)^(-1/2), so over the
-        largest eigenvalue r of D C~ D (largest over the components)
-        tanh(mu theta_min) r <= top(mu) <= tanh(mu theta_max) r, and mu* lies
-        in [atanh(1/r)/theta_max, atanh(1/r)/theta_min].  r - 1 is read in
-        gap form, from D (C~ - Theta) D, and atanh(1/r) as log1p(2/(r - 1))/2,
-        so a near-pure state keeps its digits.  For one frequency the bracket
-        is a point, the closed form; otherwise brent_root solves top = 1
-        inside it, clipped below saturation_mu, where top reads inf.  inf
-        where r <= 1, where the bracket starts at or past saturation_mu, or
-        where top still reads below 1 at the clipped end."""
+        """The critical mu* of the state: where top(mu) = mu rho(C K(mu))
+        reaches 1 (for a mixture, the smallest component root), or inf.
+        mu K(mu) has nondecreasing eigenvalues tanh(mu theta_k)/theta_k with
+        supremum 1/theta_k, so top is nondecreasing in mu.
+        mu B = T^(1/2) D C~ D T^(1/2) for T = diag(tanh(mu theta)) and D =
+        diag(theta)^(-1/2), so over the largest eigenvalue r of D C~ D
+        (largest over the components) tanh(mu theta_min) r <= top(mu) <=
+        tanh(mu theta_max) r, and mu* lies in [atanh(1/r)/theta_max,
+        atanh(1/r)/theta_min].  r - 1 is read in gap form, from
+        D (C~ - Theta) D, and atanh(1/r) as log1p(2/(r - 1))/2, so a
+        near-pure state keeps its digits.  For one frequency the bracket is
+        a point, the closed form; otherwise brent_root solves top = 1 inside
+        it to a width of 1e-10 relative, clipped below saturation_mu, where
+        top reads inf.  inf where r <= 1, where the bracket starts at or
+        past saturation_mu, or where top still reads below 1 at the clipped
+        end: mu* is then infinite or lies at or past saturation_mu."""
         d = 1.0 / np.sqrt(self.theta)
         excess = np.linalg.eigvalsh(d[:, None] * (self.covs - np.diag(self.theta)) * d)[:, -1].max()
         reach = 0.5 * math.log1p(2.0 / float(excess)) if excess > 0.0 else math.inf
@@ -422,23 +426,6 @@ def qem_exact(state, basis: SymplecticBasis, mu: float) -> QemValue:
     return QemValue(mu=mu, log_qem=log_qem, method=METHOD_EXACT)
 
 
-def critical_mu(state, basis: SymplecticBasis) -> float:
-    """The unique mu* with mu * rho(C K(mu)) = 1, or infinity if it is not
-    reached below saturation_mu.
-
-    mu * K(mu) has nondecreasing eigenvalues tanh(mu*theta_k)/theta_k with
-    supremum 1/theta_k, so the map is nondecreasing in mu and bounded by
-    the spectral radius r at the limit matrix, which puts mu* in a
-    closed-form bracket (ExactEngine.mu_star).  On one frequency the
-    bracket is a point and mu* = atanh(1/r)/theta is exact; otherwise
-    Brent's root-finder closes it to a width of 1e-10 relative.  For a
-    mixture the smallest component root is returned.  No top is read from
-    saturation_mu on, where it reads inf: infinity means that mu* is
-    infinite or lies at or past saturation_mu.
-    """
-    return ExactEngine(state, basis).mu_star
-
-
 def qem_randomized_mc(
     state, basis: SymplecticBasis, mu: float, samples: int, seed: int
 ) -> QemValue:
@@ -570,7 +557,7 @@ class ScalarBoundEngine:
         self.lam_lo = float(s.max())
 
     def log_norm_derivatives(self, lam):
-        """(log_scalar_norm, its first and second lam-derivatives) at lam,
+        """(log_weighted_norm at lam*I, its first and second lam-derivatives) at lam,
         a float or a 1-D array (one entry per lam), with no matrix
         factorization.
 
@@ -740,13 +727,6 @@ class ScalarBoundEngine:
             lams[rows] = lam_opt
         status[np.isfinite(values) & np.isfinite(lams)] = STATUS_OK
         return BoundGrid(values, lams, status)
-
-
-def qem_upper_bound_scalar_opt(state, basis: SymplecticBasis, mu: float):
-    """Minimize the weighted-norm bound over scalar weights lam * I by
-    ScalarBoundEngine.bound, whose objective equals qem_upper_bound at
-    WeightMatrix(lam * I); returns (QemValue, lam_opt)."""
-    return ScalarBoundEngine(state, basis).bound(mu)
 
 
 def exact_cgf(state, basis: SymplecticBasis):

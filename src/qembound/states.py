@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import (CcrMatrix, _cholesky, _readonly, _require_finite, _require_positive,
-                  _same_ccr, _symmetric)
+from .ccr import CcrMatrix, _cholesky, _readonly, _require_finite, _same_ccr, _symmetric
 from .errors import (
     DimensionMismatch,
     NormDivergent,
@@ -209,10 +208,3 @@ def log_weighted_norm(state, weight) -> float:
                 + _pair_log_integral(ci.mean, cj.mean, ci.cov, cj.cov, p)
             )
     return 0.5 * float(log_sum_exp(np.asarray(terms)))
-
-
-def log_scalar_norm(state, lam: float) -> float:
-    """log_weighted_norm with the scalar weight P = lam * I."""
-    _require_positive(lam, "lam")
-    return log_weighted_norm(state, WeightMatrix(lam * np.eye(as_mixture(state).n)))
-

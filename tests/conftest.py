@@ -196,6 +196,13 @@ def log_propagated_norm(initial, model, t, lam):
     with Pi(t, lam) = e^{-tA} (lam I - Sigma_t) e^{-tA^T} for
     lam > lambda_max(Sigma_t), and e^{-tA} from scipy.linalg.expm; the
     oracle for the static norm of propagate_mgf's state.
+
+    Its domain is t ||A||_1 <= 3.  Pulling the weight back through e^{-tA}
+    loses digits as that product grows: over two runs of 12000 draws of the
+    property tests' mixtures and models with t in [0, 1.5], the bound built
+    on it was within 7e-13 relative of the engine's on propagate_mgf's
+    state at t ||A||_1 <= 3, within 5e-8 at <= 8, and up to 5 off beyond,
+    where 1 draw in 170 to 320 raised NormDivergent or NotPositiveDefinite.
     """
     a, b = dynamics_matrices(model)
     e_neg = scipy.linalg.expm(-t * a)

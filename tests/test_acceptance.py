@@ -12,23 +12,22 @@ from conftest import (log_propagated_norm, random_admissible_state, random_ccr, 
                       thermal_state)
 from qembound import (
     ClassicalGaussian,
+    ExactEngine,
     GaussianState,
     J2,
     MixtureMgf,
     OqhoModel,
+    ScalarBoundEngine,
     classical_gaussian_qem,
-    critical_mu,
     dynamics_matrices,
     empirical_tail,
     exact_cgf,
     gramian_finite,
     gramian_infinite,
-    log_scalar_norm,
+    log_weighted_norm,
     propagate_mgf,
-    qem_bound_time,
     qem_exact,
     qem_randomized_mc,
-    qem_upper_bound_scalar_opt,
     randomized_identity_check,
     scalar_bound_cgf,
     symplectic_eigenbasis,
@@ -98,7 +97,7 @@ def test_criterion_02_randomized_matches_exact():
         # keep the sampler in the finite-variance regime while staying
         # well below the criterion's 0.9 * mu_star ceiling
         mu = _mu_with_radius(state, basis, 0.45)
-        assert mu < 0.9 * critical_mu(state, basis)
+        assert mu < 0.9 * ExactEngine(state, basis).mu_star
         exact = qem_exact(state, basis, mu).log_qem
         est = qem_randomized_mc(state, basis, mu, 100000, seed=1000 + case)
         if abs(est.log_qem - exact) <= 3.0 * est.rel_std_error:
@@ -122,7 +121,7 @@ def test_criterion_03_bound_dominates_exact():
         top = 0.9 * min(mu_exact, mu_bound)
         for mu in np.linspace(0.05 * top, top, 10):
             exact = qem_exact(state, basis, mu).log_qem
-            bound, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+            bound, _ = ScalarBoundEngine(state, basis).bound(mu)
             assert bound.log_qem >= exact - 1e-12
     elapsed = _report(3, "weighted-norm bound dominates exact", started)
     assert elapsed < 10.0
@@ -193,7 +192,7 @@ def test_criterion_06_norm_transport_identity():
             float(np.linalg.eigvalsh(c.cov)[-1]) for c in propagated.components
         ) + 0.2
         lhs = log_propagated_norm(mix, model, t, lam)
-        rhs = log_scalar_norm(propagated, lam)
+        rhs = log_weighted_norm(propagated, lam * np.eye(ccr.n))
         assert abs(lhs - rhs) <= 1e-8
     elapsed = _report(6, "norm transport identity (20 triples)", started)
     assert elapsed < 5.0
@@ -219,14 +218,14 @@ def test_criterion_07_time_dependent_bound_pipeline():
             # (lambda_max(C_t), 1/tanh(mu)) with C_t = 1 + 2 exp(-4t)
             lam_lo = 1.0 + 2.0 * math.exp(-4.0 * t)
             feasible = 1.0 / math.tanh(mu) > lam_lo
+            propagated = propagate_mgf(mix, model, t)
             try:
-                bound, _ = qem_bound_time(mix, model, mu, t, basis=BASIS2)
+                bound, _ = ScalarBoundEngine(propagated, BASIS2).bound(mu)
             except EmptyFeasibleWindow:
                 assert not feasible
                 infeasible.append((t, mu))
                 continue
             assert feasible
-            propagated = propagate_mgf(mix, model, t)
             est = qem_randomized_mc(
                 propagated, BASIS2, mu, 100000, seed=7000 + 10 * ti + mi
             )

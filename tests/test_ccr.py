@@ -156,7 +156,7 @@ class TestSymplecticEigenbasis:
         np.testing.assert_allclose(h.T @ h, 0.5 * np.eye(ccr.n), atol=1e-10)
         core = np.kron(np.diag(gamma), J2)
         np.testing.assert_allclose(ccr.theta @ h, h @ core, atol=1e-10)
-        np.testing.assert_allclose(basis.reconstruct(), ccr.theta, atol=1e-9)
+        np.testing.assert_allclose(2.0 * h @ core @ h.T, ccr.theta, atol=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

@@ -13,16 +13,15 @@ from qembound import (
     J2,
     MixtureMgf,
     OqhoModel,
+    ScalarBoundEngine,
     as_mixture,
     dynamics_matrices,
     gramian_finite,
     gramian_infinite,
-    log_scalar_norm,
+    log_weighted_norm,
     propagate_mgf,
-    qem_bound_time,
     qem_exact,
     qem_randomized_mc,
-    qem_upper_bound_scalar_opt,
     scalar_weight_limit,
     symplectic_eigenbasis,
     validate_ccr,
@@ -262,7 +261,7 @@ class TestPropagatedNorm:
             CCR2, means=[[0.4, 0.0], [0.0, -0.4]], covs=[np.eye(2), 1.2 * np.eye(2)]
         )
         assert log_propagated_norm(mix, DAMPED, 0.0, 2.0) == pytest.approx(
-            log_scalar_norm(mix, 2.0), abs=1e-12
+            log_weighted_norm(mix, 2.0 * np.eye(2)), abs=1e-12
         )
 
     def test_damped_vacuum_cross_evaluation(self):
@@ -271,7 +270,8 @@ class TestPropagatedNorm:
         value = math.exp(log_propagated_norm(as_mixture(VACUUM), DAMPED, 0.5, 2.0))
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
         propagated = propagate_mgf(as_mixture(VACUUM), DAMPED, 0.5)
-        assert value == pytest.approx(math.exp(log_scalar_norm(propagated, 2.0)), rel=1e-10)
+        norm = log_weighted_norm(propagated, 2.0 * np.eye(2))
+        assert value == pytest.approx(math.exp(norm), rel=1e-10)
 
     @pytest.mark.parametrize("seed", [81, 82, 83, 84])
     def test_transport_identity_random(self, seed):
@@ -290,7 +290,7 @@ class TestPropagatedNorm:
             float(np.linalg.eigvalsh(c.cov)[-1]) for c in propagated.components
         ) + 0.2
         lhs = log_propagated_norm(mix, model, t, lam)
-        rhs = log_scalar_norm(propagated, lam)
+        rhs = log_weighted_norm(propagated, lam * np.eye(2))
         assert abs(lhs - rhs) <= 1e-8
 
 
@@ -299,8 +299,8 @@ class TestQemBoundTime:
         mix = simple_mixture(
             CCR2, means=[[0.3, 0.0], [0.0, 0.3]], covs=[np.eye(2), 1.1 * np.eye(2)]
         )
-        timed, lam_t = qem_bound_time(mix, DAMPED, 0.4, 0.0)
-        direct, lam_d = qem_upper_bound_scalar_opt(mix, BASIS2, 0.4)
+        timed, lam_t = ScalarBoundEngine(propagate_mgf(mix, DAMPED, 0.0), BASIS2).bound(0.4)
+        direct, lam_d = ScalarBoundEngine(mix, BASIS2).bound(0.4)
         assert timed.log_qem == pytest.approx(direct.log_qem, abs=1e-10)
         assert lam_t == pytest.approx(lam_d, abs=1e-6)
 
@@ -308,9 +308,9 @@ class TestQemBoundTime:
         state = GaussianState(mean=[0.5, 0.0], cov=1.2 * np.eye(2), ccr=CCR2)
         for mu in (0.2, 0.4, 0.6):
             for t in (0.0, 0.3, 0.8):
-                bound, _ = qem_bound_time(as_mixture(state), DAMPED, mu, t)
-                prop = propagate_mgf(as_mixture(state), DAMPED, t).components[0]
-                exact = qem_exact(prop, BASIS2, mu).log_qem
+                propagated = propagate_mgf(as_mixture(state), DAMPED, t)
+                bound, _ = ScalarBoundEngine(propagated, BASIS2).bound(mu)
+                exact = qem_exact(propagated.components[0], BASIS2, mu).log_qem
                 assert bound.log_qem >= exact - 1e-12
 
     def test_empty_interval_for_large_mu(self):
@@ -325,14 +325,14 @@ class TestQemBoundTime:
         mu = 2.0 * math.atanh(1.0 / lam_sigma)
         assert scalar_weight_limit(BASIS2, mu) < lam_sigma
         with pytest.raises(EmptyFeasibleWindow):
-            qem_bound_time(as_mixture(VACUUM), model, mu, 4.0)
+            ScalarBoundEngine(propagate_mgf(as_mixture(VACUUM), model, 4.0), BASIS2).bound(mu)
 
     def test_divergent_norm_when_state_too_hot(self):
         hot = GaussianState(mean=[0.0, 0.0], cov=3.0 * np.eye(2), ccr=CCR2)
         # the weight limit lambda*(0.5) ~ 2.16 lies below the propagated
         # covariance's top eigenvalue (about 2.9, above lambda_max(Sigma_t) ~ 0.04)
         with pytest.raises(EmptyFeasibleWindow):
-            qem_bound_time(as_mixture(hot), DAMPED, 0.5, 0.01)
+            ScalarBoundEngine(propagate_mgf(as_mixture(hot), DAMPED, 0.01), BASIS2).bound(0.5)
 
     def test_mc_cross_check(self):
         mix = simple_mixture(
@@ -342,8 +342,8 @@ class TestQemBoundTime:
             weights=(0.5, 0.5),
         )
         for mu, t in ((0.2, 0.3), (0.35, 0.8)):
-            bound, _ = qem_bound_time(mix, DAMPED, mu, t)
             propagated = propagate_mgf(mix, DAMPED, t)
+            bound, _ = ScalarBoundEngine(propagated, BASIS2).bound(mu)
             est = qem_randomized_mc(propagated, BASIS2, mu, 50000, seed=90)
             assert est.log_qem <= bound.log_qem + 3.0 * est.rel_std_error
 
@@ -353,10 +353,14 @@ class TestModelContract:
     matrix (equal Theta), not merely one of the same order."""
 
     STATE = GaussianState(mean=[0.5, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
+    # The time-t bound is the static bound on the propagated state, here on
+    # the basis of the model's CCR matrix; the ids are the suite's test ids.
     CALLS = {
-        "propagate_mgf": lambda s, m: log_scalar_norm(propagate_mgf(s, m, 0.5), 3.0),
-        "qem_bound_time_t0": lambda s, m: qem_bound_time(s, m, 0.2, 0.0),
-        "qem_bound_time_t05": lambda s, m: qem_bound_time(s, m, 0.2, 0.5),
+        "propagate_mgf": lambda s, m: log_weighted_norm(propagate_mgf(s, m, 0.5), 3.0 * np.eye(2)),
+        "qem_bound_time_t0": lambda s, m: ScalarBoundEngine(
+            propagate_mgf(s, m, 0.0), symplectic_eigenbasis(m.ccr)).bound(0.2),
+        "qem_bound_time_t05": lambda s, m: ScalarBoundEngine(
+            propagate_mgf(s, m, 0.5), symplectic_eigenbasis(m.ccr)).bound(0.2),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -369,7 +373,7 @@ class TestModelContract:
     def test_basis_of_another_ccr_rejected(self, t):
         other = symplectic_eigenbasis(validate_ccr(3.0 * J2))
         with pytest.raises(DimensionMismatch):
-            qem_bound_time(self.STATE, DAMPED, 0.2, t, basis=other)
+            ScalarBoundEngine(propagate_mgf(self.STATE, DAMPED, t), other).bound(0.2)
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_model_of_an_equal_ccr_accepted(self, name):
@@ -379,5 +383,6 @@ class TestModelContract:
 
     def test_basis_of_an_equal_ccr_accepted(self):
         twin = symplectic_eigenbasis(validate_ccr(J2))
-        assert (qem_bound_time(self.STATE, DAMPED, 0.2, 0.5, basis=twin)
-                == qem_bound_time(self.STATE, DAMPED, 0.2, 0.5, basis=BASIS2))
+        propagated = propagate_mgf(self.STATE, DAMPED, 0.5)
+        assert (ScalarBoundEngine(propagated, twin).bound(0.2)
+                == ScalarBoundEngine(propagated, BASIS2).bound(0.2))

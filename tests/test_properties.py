@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bisect_nondecreasing, block_ccr, brent_tail, eigh_exact_chunk,
-                      golden_section_minimize, per_sample_randomized_mc,
+                      golden_section_minimize, log_propagated_norm, per_sample_randomized_mc,
                       random_admissible_state)
 from qembound import (
     GaussianState,
@@ -26,16 +26,13 @@ from qembound import (
     OqhoModel,
     WeightMatrix,
     aux_covariance,
-    critical_mu,
     dynamics_matrices,
     exact_cgf,
     gramian_finite,
     propagate_mgf,
-    qem_bound_time,
     qem_exact,
     qem_randomized_mc,
     qem_upper_bound,
-    qem_upper_bound_scalar_opt,
     scalar_bound_cgf,
     symplectic_eigenbasis,
     tail_bound,
@@ -262,7 +259,7 @@ def test_log_norm_derivatives_match_central_differences(case, position):
 def test_bound_dominates_exact(case, frac):
     state, basis = case
     mu = _mu_inside(state, basis, frac)
-    bound, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+    bound, _ = ScalarBoundEngine(state, basis).bound(mu)
     try:
         exact = qem_exact(state, basis, mu).log_qem
     except RiskParameterTooLarge:
@@ -277,22 +274,29 @@ def test_time_bound_is_static_bound_on_propagated_state(case, t, frac, seed):
     model = _random_model(np.random.default_rng(seed), state.ccr)
     propagated = propagate_mgf(state, model, t)
     mu = _mu_inside(propagated, basis, frac)
-    timed, lam = qem_bound_time(state, model, mu, t, basis=basis)
-    static, _ = qem_upper_bound_scalar_opt(propagated, basis, mu)
-    assert abs(timed.log_qem - static.log_qem) <= 1e-10
+    timed, lam = ScalarBoundEngine(propagated, basis).bound(mu)
+    # The paper's transport formula at lam: the initial-state norm at
+    # Pi(t, lam) and the gap term over u = theta/tanh(mu theta).  The oracle
+    # pulls the weight back through e^{-tA}, which loses digits on stiff
+    # horizons, so it is compared only where t ||A||_1 <= 3.
+    if t * float(np.abs(dynamics_matrices(model)[0]).sum(axis=0).max()) <= 3.0:
+        upper = basis.gamma / np.tanh(mu * basis.gamma)
+        transported = (_log_bound_prefactor(basis, mu) + log_propagated_norm(state, model, t, lam)
+                       - 0.5 * float(np.log(upper - lam).sum()))
+        assert abs(timed.log_qem - transported) <= 1e-10 * max(1.0, abs(timed.log_qem))
     general = qem_upper_bound(propagated, basis, mu, WeightMatrix(lam * np.eye(basis.n)))
     assert abs(timed.log_qem - general.log_qem) <= 1e-10
+    engine = ScalarBoundEngine(state, basis)
     if t == 0.0:
-        at_zero, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+        at_zero, _ = engine.bound(mu)
         assert timed.log_qem == at_zero.log_qem
     # Past the window edge, where scalar_weight_limit(mu) = lam_lo, the t = 0
     # bound fails as the static bound does.  The draws' covariances exceed
     # ||Theta|| I, so lam_lo > theta_min and the edge is finite.
-    engine = ScalarBoundEngine(state, basis)
     theta_min = float(basis.gamma.min())
     beyond = 1.1 * math.atanh(theta_min / engine.lam_lo) / theta_min
     with pytest.raises(EmptyFeasibleWindow):
-        qem_bound_time(state, model, beyond, 0.0, basis=basis)
+        ScalarBoundEngine(propagate_mgf(state, model, 0.0), basis).bound(beyond)
     with pytest.raises(EmptyFeasibleWindow):
         engine.bound(beyond)
 
@@ -314,10 +318,10 @@ def test_propagated_window_lies_above_the_gramian(case, t, seed):
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_sweep_is_its_horizons(case, ts, at_zero, seed):
     # A sweep through cli.run prints, byte for byte, its horizons run one at
-    # a time; each ok row is qem_bound_time at its (t, mu) within 1e-12, and
-    # the t = 0 rows are the upper_bound rows of the initial state.  The mu
-    # grid reaches past the initial state's scalar window, so rows past a
-    # horizon's own window read empty_interval.
+    # a time; each ok row is the static bound on the state propagated to its
+    # t, at its mu, within 1e-12, and the t = 0 rows are the upper_bound rows
+    # of the initial state.  The mu grid reaches past the initial state's
+    # scalar window, so rows past a horizon's own window read empty_interval.
     state, basis = case
     model = _random_model(np.random.default_rng(seed), state.ccr)
     ts = tuple(sorted(set(ts) | ({0.0} if at_zero else set())))
@@ -329,9 +333,10 @@ def test_sweep_is_its_horizons(case, ts, at_zero, seed):
     texts = [run(replace(config, t_grid=(t,)))[0].to_csv_text() for t in ts]
     assert sweep.to_csv_text() == texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:])
     assert [(r.t, r.mu) for r in sweep.rows] == [(t, mu) for t in ts for mu in config.mu_grid]
+    engines = {t: ScalarBoundEngine(propagate_mgf(state, model, t), basis) for t in ts}
     for row in sweep.rows:
         try:
-            value, lam = qem_bound_time(state, model, row.mu, row.t, basis=basis)
+            value, lam = engines[row.t].bound(row.mu)
         except EmptyFeasibleWindow:
             assert row.status == "empty_interval"
             continue
@@ -524,10 +529,9 @@ def test_exact_slope_matches_central_difference(case, frac):
 @given(mixtures())
 def test_feasibility_flips_at_critical_mu(case):
     state, basis = case
-    mu_star = critical_mu(state, basis)
-    assert math.isfinite(mu_star)
     engine = ExactEngine(state, basis)
-    assert engine.mu_star == mu_star
+    mu_star = engine.mu_star
+    assert math.isfinite(mu_star)
     assert engine.top([mu_star * (1.0 - 1e-8)])[0] < 1.0
     assert engine.top([mu_star * (1.0 + 1e-8)])[0] >= 1.0
 
@@ -570,8 +574,9 @@ def test_exact_and_mc_rows_share_one_verdict(case):
     # rows are infeasible_mu or numerical_error, and the Monte-Carlo rows
     # read infinite_variance exactly where 1/2 <= top < 1.
     state, basis = case
-    mus = np.linspace(0.02, 1.5, 40) * critical_mu(state, basis)
-    top = ExactEngine(state, basis).top(mus)
+    engine = ExactEngine(state, basis)
+    mus = np.linspace(0.02, 1.5, 40) * engine.mu_star
+    top = engine.top(mus)
 
     def statuses(kind):
         config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
@@ -664,7 +669,7 @@ def test_statuses_match_the_rule_read_from_mu_star(case, fractions, between):
     # every kind still gives the statuses of the rule that reads mu* first,
     # also with a row between the tail's cut CGF_SAFETY mu* and mu*.
     state, basis = case
-    mus = np.unique(np.array(fractions + between) * critical_mu(state, basis))
+    mus = np.unique(np.array(fractions + between) * ExactEngine(state, basis).mu_star)
     for kind in ("gaussian_exact", "tail", "randomized_mc"):
         config = ScenarioConfig(kind=kind, ccr=basis.ccr, state=state,
                                 mu_grid=tuple(mus.tolist()), samples=16, seed=1)

@@ -18,12 +18,10 @@ from qembound import (
     WeightMatrix,
     classical_gaussian_qem,
     ClassicalGaussian,
-    critical_mu,
     exact_cgf,
     qem_exact,
     qem_randomized_mc,
     qem_upper_bound,
-    qem_upper_bound_scalar_opt,
     scalar_bound_cgf,
     scalar_weight_limit,
     symplectic_eigenbasis,
@@ -264,14 +262,15 @@ def test_mu_star_reads_bare_tops(linalg_calls, seed):
 
 class TestCriticalMu:
     def test_vacuum_unbounded(self):
-        assert critical_mu(VACUUM, BASIS2) == math.inf
+        assert ExactEngine(VACUUM, BASIS2).mu_star == math.inf
 
     def test_thermal_three(self):
-        assert critical_mu(THERMAL3, BASIS2) == pytest.approx(math.atanh(1.0 / 3.0), rel=1e-9)
+        mu_star = ExactEngine(THERMAL3, BASIS2).mu_star
+        assert mu_star == pytest.approx(math.atanh(1.0 / 3.0), rel=1e-9)
 
     def test_thermal_two(self):
         state = GaussianState(mean=[0.0, 0.0], cov=2.0 * np.eye(2), ccr=CCR2)
-        assert critical_mu(state, BASIS2) == pytest.approx(math.atanh(0.5), rel=1e-9)
+        assert ExactEngine(state, BASIS2).mu_star == pytest.approx(math.atanh(0.5), rel=1e-9)
 
     def test_two_mode_minimum(self):
         ccr = block_ccr([1.0, 2.0])
@@ -280,7 +279,7 @@ class TestCriticalMu:
         # crossing at 3 tanh(2 mu) = 1; the pure theta=1 mode never crosses
         state = thermal_state(basis, ccr, occupancies=[1.0, 0.0])
         expected = 0.5 * math.atanh(1.0 / 3.0)
-        assert critical_mu(state, basis) == pytest.approx(expected, rel=1e-9)
+        assert ExactEngine(state, basis).mu_star == pytest.approx(expected, rel=1e-9)
 
     @pytest.fixture
     def top_reads(self, monkeypatch):
@@ -306,7 +305,7 @@ class TestCriticalMu:
         ccr = block_ccr([0.1, 10.0])
         basis = symplectic_eigenbasis(ccr)
         state = GaussianState(mean=np.zeros(4), cov=np.diag([0.2, 0.2, 10.0, 10.0]), ccr=ccr)
-        assert critical_mu(state, basis) == math.inf
+        assert ExactEngine(state, basis).mu_star == math.inf
         assert ExactEngine(state, basis).mu_max() == saturation_mu(basis) == 1.4
         assert top_reads and max(top_reads) < saturation_mu(basis)
 
@@ -317,7 +316,7 @@ class TestCriticalMu:
         # log1p(2/(c - 1))/2, which reads no top at all.
         c = 1.0 + 4e-9
         state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=CCR2)
-        mu_star = critical_mu(state, BASIS2)
+        mu_star = ExactEngine(state, BASIS2).mu_star
         assert mu_star < saturation_mu(BASIS2)
         assert mu_star == pytest.approx(math.atanh(1.0 / c), rel=1e-8)
         assert mu_star == 0.5 * math.log1p(2.0 / (c - 1.0))
@@ -347,7 +346,7 @@ class TestCriticalMu:
         ccr = block_ccr([theta])
         c = theta * ratio
         state = GaussianState(mean=[0.0, 0.0], cov=c * np.eye(2), ccr=ccr)
-        mu_star = critical_mu(state, symplectic_eigenbasis(ccr))
+        mu_star = ExactEngine(state, symplectic_eigenbasis(ccr)).mu_star
         with mpmath.workdps(50):
             exact = float(mpmath.atanh(mpmath.mpf(theta) / mpmath.mpf(c)) / mpmath.mpf(theta))
         assert abs(mu_star - exact) <= 4 * np.spacing(exact)
@@ -496,7 +495,7 @@ class TestScalarWeightLimit:
 
 class TestScalarOptimizedBound:
     def test_dominates_and_converges(self):
-        bound, lam = qem_upper_bound_scalar_opt(VACUUM, BASIS2, 0.5)
+        bound, lam = ScalarBoundEngine(VACUUM, BASIS2).bound(0.5)
         assert bound.log_qem >= 0.5 - 1e-12
         # vacuum objective -ln(lam-1)/2 - ln(L-lam)/2 has its minimum at
         # the midpoint of the window (1, L)
@@ -506,7 +505,7 @@ class TestScalarOptimizedBound:
     def test_empty_window(self):
         # lambda*(0.5) ~ 2.16 < 3 = lambda_max(C)
         with pytest.raises(EmptyFeasibleWindow):
-            qem_upper_bound_scalar_opt(THERMAL3, BASIS2, 0.5)
+            ScalarBoundEngine(THERMAL3, BASIS2).bound(0.5)
 
     def test_bound_cgf_limit_with_huge_covariance_eigenvalue(self):
         # The weight limit 1/tanh(mu) meets lambda_max(C) = 1e13 at
@@ -546,7 +545,7 @@ class TestScalarOptimizedBound:
     def test_beats_fixed_probes(self):
         state = GaussianState(mean=[0.4, 0.1], cov=1.3 * np.eye(2), ccr=CCR2)
         mu = 0.4
-        best, _ = qem_upper_bound_scalar_opt(state, BASIS2, mu)
+        best, _ = ScalarBoundEngine(state, BASIS2).bound(mu)
         lam_lo = 1.3
         lam_hi = scalar_weight_limit(BASIS2, mu)
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -566,7 +565,7 @@ class TestScalarOptimizedBound:
             top = 0.9 * min(mu_max_exact, mu_max_bound)
             for mu in np.linspace(0.1 * top, top, 6):
                 exact = qem_exact(state, basis, mu).log_qem
-                bound, _ = qem_upper_bound_scalar_opt(state, basis, mu)
+                bound, _ = ScalarBoundEngine(state, basis).bound(mu)
                 assert bound.log_qem >= exact - 1e-12
 
 
@@ -763,13 +762,14 @@ class TestBasisContract:
     merely one of the same order."""
 
     STATE = GaussianState(mean=[0.5, 0.0], cov=1.5 * np.eye(2), ccr=CCR2)
+    # The ids are the suite's test ids; each names what its call computes.
     CALLS = {
         "qem_exact": lambda s, b: qem_exact(s, b, 0.2),
-        "critical_mu": critical_mu,
+        "critical_mu": lambda s, b: ExactEngine(s, b).mu_star,
         "exact_cgf": _cgf_at(exact_cgf),
         "qem_randomized_mc": lambda s, b: qem_randomized_mc(s, b, 0.2, 1000, seed=3),
         "qem_upper_bound": lambda s, b: qem_upper_bound(s, b, 0.2, WeightMatrix(2.0 * np.eye(2))),
-        "qem_upper_bound_scalar_opt": lambda s, b: qem_upper_bound_scalar_opt(s, b, 0.2),
+        "qem_upper_bound_scalar_opt": lambda s, b: ScalarBoundEngine(s, b).bound(0.2),
         "scalar_bound_cgf": _cgf_at(scalar_bound_cgf),
     }
 
@@ -804,7 +804,6 @@ class TestOverflowingMean:
         "exact_cgf-float": lambda s: exact_cgf(s, BASIS2)[0](0.1),
         "exact_cgf-array": lambda s: exact_cgf(s, BASIS2)[0](np.array([0.1])),
         "ScalarBoundEngine.bound": lambda s: ScalarBoundEngine(s, BASIS2).bound(0.1),
-        "qem_upper_bound_scalar_opt": lambda s: qem_upper_bound_scalar_opt(s, BASIS2, 0.1),
         "scalar_bound_cgf-float": lambda s: scalar_bound_cgf(s, BASIS2)[0](0.1),
         "scalar_bound_cgf-array": lambda s: scalar_bound_cgf(s, BASIS2)[0](np.array([0.1])),
         "tail_bound": _bound_tail,

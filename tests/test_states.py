@@ -13,7 +13,6 @@ from qembound import (
     MixtureMgf,
     WeightMatrix,
     as_mixture,
-    log_scalar_norm,
     log_weighted_norm,
     mgf_eval,
     validate_ccr,
@@ -223,16 +222,17 @@ class TestWeightedNorm:
 class TestScalarNorm:
     def test_vacuum_value(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
-        value = math.exp(log_scalar_norm(state, 2.0))
+        value = math.exp(log_weighted_norm(state, 2.0 * np.eye(2)))
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_divergent_at_cov_top(self):
         state = GaussianState(mean=[0.0, 0.0], cov=2.0 * np.eye(2), ccr=CCR2)
         with pytest.raises(NormDivergent):
-            log_scalar_norm(state, 2.0)
+            log_weighted_norm(state, 2.0 * np.eye(2))
         with pytest.raises(NormDivergent):
-            log_scalar_norm(state, 1.5)
+            log_weighted_norm(state, 1.5 * np.eye(2))
 
     def test_monotone_in_lambda(self):
         state = GaussianState(mean=[0.0, 0.0], cov=np.eye(2), ccr=CCR2)
-        assert math.exp(log_scalar_norm(state, 3.0)) < math.exp(log_scalar_norm(state, 2.0))
+        assert (math.exp(log_weighted_norm(state, 3.0 * np.eye(2)))
+                < math.exp(log_weighted_norm(state, 2.0 * np.eye(2))))
