@@ -135,14 +135,14 @@ class ExactEngine:
         Upsilon = (mu m^T S^-1 m - ln det S - ln det cos(mu Theta)) / 2
 
     with S = I - mu B and m = e * M~, all finite down to subnormal mu.
-    Construction rotates the covariances and means once; grid evaluates
-    each chunk of GRID_CHUNK mu by one batched LDL^T elimination of S over
-    its (mu, component) pairs (see _chunk), whose pivots give ln det S, the
-    mean term, the slope and each row's feasibility.  top gives top =
-    mu rho(C K(mu)) itself, from a bare stacked eigvalsh, to mu_star and
-    mc_status.  Each row's status is decided here alone (_status), and
-    every exact entry point raises from it.  mu* is computed on first use
-    and cached.
+    Construction rotates the covariances and means once; grid evaluates each
+    chunk of GRID_CHUNK mu by one batched LDL^T elimination of S over its
+    (mu, component) pairs (see _chunk), whose pivots give ln det S, the mean
+    term and each row's feasibility, and whose L^-1 the slope and tr S^-1,
+    the tail's cut test.  top gives top = mu rho(C K(mu)) itself, from a
+    bare stacked eigvalsh, to mu_star and mc_status.  Each row's status is
+    decided here alone (_status), and every exact entry point raises from
+    it.  mu* is computed on first use and cached.
     """
 
     def __init__(self, state, basis: SymplecticBasis):
@@ -269,10 +269,12 @@ class ExactEngine:
         (_chunk); slopes is None unless slope is true.
 
         A row is feasible where top < 1, by the pivots of S = I - mu B, and
-        never from saturation_mu on, where 1 - tanh(mu theta_max) nears
-        double precision; values and slopes are NaN where it is not.  With
-        cut, rows from mu_max on are not ok either (see _status); mu_max is
-        read only if a row is near (_chunk), since mu* >= mu/top.
+        never from saturation_mu on, where 1 - tanh(mu theta_max) nears double
+        precision; values and slopes are NaN where it is not.  With cut, rows
+        from mu_max on are not ok either (see _status); mu_max is read only if
+        a row is near (_chunk).  S's eigenvalues lie in (0, 1], so tr S^-1 >=
+        1/(1 - top) + n - 1: every other row has top < CGF_SAFETY, and mu* >=
+        mu/top.
 
         With x = mu theta, c = 2x/sinh(2x) in (0, 1]
         (-mu e^2 d(e^-2)/dmu for e^2 = tanh(x)/theta) and h = S^-1 m,
@@ -321,30 +323,31 @@ class ExactEngine:
     # (grid), so no warning is due.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _chunk(self, mus, slope, cut):
-        """(values, slopes, feasible, near) of grid over one chunk, near (with
-        cut) the rows with CGF_SAFETY <= top < 1, by one LDL^T elimination
-        of S = I - mu B over the whole (mu, component) stack, with a Python
-        loop over the n pivots only.  It runs on B itself: pivot k is 1 - d_k for the
-        deficit d_k = mu B_kk of the updated B, and the trailing block takes
-        B_22 += mu b_21 b_21^T/(1 - d_k), the Schur complement of S written
-        as its deficit.  So ln det S = sum log1p(-d_k) keeps its digits at
-        small mu, and a row is feasible iff every d_k < 1.  The carried
-        columns [m | I] become y = L^-1 m (the mean term is sum y^2/(1 - d))
-        and Z = L^-1, unit lower triangular, whose strictly lower part N is
-        O(mu).  Then h = Z^T (y/(1 - d)) and, from diag(S^-1) - 1 =
-        diag(S^-1 mu B), diag(S^-1 B)_i = B_ii/(1 - d_i) +
-        sum_k N_ki^2/(1 - d_k)/mu, with no cancellation.  The stack axis
-        runs last, so every update is one contiguous elementwise pass."""
+        """(values, slopes, feasible, near) of grid over one chunk, by one
+        LDL^T elimination of S = I - mu B over the whole (mu, component) stack,
+        with a Python loop over the n pivots only.  It runs on B itself: pivot
+        k is 1 - d_k for the deficit d_k = mu B_kk of the updated B, and the
+        trailing block takes B_22 += mu b_21 b_21^T/(1 - d_k), the Schur
+        complement of S written as its deficit.  So ln det S = sum log1p(-d_k)
+        keeps its digits at small mu, and a row is feasible iff every d_k < 1.
+        The carried columns [m | I] become y = L^-1 m (the mean term is sum
+        y^2/(1 - d)) and Z = L^-1, unit lower triangular, whose strictly lower
+        part N is O(mu).  Then h = Z^T (y/(1 - d)) and, from diag(S^-1) - 1 =
+        diag(S^-1 mu B), diag(S^-1 B)_i = B_ii/(1 - d_i) + sum_k N_ki^2/(1 -
+        d_k)/mu, with no cancellation, and near (with cut) marks the feasible
+        rows where some component's tr S^-1 = n + mu sum diag(S^-1 B) reaches
+        1/(1 - CGF_SAFETY) (see grid).  The stack axis runs last, so every
+        update is one contiguous pass."""
         n, components = self.theta.size, self.log_weights.size
         x, e = self._unit_scale(mus)
         cols = components * mus.size
         # Each (component, mu) pair's B, then the carried columns m and, for
-        # the slope, I, in the (row, column, pair) layout.
-        width = n + (n + 1 if slope else 1)
+        # the slope or the cut, I, in the (row, column, pair) layout.
+        width = n + (n + 1 if slope or cut else 1)
         both = np.empty((n, width, components, mus.size))
         self._stacked_b(e, out=both[:, :n])
         both[:, n] = self.means.T[:, :, None] * e.T[:, None]
-        if slope:
+        if slope or cut:
             both[:, n + 1:] = np.eye(n)[:, :, None, None]
         both = both.reshape(n, width, cols)
         scale = np.concatenate([mus] * components)
@@ -357,15 +360,6 @@ class ExactEngine:
         # 1e-312, and within 4e-14 from 1e-310 on.
         smallest = np.diagonal(both).min(axis=1).reshape(components, mus.size).min(axis=0)
         tiny = mus * smallest < TINY
-        copies = 2 if cut else 1
-        if cut:
-            # A copy of every pair whose B is scaled by 1/CGF_SAFETY.  Its
-            # carried columns are eliminated along, unread: one update over
-            # every pair per pivot costs less than a second update that
-            # skips them, which made the tail's grid calls on the
-            # exact_grid states 11% slower.
-            both = np.concatenate([both, both], axis=2)
-            scale = np.concatenate([scale, scale / CGF_SAFETY])
         # pivot/mu = 1/mu - B_kk; where 1/mu overflows, the ratio mu B_ik/pivot
         # reads 0 in place of a product below the normal range.
         inv_scale = 1.0 / scale
@@ -376,13 +370,10 @@ class ExactEngine:
             # diagonal (row k of Z is zero right of it) in one update.
             trailing = both[k + 1:, k + 1:n + k + 2]
             trailing += ratio[:, None] * row[k + 1:n + k + 2]
-        unit, carried = both[:, :n], both[:, n:, :cols]
-        deficits = scale[:, None] * np.diagonal(unit)
-        worst = deficits.max(axis=1).reshape(copies, components, mus.size).max(axis=1)
-        # With cut, the copy's row of worst marks the rows with top < CGF_SAFETY.
-        feasible, *safe = (worst < 1.0) & (mus < saturation_mu(self.basis))
-        near = feasible & ~safe[0] if cut else None
-        deficits = deficits[:cols].T
+        unit, carried = both[:, :n], both[:, n:]
+        deficits = scale * np.diagonal(unit).T
+        worst = deficits.max(axis=0).reshape(components, mus.size).max(axis=0)
+        feasible = (worst < 1.0) & (mus < saturation_mu(self.basis))
         inv_gap = 1.0 / (1.0 - deficits)
         log_det = np.log1p(-deficits).sum(axis=0).reshape(components, mus.size)
         if tiny.any():
@@ -401,13 +392,17 @@ class ExactEngine:
         mix = np.exp(x_mix - shift)
         total = mix.sum(axis=0)
         values = shift + np.log(total)
+        if not (slope or cut):
+            return values, None, feasible, None
+        z = carried[:, 1:]
+        h = (z * scaled[:, None]).sum(axis=0) if slope else None
+        z[range(n), range(n)] = 0.0
+        spread = np.diagonal(unit).T * inv_gap + (z * z * inv_gap[:, None]).sum(axis=0) / scale
+        # With cut, tr S^-1 of each pair; near reads the largest over the components.
+        traces = (n + scale * spread.sum(axis=0)).reshape(components, mus.size) if cut else None
+        near = feasible & (traces.max(axis=0) >= 1.0 / (1.0 - CGF_SAFETY)) if cut else None
         if not slope:
             return values, None, feasible, near
-        z = carried[:, 1:]
-        h = (z * scaled[:, None]).sum(axis=0)
-        z[range(n), range(n)] = 0.0
-        beta = np.diagonal(unit)[:cols].T
-        spread = beta * inv_gap + (z * z * inv_gap[:, None]).sum(axis=0) / scale[:cols]
         terms = ((h * h + spread).reshape(n, components, mus.size)
                  / _over_x(np.sinh, 2.0 * x).T[:, None]).sum(axis=0)
         slopes = 0.5 * (terms - (self.theta * np.tanh(x)).sum(axis=1))

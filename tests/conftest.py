@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -203,11 +204,35 @@ def log_propagated_norm(initial, model, t, lam):
     on it was within 7e-13 relative of the engine's on propagate_mgf's
     state at t ||A||_1 <= 3, within 5e-8 at <= 8, and up to 5 off beyond,
     where 1 draw in 170 to 320 raised NormDivergent or NotPositiveDefinite.
+    Beyond that domain mp_propagated_moments checks propagate_mgf instead.
     """
     a, b = dynamics_matrices(model)
     e_neg = scipy.linalg.expm(-t * a)
     weight = e_neg @ (lam * np.eye(a.shape[0]) - gramian_finite(a, b, t).sigma) @ e_neg.T
     return -0.5 * t * float(np.trace(a)) + log_weighted_norm(initial, 0.5 * (weight + weight.T))
+
+
+def mp_propagated_moments(initial, model, t, dps=40):
+    """[(mean, cov)] of each component at time t, propagated forward at dps
+    digits from the same float A and B as propagate_mgf: one mpmath.expm of
+    t [[A, BB^T], [0, -A^T]], whose upper-left block is e^{tA} and whose
+    upper-right block G gives Sigma_t = G e^{tA^T}; each component maps to
+    (e^{tA} M, e^{tA} C e^{tA^T} + Sigma_t), rounded to floats at the end.
+    The oracle for propagate_mgf at stiff horizons, where
+    log_propagated_norm loses its digits."""
+    a, b = dynamics_matrices(model)
+    n = a.shape[0]
+    with mpmath.workdps(dps):
+        a_mp, b_mp = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+        block = mpmath.zeros(2 * n, 2 * n)
+        block[:n, :n], block[:n, n:], block[n:, n:] = a_mp, b_mp * b_mp.T, -a_mp.T
+        big = mpmath.expm(t * block)
+        e_ta = big[:n, :n]
+        sigma = big[:n, n:] * e_ta.T
+        return [(np.array((e_ta * mpmath.matrix(c.mean.tolist())).tolist(), dtype=float).ravel(),
+                 np.array((e_ta * mpmath.matrix(c.cov.tolist()) * e_ta.T + sigma).tolist(),
+                          dtype=float))
+                for c in initial.components]
 
 
 @np.errstate(over="ignore", invalid="ignore")

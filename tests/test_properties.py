@@ -17,8 +17,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bisect_nondecreasing, block_ccr, brent_tail, eigh_exact_chunk,
-                      golden_section_minimize, log_propagated_norm, per_sample_randomized_mc,
-                      random_admissible_state)
+                      golden_section_minimize, log_propagated_norm, mp_propagated_moments,
+                      per_sample_randomized_mc, random_admissible_state)
 from qembound import (
     GaussianState,
     MixtureMgf,
@@ -299,6 +299,24 @@ def test_time_bound_is_static_bound_on_propagated_state(case, t, frac, seed):
         ScalarBoundEngine(propagate_mgf(state, model, 0.0), basis).bound(beyond)
     with pytest.raises(EmptyFeasibleWindow):
         engine.bound(beyond)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures(), st.floats(3.0, 40.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_propagation_matches_forward_oracle_at_stiff_horizons(case, span, seed):
+    # The horizons the transport-formula check above skips, t ||A||_1 in
+    # (3, 40]: each propagated mean and covariance against a 40-digit
+    # forward propagation of the same float A and B, relative to its largest
+    # entry.  Over 2000 draws with t ||A||_1 uniform in (3, 25], and over the
+    # 1529 draws of the test above with t ||A||_1 > 3 (up to 70), the worst
+    # error was 1.1e-13, so 1e-12 is allowed.
+    state, _ = case
+    model = _random_model(np.random.default_rng(seed), state.ccr)
+    t = span / float(np.abs(dynamics_matrices(model)[0]).sum(axis=0).max())
+    propagated = propagate_mgf(state, model, t)
+    for comp, (mean, cov) in zip(propagated.components, mp_propagated_moments(state, model, t)):
+        assert np.abs(comp.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(comp.cov - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
 @PROPERTY_SETTINGS
@@ -639,6 +657,34 @@ def test_grid_matches_eigh_oracle(case, fractions):
     both = feasible & (ref_top < 1.0)
     np.testing.assert_allclose(values[both], ref_values[both], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(slopes[both], ref_slopes[both], rtol=1e-12, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(mixtures(squeezed=True), pure_mode_mixtures()),
+       st.lists(st.floats(0.01, 1.5), max_size=6),
+       st.lists(st.tuples(st.sampled_from([CGF_SAFETY, 1.0]), st.floats(-1e-3, 1e-3)),
+                min_size=1, max_size=10))
+def test_tail_cut_reads_ok_exactly_below_both_thresholds(case, fractions, packed):
+    # The tail's grid finds the rows near its cut from tr S^-1, with no
+    # second elimination; its rows still read ok exactly where top < 1 and
+    # mu < mu_max, on a grid across the range and rows packed within 1e-3
+    # relative of CGF_SAFETY mu* and of mu* (of the span, where mu* is not
+    # resolved below it).  Rows within 1e-9 relative of either threshold
+    # are left out, and counted.  A fresh engine's tail grid over rows with
+    # top <= 0.99 marks none near, so it solves no mu*.
+    state, basis = case
+    engine = ExactEngine(state, basis)
+    scale = engine.mu_star if math.isfinite(engine.mu_star) else saturation_mu(basis)
+    mus = np.unique(np.concatenate([np.array(fractions),
+                                    [at * (1.0 + offset) for at, offset in packed]]) * scale)
+    status = engine.grid(mus, slope=True, cut=True).status
+    top, mu_max = engine.top(mus), engine.mu_max()
+    edge = (np.abs(mus / mu_max - 1.0) <= 1e-9) | (np.abs(mus / engine.mu_star - 1.0) <= 1e-9)
+    event(f"rows within 1e-9 of a threshold: {int(edge.sum())}")
+    assert np.array_equal((status == "ok")[~edge], ((top < 1.0) & (mus < mu_max))[~edge])
+    fresh = ExactEngine(state, basis)
+    fresh.grid(mus[top <= 0.99], slope=True, cut=True)
+    assert "mu_star" not in vars(fresh)
 
 
 def _statuses_reading_mu_star_first(kind, state, basis, mus):
