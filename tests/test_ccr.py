@@ -19,7 +19,7 @@ from qembound import (
 )
 from qembound import ccr as ccr_module
 from qembound.ccr import _diag_kron_j2, _eigh_basis, lnsinh
-from qembound.cli import parse_config
+from qembound.cli import parse_config, run
 from qembound.errors import (
     DimensionMismatch,
     EigenSolverFailure,
@@ -176,6 +176,11 @@ class TestSymplecticEigenbasis:
                 assert u[nz[0]] > 0.0
 
 
+# A fixed orthogonal Q: the frequency list [2.5, 1.0] turned by it is a
+# matrix literal that is not block-diagonal.
+_Q = np.linalg.qr(np.arange(1.0, 17.0).reshape(4, 4) ** 0.5)[0]
+
+
 class TestClosedFormBasis:
     """A block-diagonal Theta with positive frequencies gets its basis in
     closed form, any other Theta from the eigensolver; both are verified."""
@@ -238,18 +243,44 @@ class TestClosedFormBasis:
         with pytest.raises(EigenSolverFailure):
             symplectic_eigenbasis(ccr)
 
-    @pytest.mark.parametrize("case", ["negative-frequency", "rotated"])
+    @pytest.mark.parametrize("case", ["negative-frequency", "rotated", "rotated-frequency-list"])
     def test_other_literals_take_eigh(self, monkeypatch, case):
         if case == "negative-frequency":
             ccr = validate_ccr(_diag_kron_j2([-1.0, 2.0]))
-        else:
+        elif case == "rotated":
             ccr, _ = random_ccr(np.random.default_rng(5), 3)
+        else:
+            ccr = validate_ccr(_Q @ _diag_kron_j2([2.5, 1.0]) @ _Q.T)
         reference = _eigh_basis(ccr)
         calls = self._spy(monkeypatch, refuse_eigh=False)
         basis = symplectic_eigenbasis(ccr)
         assert calls == {"eigh": 1, "verify": 1}
         np.testing.assert_array_equal(basis.H, reference.H)
         np.testing.assert_array_equal(basis.gamma, reference.gamma)
+
+    @pytest.mark.parametrize("kind", ["gaussian_exact", "tail"])
+    def test_rotated_literal_gives_the_rows_of_its_frequency_list(self, kind):
+        # Upsilon is invariant under Theta' = Q Theta Q^T, C' = Q C Q^T and
+        # m' = Q m, so the eigensolver basis of the rotated literal gives the
+        # rows of the closed-form basis of ccr [2.5, 1.0]: the same statuses,
+        # and values within 1e-12 relative.  mu* ~ 0.47, so the last two
+        # rows lie past it.
+        cov = np.diag([3.0, 3.0, 1.5, 1.5]) + 0.2
+        mean = np.array([0.5, -0.3, 0.2, 0.1])
+
+        def rows(ccr, q):
+            return run(parse_config(json.dumps({
+                "kind": kind, "ccr": ccr, "mu_grid": [0.05, 0.1, 0.2, 0.3, 0.4, 0.6],
+                "state": {"mean": (q @ mean).tolist(), "cov": (q @ cov @ q.T).tolist()}})))[0].rows
+
+        listed = rows([2.5, 1.0], np.eye(4))
+        rotated = rows((_Q @ _diag_kron_j2([2.5, 1.0]) @ _Q.T).tolist(), _Q)
+        assert [r.status for r in listed] == ["ok"] * 4 + ["infeasible_mu"] * 2
+        assert [r.status for r in rotated] == [r.status for r in listed]
+        for a, b in zip(listed, rotated):
+            for x, y in zip(a[2:-1], b[2:-1]):
+                assert (x is None) == (y is None)
+                assert x is None or abs(x - y) <= 1e-12 * abs(y)
 
 
 def _series_cos(a, terms=30):

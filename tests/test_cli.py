@@ -560,22 +560,65 @@ class TestRun:
         assert [r.status for r in report.rows] == statuses
         assert mu_star_solves == []
 
-    @pytest.mark.parametrize("kind, statuses", [
-        ("tail", ["ok", "ok", "infeasible_mu", "infeasible_mu"]),
-        ("gaussian_exact", ["ok", "ok", "ok", "infeasible_mu"]),
-        ("randomized_mc", ["ok", "infinite_variance", "infinite_variance", "infeasible_mu"]),
-    ])
-    def test_rows_between_the_cut_and_mu_star(self, mu_star_solves, kind, statuses):
+    @pytest.fixture
+    def grid_linalg(self, monkeypatch):
+        """The numpy.linalg.solve calls of a run, and the numpy.linalg.eigvalsh
+        calls made inside ExactEngine.grid, as counts."""
+        calls = {"solve": 0, "eigvalsh": 0}
+        depth = [0]
+        grid, eigvalsh, solve = qembound.qem.ExactEngine.grid, np.linalg.eigvalsh, np.linalg.solve
+
+        def spied_grid(engine, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return grid(engine, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def spied_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += depth[0] > 0
+            return eigvalsh(*args, **kwargs)
+
+        def spied_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qembound.qem.ExactEngine, "grid", spied_grid)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
+        monkeypatch.setattr(np.linalg, "solve", spied_solve)
+        return calls
+
+    @pytest.mark.parametrize("kind, mean, mu_grid, statuses", [
+        ("tail", 0.5, [0.1, 0.3462, 0.3464, 0.3467], ["ok", "ok", "infeasible_mu", "infeasible_mu"]),
+        ("gaussian_exact", 0.5, [0.1, 0.3462, 0.3464, 0.3467], ["ok", "ok", "ok", "infeasible_mu"]),
+        ("randomized_mc", 0.5, [0.1, 0.3462, 0.3464, 0.3467],
+         ["ok", "infinite_variance", "infinite_variance", "infeasible_mu"]),
+        ("tail", 0.0, [0.1, 0.2, 0.3, 0.3462, 0.4], ["ok"] * 4 + ["infeasible_mu"]),
+        ("gaussian_exact", 0.0, [0.1, 0.2, 0.3, 0.3462, 0.4], ["ok"] * 4 + ["infeasible_mu"]),
+    ], ids=["tail-statuses0", "gaussian_exact-statuses1", "randomized_mc-statuses2",
+            "tail-centred", "gaussian_exact-centred"])
+    def test_rows_between_the_cut_and_mu_star(self, mu_star_solves, grid_linalg, kind, mean,
+                                              mu_grid, statuses):
         # mu* = atanh(1/3) ~ 0.346574 and CGF_SAFETY mu* ~ 0.346227.  At
         # 0.3462 top = 3 tanh(0.3462) ~ 0.99900 >= CGF_SAFETY, yet the row
         # lies below the cut, and 0.3464 lies past it with top < 1: only the
         # tail reads mu_max to tell them apart, by one mu* solve (on one
-        # frequency the closed form, which reads no top).
-        cfg = _vacuum_config(kind=kind, state={"mean": [0.5, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
-                             mu_grid=[0.1, 0.3462, 0.3464, 0.3467], samples=1000, seed=1)
+        # frequency the closed form, which reads no top and one eigvalsh).
+        # The grid reads values and feasibility from its pivots: no solve in
+        # the whole run, and no eigvalsh in the grid but mu*'s.  With
+        # t = tanh mu, Upsilon = -ln(1 - 3t) - ln cosh mu + |m|^2 t/(2 (1 - 3t)).
+        cfg = _vacuum_config(kind=kind, state={"mean": [mean, 0.0], "cov": [[3.0, 0.0], [0.0, 3.0]]},
+                             mu_grid=mu_grid, samples=1000, seed=1)
         report, _ = run(parse_config(json.dumps(cfg)))
         assert [r.status for r in report.rows] == statuses
         assert len(mu_star_solves) == (1 if kind == "tail" else 0)
+        assert grid_linalg == {"solve": 0, "eigvalsh": len(mu_star_solves)}
+        for row in report.rows:
+            if row.upsilon_exact is not None:
+                t = math.tanh(row.mu)
+                exact = (-math.log1p(-3.0 * t) - math.log(math.cosh(row.mu))
+                         + 0.5 * mean ** 2 * t / (1.0 - 3.0 * t))
+                assert row.upsilon_exact == pytest.approx(exact, rel=1e-12)
 
     def test_oqho_sweep_at_zero_time_is_upper_bound(self):
         # cov 3 I: the weight limit 1/tanh(0.5) ~ 2.16 is below the top
@@ -783,16 +826,21 @@ class TestMain:
 
 
 class TestHonestRows:
-    @pytest.mark.parametrize(
-        "kind", ["gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep"]
-    )
-    def test_overflowing_state_flags_every_row(self, kind):
+    @pytest.mark.parametrize("kind, cov, mu_grid", [
+        *(pytest.param(kind, 1.0, [0.5, 1.0], id=kind)
+          for kind in ("gaussian_exact", "randomized_mc", "upper_bound", "tail", "oqho_sweep")),
+        *(pytest.param(kind, 3.0, [0.1], id=f"{kind}-below-mu-star")
+          for kind in ("gaussian_exact", "upper_bound", "tail")),
+    ])
+    def test_overflowing_state_flags_every_row(self, kind, cov, mu_grid):
         # A mean of 1e308 overflows every route; no row may read ok with a
-        # nan, and no cell may abort the sweep.
+        # nan, and no cell may abort the sweep.  Cov 3 I at mu = 0.1 has
+        # top = 0.299 < 1, below mu* = atanh(1/3): the row is a numerical
+        # fault, not an infinite moment.
         cfg = _vacuum_config(
             kind=kind,
-            state={"mean": [1e308, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
-            mu_grid=[0.5, 1.0],
+            state={"mean": [1e308, 0.0], "cov": [[cov, 0.0], [0.0, cov]]},
+            mu_grid=mu_grid,
             samples=4096,
             seed=1,
         )
@@ -801,27 +849,31 @@ class TestHonestRows:
                        t_grid=[0.0, 1.0])
         report, code = run(parse_config(json.dumps(cfg)))
         assert code == 2
-        assert len(report.rows) == (4 if kind == "oqho_sweep" else 2)
+        assert len(report.rows) == len(mu_grid) * (2 if kind == "oqho_sweep" else 1)
         for row in report.rows:
             assert row.status == "numerical_error"
             assert all(getattr(row, name) is None for name in CSV_COLUMNS[2:-1])
 
     @pytest.mark.parametrize("ccr", [[1.7e308], [[0.0, 1.7e308], [-1.7e308, 0.0]]],
                              ids=["frequency-list", "matrix-literal"])
-    def test_huge_frequency_finishes_every_kind_quietly(self, ccr):
+    def test_huge_frequency_finishes_every_kind_quietly(self, ccr, tmp_path):
         # Theta and the covariance lie above half the double range, where
         # canonicalising as 0.5 * (a -+ a^T) overflowed.  Every kind now
-        # finishes with no warning and flags what it cannot resolve; the
-        # exact row at mu = 1e-320 is ok, about mu (tr C)/2.
+        # finishes with no warning, through the command line to its CSV, and
+        # flags what it cannot resolve; the exact row at mu = 1e-320 is ok,
+        # about mu (tr C)/2.
         base = _vacuum_config(ccr=ccr, mu_grid=[1e-320, 1e-300, 0.1], samples=1000,
                               state={"mean": [0, 0], "cov": [[1.75e308, 0], [0, 1.75e308]]},
                               model={"R": [[1, 0], [0, 1]], "N": [[1, 0], [0, 1]]}, t_grid=[0, 1])
+        config_path, out_path = tmp_path / "huge.json", tmp_path / "huge.csv"
         for kind in qembound.cli.KINDS:
             cfg = {key: value for key, value in base.items()
                    if kind == "oqho_sweep" or key not in ("model", "t_grid")}
+            config_path.write_text(json.dumps(dict(cfg, kind=kind)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                report, code = run(parse_config(json.dumps(dict(cfg, kind=kind))))
+                code = main(["run", str(config_path), "--output", str(out_path)])
+            report = BoundReport.read_csv(str(out_path))
             assert code == 2 and all(row.status in STATUSES for row in report.rows)
             if kind == "gaussian_exact":
                 first, *rest = report.rows
